@@ -5,7 +5,10 @@ Cones come in two representations: HCone (intersection of halfspaces
 generators).  Conversion both ways is the double description method with
 lexicographic insertion order and the algebraic rank adjacency test, which
 is the simplest correct choice at the intended sizes (ambient dimension is
-guarded at 12).  Membership and inclusion questions are exact LPs.
+guarded at 12).  Its loop runs in integer arithmetic on primitive vectors
+and keeps each ray's set of tight rows as a bitmask, so the rank test runs
+only for pairs that share enough tight rows.  Membership and inclusion
+questions are exact LPs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import lp
 from .linalg import (
@@ -24,8 +28,6 @@ from .linalg import (
     rank,
     vdot,
     vec,
-    vsub,
-    vscale,
 )
 
 log = logging.getLogger(__name__)
@@ -99,6 +101,14 @@ def double_description(
     span(lines) + cone(rays) and the rays are extreme modulo the lineality.
     Inequalities are inserted in lexicographic order; adjacency of rays is
     decided by the rank of the constraints tight at both.
+
+    The loop runs on Python ints: every row, line and ray is a primitive
+    integer vector, each row-ray product is taken once, and each ray carries
+    a bitmask of the inserted rows it is tight at (bit i for the i-th
+    inserted row), updated as rays are formed (Fukuda-Prodon 1996).  A pair
+    whose common tight set has too few rows to reach the adjacency rank is
+    skipped before the rank is computed.  The lines always span the kernel
+    of E and the inserted rows, so that kernel has rank dim - len(lines).
     """
     _check_dim(dim)
     eq_rows = [vec(e) for e in equalities if not is_zero_vec(e)]
@@ -106,55 +116,79 @@ def double_description(
         lines = [primitivize(l) for l in kernel_basis(eq_rows, dim)]
     else:
         lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    eq_rank = dim - len(lines)
     rays: list[tuple[int, ...]] = []
+    tight: list[int] = []  # tight[k]: bitmask of inserted rows tight at rays[k]
     rows = sorted(
         {primitivize(h) for h in (vec(h) for h in inequalities) if not is_zero_vec(h)}
     )
-    processed: list[tuple[int, ...]] = []
-    full_rank = rank(eq_rows) if eq_rows else 0
-    basis_rows = list(eq_rows)
 
-    for a in rows:
-        vals_lines = [vdot(a, l) for l in lines]
+    for n_done, a in enumerate(rows):
+        bit = 1 << n_done
+        vals_lines = [_idot(a, l) for l in lines]
         hit = next((i for i, v in enumerate(vals_lines) if v != 0), None)
         if hit is not None:
-            # a line leaves the lineality: pivot it into a ray
-            pivot = lines[hit] if vals_lines[hit] > 0 else tuple(-x for x in lines[hit])
-            pv = abs(vals_lines[hit])
+            # a line leaves the lineality: pivot it into a ray.  The old rays
+            # are projected onto a = 0 and keep their tight rows; the pivot
+            # came from the lineality, so every earlier row is tight at it.
+            pv = vals_lines[hit]
+            pivot = lines[hit] if pv > 0 else tuple(-x for x in lines[hit])
+            pv = abs(pv)
             lines = [
-                primitivize(vsub(l, vscale(Fraction(vdot(a, l), pv), pivot)))
-                for i, l in enumerate(lines)
+                _iprimitive([pv * x - v * y for x, y in zip(l, pivot)])
+                for i, (l, v) in enumerate(zip(lines, vals_lines))
                 if i != hit
             ]
             rays = [
-                primitivize(vsub(r, vscale(Fraction(vdot(a, r), pv), pivot)))
-                for r in rays
+                _iprimitive([pv * x - v * y for x, y in zip(r, pivot)])
+                for r, v in zip(rays, (_idot(a, r) for r in rays))
             ] + [pivot]
-        else:
-            plus = [r for r in rays if vdot(a, r) > 0]
-            zero = [r for r in rays if vdot(a, r) == 0]
-            minus = [r for r in rays if vdot(a, r) < 0]
-            new_rays = plus + zero
-            if minus and plus:
-                for rp, rm in itertools.product(plus, minus):
-                    common = eq_rows + [
-                        p for p in processed if vdot(p, rp) == 0 and vdot(p, rm) == 0
-                    ]
-                    if rank(common) == full_rank - 2:
-                        combo = vsub(
-                            vscale(vdot(a, rp), rm), vscale(vdot(a, rm), rp)
-                        )
-                        new_rays.append(primitivize(combo))
-            seen = set()
-            rays = []
-            for r in new_rays:
-                if r not in seen:
-                    seen.add(r)
-                    rays.append(r)
-        processed.append(a)
-        basis_rows.append(vec(a))
-        full_rank = rank(basis_rows)
+            tight = [z | bit for z in tight] + [bit - 1]
+            continue
+        vals = [_idot(a, r) for r in rays]
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        new_rays = [rays[k] for k in plus + zero]
+        new_tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero]
+        if minus and plus:
+            # adjacent pairs have common tight rows of rank full_rank - 2,
+            # which needs at least that many rows beyond E's rank
+            full_rank = dim - len(lines)
+            need = full_rank - 2 - eq_rank
+            for p, m in itertools.product(plus, minus):
+                common = tight[p] & tight[m]
+                if common.bit_count() < need:
+                    continue
+                common_rows = eq_rows + [
+                    rows[i] for i in range(n_done) if common >> i & 1
+                ]
+                if rank(common_rows) == full_rank - 2:
+                    rp, rm, vp, vm = rays[p], rays[m], vals[p], vals[m]
+                    new_rays.append(
+                        _iprimitive([vp * y - vm * x for x, y in zip(rp, rm)])
+                    )
+                    new_tight.append(common | bit)
+        seen = set()
+        rays, tight = [], []
+        for r, z in zip(new_rays, new_tight):
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+                tight.append(z)
     return lines, rays
+
+
+def _idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _iprimitive(v: list[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero integer vector."""
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("cannot primitivize the zero vector")
+    return tuple(x // g for x in v)
 
 
 def h_to_v(c: HCone) -> VCone:
@@ -260,7 +294,8 @@ def solve_nonneg_in_span(target, gens) -> tuple[dict[int, Fraction], list[int]] 
     if coeffs is None:
         return None
     support = [i for i, b in enumerate(coeffs) if b != 0]
-    assert rank([gens[i] for i in support]) == len(support)
+    if rank([gens[i] for i in support]) != len(support):
+        raise RuntimeError("basic solution has a linearly dependent support")
     return {i: coeffs[i] for i in support}, support
 
 

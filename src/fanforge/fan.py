@@ -103,9 +103,6 @@ class Fan:
         self._derived[name] = (basis, value)
         return value
 
-    def face_raysets(self) -> set[tuple[int, ...]]:
-        return set(self.faces)
-
     def max_cone_containing(self, x) -> tuple[int, ConeData]:
         """Some maximal cone containing x (the smallest index one)."""
         x = vec(x)
@@ -129,8 +126,9 @@ class Fan:
         )
 
 
-def _cone_faces(gens: list[tuple[int, ...]], indices: tuple[int, ...], rays, memo):
-    """All faces of Cone(gens) as ray index sets, the cone itself included."""
+def _cone_faces(indices: tuple[int, ...], rays, memo):
+    """All faces of the cone on the indexed rays as ray index sets, the cone
+    itself included."""
     if indices in memo:
         return memo[indices]
     result = {indices}
@@ -138,7 +136,7 @@ def _cone_faces(gens: list[tuple[int, ...]], indices: tuple[int, ...], rays, mem
         hrep = v_to_h(VCone.make([rays[i] for i in indices]))
         for u in hrep.inequalities:
             tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
-            result |= _cone_faces(gens, tight, rays, memo)
+            result |= _cone_faces(tight, rays, memo)
     memo[indices] = result
     return result
 
@@ -201,7 +199,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     max_face_sets = []
     for c in cones:
         max_face_sets.append(
-            frozenset(_cone_faces(list(rays_t), c.ray_indices, rays_t, memo))
+            frozenset(_cone_faces(c.ray_indices, rays_t, memo))
         )
     all_face_sets: set[tuple[int, ...]] = set().union(*max_face_sets)
     faces: dict[tuple[int, ...], ConeData] = {}
@@ -245,7 +243,10 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
         incident = tuple(
             i for i in range(len(cones)) if fs in max_face_sets[i]
         )
-        assert 1 <= len(incident) <= 2, "proper fan walls meet at most two cones"
+        if not 1 <= len(incident) <= 2:
+            raise RuntimeError(
+                f"wall {fs} meets {len(incident)} maximal cones, not one or two"
+            )
         walls.append(Wall(fs, incident))
 
     # support convexity from boundary-wall halfspaces
@@ -255,12 +256,17 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             continue
         span_rows = [rays_t[i] for i in w.ray_indices]
         normal = kernel_basis(span_rows, dim)
-        assert len(normal) == 1
+        if len(normal) != 1:
+            raise RuntimeError(f"wall {w.ray_indices} does not span a hyperplane")
         u = normal[0]
         cone = cones[w.cone_indices[0]]
         side = [vdot(u, rays_t[i]) for i in cone.ray_indices]
         if any(s < 0 for s in side):
-            assert all(s <= 0 for s in side), "wall spans a supporting hyperplane"
+            if any(s > 0 for s in side):
+                raise RuntimeError(
+                    f"wall {w.ray_indices} does not span a supporting hyperplane "
+                    f"of its cone"
+                )
             u = vec(-x for x in u)
         boundary_rows.append(vec(primitivize(u)))
     support = HCone(tuple(sorted(set(boundary_rows))), (), dim)
@@ -294,15 +300,16 @@ def generates_cone(fan: Fan, ray_set) -> bool:
 
 
 def minimal_cone_containing(fan: Fan, x) -> ConeData:
-    """The unique smallest face of the fan containing x."""
+    """The unique smallest face of the fan containing x: the face of a
+    maximal cone containing x cut out by the facets of that cone that x lies
+    on."""
     x = vec(x)
-    candidates = [f for f in fan.faces.values() if f.contains_point(x)]
-    if not candidates:
-        raise OutsideSupport(f"point {x} is outside the support")
-    best = min(candidates, key=lambda f: (f.dim, f.ray_indices))
-    for f in candidates:
-        assert set(best.ray_indices) <= set(f.ray_indices)
-    return best
+    _, cone = fan.max_cone_containing(x)
+    on = [u for u in cone.facets.inequalities if vdot(u, x) == 0]
+    face = tuple(
+        i for i in cone.ray_indices if all(vdot(u, fan.rays[i]) == 0 for u in on)
+    )
+    return fan.faces[face]
 
 
 def interior_walls(fan: Fan) -> list[tuple[Wall, ConeData, ConeData]]:

@@ -184,10 +184,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def matmul_vec(rows: Sequence[Sequence], x: Sequence) -> Vec:
-    return tuple(vdot(r, x) for r in rows)
-
-
 def lex_min_independent_subset(vectors: Sequence[Sequence], size: int) -> list[int] | None:
     """Indices of the lexicographically smallest linearly independent subset
     of the given size (greedy; greedy is optimal for matroid independence)."""

@@ -101,10 +101,6 @@ def relation_dense(fan: Fan, rel: RelationVector) -> Vec:
     return vec(rel.get(i, ZERO) for i in range(fan.n_rays))
 
 
-def _basis_ray_values(basis: PLBasis, functions) -> list[Vec]:
-    return [f.ray_values() for f in functions]
-
-
 def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis, quotient_only=False) -> Vec:
     """The relation as a linear functional over basis coordinates: entry j is
     sum_i rel[i] * phi_j(ray_i).  Entries over the global linear part vanish

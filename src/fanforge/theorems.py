@@ -61,7 +61,9 @@ class TheoremReport:
 
 def _membership_certificates(inner: VCone, outer: VCone, certs: list) -> Vec | None:
     """Record one nonnegative combination per generator of inner over the
-    generators of outer; returns a counterexample generator on failure."""
+    generators of outer; returns a counterexample generator on failure.  The
+    certificates share one list of the outer generators."""
+    outer_strs = [[str(x) for x in og] for og in outer.generators]
     for g in inner.generators:
         ok, coeffs = cone_contains(outer, g)
         if not ok:
@@ -69,7 +71,7 @@ def _membership_certificates(inner: VCone, outer: VCone, certs: list) -> Vec | N
         certs.append(
             {
                 "target": [str(x) for x in g],
-                "generators": [[str(x) for x in og] for og in outer.generators],
+                "generators": outer_strs,
                 "coeffs": [str(c) for c in coeffs],
             }
         )

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanforge.cones import (
     DimensionTooLarge,
@@ -10,6 +12,7 @@ from fanforge.cones import (
     cone_contains,
     cone_dim,
     cones_equal,
+    double_description,
     dual_cone,
     h_to_v,
     hcone_covered_by,
@@ -20,7 +23,7 @@ from fanforge.cones import (
     solve_nonneg_in_span,
     strict_feasible,
 )
-from fanforge.linalg import det, primitivize, rank, vdot
+from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot
 
 SQUARE_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
 
@@ -210,3 +213,220 @@ def v_to_h_checked_pub(v):
     from fanforge.cones import v_to_h
 
     return v_to_h(v)
+
+
+# (equalities, inequalities, dim, lines, rays) of seeded random systems,
+# recorded from the rational-arithmetic implementation this one replaced;
+# the exact lists pin the insertion and output order as well as the cone.
+PINNED_DD = [
+    (
+        [],
+        [(3, -3), (3, 0), (1, 1), (3, -3)],
+        2,
+        [],
+        [(1, 1), (1, -1)],
+    ),
+    (
+        [(-2, -2)],
+        [(-1, -1), (1, 3), (-2, 2), (1, 1), (-3, -2), (3, 3)],
+        2,
+        [],
+        [(-1, 1)],
+    ),
+    (
+        [],
+        [(-3, -3), (2, 3), (0, 1), (-2, 2), (0, 0), (1, 3)],
+        2,
+        [],
+        [(-1, 1), (-3, 2)],
+    ),
+    (
+        [(-2, 0, 0)],
+        [(-2, -3, 2), (2, 0, 1), (2, 3, -2), (-2, 2, -3), (-2, 1, -3), (-1, 0, -2)],
+        3,
+        [],
+        [],
+    ),
+    (
+        [],
+        [(-2, 3, -3, 3), (1, -3, 1, -2), (3, -2, -2, 1), (1, -3, 1, 2), (-1, 1, 2, -2)],
+        4,
+        [],
+        [],
+    ),
+    (
+        [],
+        [(1, 0, 0), (-2, 3, 1), (-1, 2, 0)],
+        3,
+        [],
+        [(0, 0, 1), (0, 1, -3), (2, 1, 1)],
+    ),
+    (
+        [],
+        [(-3, -2, -2), (-3, 1, 1)],
+        3,
+        [(0, -1, 1)],
+        [(-1, -3, 0), (-2, 3, 0)],
+    ),
+    (
+        [],
+        [(-1, 0, -3, 0), (3, 1, 0, 1), (3, 0, 0, 1)],
+        4,
+        [(-3, 0, 1, 9)],
+        [(0, 0, -1, 0), (3, -9, -1, 0), (0, 1, 0, 0)],
+    ),
+    (
+        [],
+        [(1, 0, -2), (-2, -2, -3)],
+        3,
+        [(4, -7, 2)],
+        [(0, -1, 0), (1, -1, 0)],
+    ),
+    (
+        [],
+        [(-1, 1, 2), (1, -1, 1), (0, -1, 0)],
+        3,
+        [],
+        [(-1, 0, 1), (-1, -1, 0), (2, 0, 1)],
+    ),
+    (
+        [(-1, -1, 2, 0)],
+        [
+            (0, 2, -2, -3), (1, -2, 1, 2), (1, -1, 1, 3), (-1, -3, 2, 1),
+            (-1, 2, 3, -3), (0, 2, 3, -2),
+        ],
+        4,
+        [],
+        [(15, -9, 3, -8), (5, -1, 2, -2), (18, -12, 3, -11), (11, -3, 4, -6)],
+    ),
+    (
+        [],
+        [
+            (-3, -2, -1, -1), (-1, -1, 0, -3), (-1, 1, 1, -3), (3, -2, -2, 2),
+            (3, 1, 3, 1),
+        ],
+        4,
+        [],
+        [(4, -20, 27, 1), (-4, -17, 10, -1), (16, -6, -3, -33), (9, -8, -4, -7)],
+    ),
+    (
+        [],
+        [(1, -2, 2), (2, -2, -2), (1, 0, 2), (3, 3, -2), (3, 1, 3)],
+        3,
+        [],
+        [(2, 0, -1), (4, 3, 1), (6, -8, -3), (5, -1, 6)],
+    ),
+    (
+        [],
+        [(-3, -1, 1, -1), (2, -2, 3, -3), (1, -1, -3, 2)],
+        4,
+        [(1, -11, 28, 36)],
+        [(-1, -1, 0, 0), (1, -11, -8, 0), (1, -2, 1, 0)],
+    ),
+    (
+        [],
+        [
+            (-3, -2, -1, -2), (1, 2, 2, 3), (0, -3, 2, -2), (-2, 0, -3, -3),
+            (1, -1, 3, 3), (-2, -3, 2, -3), (-1, 0, -3, 3),
+        ],
+        4,
+        [],
+        [
+            (-18, 4, 9, 3), (-27, 6, 10, 1), (-12, -3, 6, 2), (-15, -8, -1, 11),
+            (-51, 6, 18, 1), (-25, 2, 6, 3),
+        ],
+    ),
+    (
+        [],
+        [
+            (-1, -3, 0, -1), (-1, 0, 1, 3), (-3, 2, 3, -1), (-2, 1, 3, -1),
+            (3, -1, -2, -2),
+        ],
+        4,
+        [],
+        [(16, -5, 19, -1), (13, -3, 25, -4), (-1, -5, 2, -1), (25, -11, 35, 8)],
+    ),
+    (
+        [(-1, 1, 0, 0)],
+        [
+            (3, -2, 0, 1), (2, -2, 1, 0), (-2, -3, 3, 0), (3, 1, 1, 0), (1, -2, 0, 0),
+            (-1, -2, 0, 1),
+        ],
+        4,
+        [],
+        [(0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, 4, 1)],
+    ),
+    (
+        [],
+        [(-3, -3, 0), (3, 0, 3), (-2, 0, 0)],
+        3,
+        [],
+        [(0, -1, 0), (-1, 1, 1), (0, 0, 1)],
+    ),
+    (
+        [],
+        [(1, 1, -3), (0, 3, -2), (-2, -2, -2), (-1, -3, 3)],
+        3,
+        [],
+        [(-3, -2, -3), (-7, -2, -3), (-3, 0, -1)],
+    ),
+    (
+        [(-1, 2, 2)],
+        [(1, 3, 0), (-1, 3, 3), (-2, 3, 1)],
+        3,
+        [],
+        [(0, 1, -1), (4, 3, -1)],
+    ),
+]
+
+
+@pytest.mark.parametrize("eqs, ineqs, dim, lines, rays", PINNED_DD)
+def test_double_description_pinned_outputs(eqs, ineqs, dim, lines, rays):
+    assert double_description(eqs, ineqs, dim) == (lines, rays)
+
+
+def _brute_force_rays(eqs, ineqs, dim):
+    """Primitive vectors of the cone whose tight rows together with the
+    equalities have rank dim - 1, found by solving every row subset."""
+    found = set()
+    for k in range(dim):
+        for subset in itertools.combinations(ineqs, k):
+            kernel = kernel_basis(list(eqs) + list(subset), dim)
+            if len(kernel) != 1:
+                continue
+            for sign in (1, -1):
+                v = primitivize([sign * x for x in kernel[0]])
+                if any(vdot(e, v) != 0 for e in eqs):
+                    continue
+                if any(vdot(a, v) < 0 for a in ineqs):
+                    continue
+                tight = [a for a in ineqs if vdot(a, v) == 0]
+                if rank(list(eqs) + tight) == dim - 1:
+                    found.add(v)
+    return found
+
+
+@st.composite
+def _integer_systems(draw):
+    dim = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    ineqs = draw(st.lists(row, max_size=8))
+    eqs = draw(st.lists(row, max_size=2))
+    return eqs, ineqs, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_systems())
+def test_double_description_matches_brute_force(system):
+    eqs, ineqs, dim = system
+    lines, rays = double_description(eqs, ineqs, dim)
+    constraints = list(eqs) + list(ineqs)
+    # span(lines) is the kernel of [E; A]
+    assert rank(lines) == len(lines) == dim - rank(constraints)
+    assert all(vdot(c, l) == 0 for c in constraints for l in lines)
+    assert len(set(rays)) == len(rays)
+    for r in rays:
+        assert all(vdot(e, r) == 0 for e in eqs)
+        assert all(vdot(a, r) >= 0 for a in ineqs)
+    if not lines:
+        assert set(rays) == _brute_force_rays(eqs, ineqs, dim)

@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from fanforge import corpus
+from fanforge.primcoll import enumerate_primitive_collections
 from fanforge.fan import (
     FanError,
     OutsideSupport,
@@ -105,6 +106,20 @@ def test_minimal_cone_is_face_of_every_container():
         for c in f.max_cones:
             if c.contains_point(x):
                 assert set(m.ray_indices) <= set(c.ray_indices)
+
+
+def test_minimal_cone_matches_face_scan_on_primitive_sums():
+    for _, f in corpus.paper_examples():
+        points = [(0,) * f.dim]
+        for p in enumerate_primitive_collections(f):
+            points.append(tuple(sum(f.ray(i)[d] for i in p) for d in range(f.dim)))
+        for x in points:
+            containing = [c for c in f.faces.values() if c.contains_point(x)]
+            smallest = min(containing, key=lambda c: (c.dim, c.ray_indices))
+            assert all(
+                set(smallest.ray_indices) <= set(c.ray_indices) for c in containing
+            )
+            assert minimal_cone_containing(f, x) == smallest
 
 
 def test_contained_in_single_cone():
