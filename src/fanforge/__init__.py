@@ -13,7 +13,6 @@ from .cones import (
     dual_cone,
     h_to_v,
     solve_nonneg_in_span,
-    strict_feasible,
     v_to_h,
 )
 from .fan import (

@@ -303,7 +303,12 @@ def cmd_qp(args) -> int:
 def cmd_refine(args) -> int:
     f = _load_fan(args.fan)
     seed = args.seed if args.seed is not None else _default_seed()
-    support = tuple(int(x) for x in args.support.split(",")) if args.support else ()
+    try:
+        support = tuple(int(x) for x in args.support.split(",")) if args.support else ()
+    except ValueError:
+        print(f"error: --support needs comma-separated ray indices, got {args.support!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.qp:
             ok, witness = plfun.is_quasi_projective(f)

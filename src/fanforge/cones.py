@@ -299,12 +299,6 @@ def solve_nonneg_in_span(target, gens) -> tuple[dict[int, Fraction], list[int]] 
     return {i: coeffs[i] for i in support}, support
 
 
-def strict_feasible(strict, weak, eqs, dim: int) -> Vec | None:
-    """Witness x with <s,x> > 0, <w,x> >= 0, <e,x> = 0, else None."""
-    witness, _ = lp.strict_feasible(strict, weak, eqs, dim)
-    return witness
-
-
 def hcone_covered_by(big: HCone, parts: list[HCone]) -> tuple[bool, list[HCone]]:
     """Exact test that big is contained in the union of parts.
 

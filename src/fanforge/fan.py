@@ -145,20 +145,27 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     """Build a validated Fan from raw rays and maximal-cone index sets."""
     if dim < 1:
         raise FanError("BadInput", "ambient dimension must be at least 1")
+    if not isinstance(rays, (list, tuple)) or not isinstance(max_cones, (list, tuple)):
+        raise FanError("BadInput", "rays and maximal cones must be lists")
     if not max_cones:
         raise FanError("BadInput", "a fan needs at least one maximal cone")
 
     norm_rays: list[tuple[int, ...]] = []
-    for k, r in enumerate(rays):
-        entries = list(r)
+    for k, entries in enumerate(rays):
+        if not isinstance(entries, (list, tuple)):
+            raise FanError("BadInput", f"ray {k} is not a list")
         if len(entries) != dim:
             raise FanError("BadInput", f"ray {k} has wrong dimension")
-        if any(Fraction(x).denominator != 1 for x in entries):
+        try:
+            fracs = [Fraction(x) for x in entries]
+        except TypeError:
+            raise FanError("BadInput", f"ray {k} has a non-numeric entry") from None
+        if any(x.denominator != 1 for x in fracs):
             raise FanError("BadInput", f"ray {k} must have integer entries")
-        if is_zero_vec(entries):
+        if is_zero_vec(fracs):
             raise FanError("BadInput", f"ray {k} is zero")
-        prim = primitivize(entries)
-        if prim != tuple(int(x) for x in entries):
+        prim = primitivize(fracs)
+        if prim != tuple(int(x) for x in fracs):
             log.warning("ray %d normalized to primitive vector %s", k, prim)
         norm_rays.append(prim)
     if len(set(norm_rays)) != len(norm_rays):
@@ -167,7 +174,12 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
 
     cone_sets: list[tuple[int, ...]] = []
     for k, c in enumerate(max_cones):
-        idx = tuple(sorted(set(int(i) for i in c)))
+        if not isinstance(c, (list, tuple)):
+            raise FanError("BadInput", f"maximal cone {k} is not a list")
+        try:
+            idx = tuple(sorted(set(int(i) for i in c)))
+        except TypeError:
+            raise FanError("BadInput", f"maximal cone {k} has a non-integer index") from None
         if not idx or idx[0] < 0 or idx[-1] >= len(rays_t):
             raise FanError("BadInput", f"maximal cone {k} has bad ray indices")
         cone_sets.append(idx)

@@ -2,12 +2,18 @@
 
 Vectors are tuples of Fraction (or int), matrices are sequences of such
 tuples.  Everything here is exact; no floats are ever produced.
+
+All elimination runs through one fraction-free Gauss-Jordan step,
+``_pivot``, on integer rows over a common denominator (Bareiss 1968;
+Edmonds 1967).  ``rref``, ``rank`` and ``det`` integerize their rows and
+read their answers off ``_eliminate``; the simplex in ``lp`` pivots its
+integer tableau with the same step.  Fractions appear only at the API.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -57,101 +63,94 @@ def vsum(vectors: Iterable[Sequence], dim: int) -> Vec:
     return tuple(total)
 
 
+def _integer_row(a: Sequence) -> tuple[list[int], int]:
+    """The row times the lcm of its entries' denominators, and that lcm."""
+    fracs = [Fraction(x) for x in a]
+    scale = 1
+    for x in fracs:
+        scale = lcm(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+
+
 def primitivize(a: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to the primitive integer vector on the
     same ray (positive multiple, integer entries with gcd 1)."""
-    fracs = [Fraction(x) for x in a]
-    if all(x == 0 for x in fracs):
+    ints, _ = _integer_row(a)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("cannot primitivize the zero vector")
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
+
+
+def _pivot(T: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step on an integer tableau over the
+    common denominator d: clear column c outside row r and return the new
+    denominator, the pivot p = T[r][c].  From an integer matrix with d = 1,
+    every entry stays a minor of that matrix up to sign, so each division is
+    exact (Bareiss 1968)."""
+    p = T[r][c]
+    pivot_row = T[r]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        elif p != d:
+            T[i] = [p * x // d for x in row]
+    return p
+
+
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
+    """Gauss-Jordan elimination of the integerized rows, one pivot per column.
+
+    Returns (T, pivots, d, scale): row k of the reduced row echelon form is
+    T[k] / d for k < len(pivots), and for a square matrix of full rank the
+    determinant is d / scale (scale is the product of the row lcms, negated
+    once per row swap).
+    """
+    T = []
+    scale = 1
+    for row in rows:
+        ints, row_scale = _integer_row(row)
+        T.append(ints)
+        scale *= row_scale
+    pivots: list[int] = []
+    d = 1
+    ncols = len(T[0]) if T else 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(T):
+            break
+        k = next((i for i in range(r, len(T)) if T[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            T[r], T[k] = T[k], T[r]
+            scale = -scale
+        d = _pivot(T, r, c, d)
+        pivots.append(c)
+    return T, pivots, d, scale
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form over Q.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    T, pivots, d, _ = _eliminate(rows)
+    return [tuple(Fraction(x, d) for x in row) for row in T[: len(pivots)]], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on the integerized
-    matrix; rescaling rows by positive integers does not change the rank."""
-    mat = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        mat.append([int(x * lcm) for x in fr])
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rk = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        for i in range(row + 1, len(mat)):
-            for j in range(col + 1, ncols):
-                mat[i][j] = (mat[row][col] * mat[i][j] - mat[i][col] * mat[row][j]) // prev
-            mat[i][col] = 0
-        prev = mat[row][col]
-        rk += 1
-        row += 1
-        if row == len(mat):
-            break
-    return rk
+    """Rank over Q."""
+    return len(_eliminate(rows)[1])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix over Q."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    n = len(mat)
-    assert all(len(r) == n for r in mat)
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            result = -result
-        result *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return result
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("det needs a square matrix")
+    _, pivots, d, scale = _eliminate(rows)
+    return Fraction(d, scale) if len(pivots) == n else ZERO
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vec]:

@@ -1,11 +1,16 @@
 """Exact rational linear programming.
 
-A small two-phase simplex over Fraction with Bland's anticycling rule
-(smallest-index entering column, smallest basic-variable tie break on the
-ratio test).  Termination is guaranteed and every answer is exact, so
-feasibility answers double as combinatorial certificates: a basic feasible
-solution is supported on linearly independent columns, and an infeasible
-system yields a Farkas vector.
+A small two-phase simplex with Bland's anticycling rule (smallest-index
+entering column, smallest basic-variable tie break on the ratio test).
+Termination is guaranteed and every answer is exact, so feasibility answers
+double as combinatorial certificates: a basic feasible solution is supported
+on linearly independent columns, and an infeasible system yields a Farkas
+vector.
+
+Data and answers are Fractions; inside, the tableau is integer over one
+common denominator d, as in Avis's lrs, and pivots with the fraction-free
+step of ``linalg``.  Only signs and exact ratios steer Bland's rule, so the
+pivot sequence is the one a Fraction tableau would take.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Vec, vec
+from .linalg import ONE, ZERO, Vec, _integer_row, _pivot, vec, vzero
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -30,50 +35,35 @@ class LPResult:
     farkas: Vec | None = None     # when infeasible: y.A >= 0 and y.b < 0
 
 
-def _pivot(T, rhs, basis, row, col):
-    piv = T[row][col]
-    inv = 1 / piv
-    T[row] = [x * inv for x in T[row]]
-    rhs[row] *= inv
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
-            rhs[i] -= f * rhs[row]
-    basis[row] = col
+def _bland_loop(T, basis, cost, allowed, d):
+    """Run simplex pivots (maximization) until optimal or unbounded.
 
-
-def _reduced_costs(T, basis, cost):
-    m = len(T)
-    ncols = len(cost)
-    rc = list(cost)
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for j in range(ncols):
-                if T[i][j] != 0:
-                    rc[j] -= cb * T[i][j]
-    return rc
-
-
-def _bland_loop(T, rhs, basis, cost, allowed):
-    """Run simplex pivots (maximization) until optimal or unbounded."""
+    T is the integer tableau over the denominator d > 0, so the reduced cost
+    of column j times d is d * cost[j] - sum_i cost[basis[i]] * T[i][j], and
+    the ratio test cross-multiplies.  Returns (status, d)."""
     while True:
-        rc = _reduced_costs(T, basis, cost)
-        enter = next((j for j in allowed if rc[j] > 0), None)
+        priced = [(row, cost[bi]) for row, bi in zip(T, basis) if cost[bi]]
+        enter = next(
+            (j for j in allowed if d * cost[j] > sum(w * row[j] for row, w in priced)),
+            None,
+        )
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = None
-        best = None
-        for i in range(len(T)):
-            if T[i][enter] > 0:
-                ratio = rhs[i] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = row[-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return UNBOUNDED
-        _pivot(T, rhs, basis, leave, enter)
+            return UNBOUNDED, d
+        d = _pivot(T, leave, enter, d)
+        basis[leave] = enter
 
 
 def simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
@@ -85,53 +75,61 @@ def simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     """
     m = len(A)
     n = len(c)
-    rows = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(v) for v in b]
-    flipped = []
+    # Every row of [A | b] is scaled by the same L = scale, the lcm of all
+    # denominators, and negated where its rhs is negative.  The artificial
+    # columns n..n+m-1 stay the identity, so each artificial variable is L
+    # times the unscaled one: phase-1 costs scale by L and no sign, ratio or
+    # pivot choice changes.  They stay in the tableau afterwards: the final
+    # columns under them are d B^{-1}, which is what dual extraction needs.
+    flat, scale = _integer_row([x for row in A for x in row] + list(b))
+    rhs = flat[m * n:]
+    flipped = {i for i in range(m) if rhs[i] < 0}
+    T = []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            flipped.append(i)
-    # artificial columns n..n+m-1 start as the identity basis and stay in the
-    # tableau afterwards: the final columns under them are B^{-1}, which is
-    # what dual extraction needs.
-    T = [rows[i] + [ONE if k == i else ZERO for k in range(m)] for i in range(m)]
+        s = -1 if i in flipped else 1
+        row = [s * x for x in flat[i * n:(i + 1) * n]] + [0] * m + [s * rhs[i]]
+        row[n + i] = 1
+        T.append(row)
     basis = [n + i for i in range(m)]
-    cost1 = [ZERO] * n + [Fraction(-1)] * m
-    allowed = list(range(n + m))
-    _bland_loop(T, rhs, basis, cost1, allowed)
+    cost1 = [0] * n + [-1] * m
+    _, d = _bland_loop(T, basis, cost1, range(n + m), 1)
 
-    def dual_vector(cost):
+    def dual_vector(cost, cost_scale):
+        # a structural basic row is 1/L of the unscaled tableau's row
+        weights = [(row, cost[bi] * (scale if bi < n else 1)) for row, bi in zip(T, basis)]
         y = []
         for k in range(m):
-            yk = sum((cost[basis[i]] * T[i][n + k] for i in range(m)), ZERO)
+            yk = Fraction(sum(w * row[n + k] for row, w in weights), d * cost_scale)
             y.append(-yk if k in flipped else yk)
         return tuple(y)
 
-    phase1_obj = sum((-rhs[i] for i in range(m) if basis[i] >= n), ZERO)
-    if phase1_obj < 0:
-        # y = c_B B^{-1} of phase 1 satisfies y.A >= 0 and y.b = phase1_obj < 0
-        return LPResult(INFEASIBLE, farkas=dual_vector(cost1))
+    if sum(row[-1] for row, bi in zip(T, basis) if bi >= n) > 0:
+        # y = c_B B^{-1} of phase 1 satisfies y.A >= 0 and y.b < 0
+        return LPResult(INFEASIBLE, farkas=dual_vector(cost1, 1))
 
     # drive zero-valued artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is not None:
-                _pivot(T, rhs, basis, i, col)
+                d = _pivot(T, i, col, d)
+                basis[i] = col
+                if d < 0:
+                    T[:] = [[-x for x in row] for row in T]
+                    d = -d
             # else: redundant row; the inert artificial stays basic at 0
 
-    cost2 = [Fraction(x) for x in c] + [ZERO] * m
-    status = _bland_loop(T, rhs, basis, cost2, list(range(n)))
+    cost2, cost_scale = _integer_row(c)
+    cost2 += [0] * m
+    status, d = _bland_loop(T, basis, cost2, range(n), d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [ZERO] * n
-    for i, bi in enumerate(basis):
+    for row, bi in zip(T, basis):
         if bi < n:
-            x[bi] = rhs[i]
-    obj = sum((cost2[j] * x[j] for j in range(n)), ZERO)
-    return LPResult(OPTIMAL, x=tuple(x), objective=obj, dual=dual_vector(cost2))
+            x[bi] = Fraction(row[-1], d)
+    obj = Fraction(sum(cost2[j] * x[j] for j in range(n)), cost_scale)
+    return LPResult(OPTIMAL, x=tuple(x), objective=obj, dual=dual_vector(cost2, cost_scale))
 
 
 def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Vec | None:
@@ -166,7 +164,7 @@ def strict_feasible(
     weak = [vec(w) for w in weak]
     eqs = [vec(e) for e in eqs]
     if not strict:
-        return vzero_witness(dim), {}
+        return vzero(dim), {}
     ns, nw = len(strict), len(weak)
     # variables: u (dim), v (dim), t, slacks for strict rows, slacks for weak
     # rows, slack for the cap t <= 1
@@ -206,7 +204,8 @@ def strict_feasible(
     cost = [ZERO] * nvars
     cost[t_col] = ONE
     res = simplex_max(rows, rhs, cost)
-    assert res.status == OPTIMAL, "the slack LP is always feasible and bounded"
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"the slack LP is {res.status}, not optimal")
     if res.objective > 0:
         x = tuple(res.x[d] - res.x[dim + d] for d in range(dim))
         return x, {}
@@ -217,7 +216,3 @@ def strict_feasible(
         "eqs": tuple(-y[ns + nw + k] for k in range(len(eqs))),
     }
     return None, cert
-
-
-def vzero_witness(dim: int) -> Vec:
-    return (ZERO,) * dim

@@ -47,7 +47,8 @@ def _relation_for_rays(fan: Fan, ray_seq: list[int]) -> RelationVector:
     if len(ker) != 1:
         raise DegenerateWall(f"relation space of {ray_seq} has dim {len(ker)}")
     k = ker[0]
-    assert k[-1] != 0, "independent prefix forces a nonzero last coefficient"
+    if k[-1] == 0:
+        raise RuntimeError(f"relation of {ray_seq} vanishes on the last ray")
     scale = 1 / k[-1]
     coeffs = [scale * x for x in k]
     return {i: c for i, c in zip(ray_seq, coeffs) if c != 0}
@@ -57,7 +58,7 @@ def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
     """Canonical wall relation: lexicographically smallest independent
     (n-1)-subset of the wall rays, smallest-index off-wall rays, coefficient
     1 on the second cone's off-wall ray.  The coefficient on the first
-    cone's off-wall ray is asserted positive (the two lie on opposite
+    cone's off-wall ray is checked positive (the two lie on opposite
     sides)."""
     if not wall.is_interior:
         raise ValueError("wall relations need an interior wall")
@@ -70,7 +71,8 @@ def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
     off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
     off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
     rel = _relation_for_rays(fan, tau_part + [off_a, off_b])
-    assert rel.get(off_a, ZERO) > 0, "off-wall rays must have positive coefficients"
+    if rel.get(off_a, ZERO) <= 0:
+        raise RuntimeError("off-wall rays must have positive coefficients")
     return rel
 
 
@@ -106,11 +108,7 @@ def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis, quotient_only=Fa
     sum_i rel[i] * phi_j(ray_i).  Entries over the global linear part vanish
     for genuine relations."""
     fns = basis.quotient_basis if quotient_only else basis.basis_functions
-    out = []
-    for f in fns:
-        rv = f.ray_values()
-        out.append(sum((c * rv[i] for i, c in rel.items()), ZERO))
-    return vec(out)
+    return vec(sum((c * f.ray_value(i) for i, c in rel.items()), ZERO) for f in fns)
 
 
 def curve_class(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:

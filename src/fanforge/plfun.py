@@ -104,7 +104,8 @@ def pl_from_ray_values(fan: Fan, values) -> PLFunction:
         rows = [fan.ray(i) for i in c.ray_indices]
         rhs = [vals[i] for i in c.ray_indices]
         m = solve_linear(rows, rhs)
-        assert m is not None
+        if m is None:
+            raise RuntimeError(f"rays of maximal cone {c.ray_indices} are dependent")
         ms.append(m)
     return PLFunction(fan, tuple(ms))
 
@@ -173,7 +174,8 @@ class PLBasis:
     def combine(self, coeffs) -> PLFunction:
         fns = self.basis_functions
         coeffs = [Fraction(c) for c in coeffs]
-        assert len(coeffs) == len(fns)
+        if len(coeffs) != len(fns):
+            raise ValueError(f"need {len(fns)} coefficients, got {len(coeffs)}")
         n = self.fan.dim
         ms = []
         for k in range(len(self.fan.max_cones)):
@@ -236,7 +238,8 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
         _stacked_to_pl(fan, s) for s in kernel_basis(compat + pin, k * n)
     ]
     dim_pl = k * n - rank(compat) if compat else k * n
-    assert dim_pl == n + len(quotient), "first-cone pinning must split off M"
+    if dim_pl != n + len(quotient):
+        raise RuntimeError("first-cone pinning must split off M")
     return PLBasis(fan, tuple(lin), tuple(quotient))
 
 
@@ -341,5 +344,6 @@ def coarse_membership(phi: PLFunction, coarse: Fan) -> bool:
         == phi.ray_value(i) + phi.ray_value(j)
         for i, j in type_a_pairs(fine, coarse)
     )
-    assert direct == additive, "wall-descent and additivity tests must agree"
+    if direct != additive:
+        raise RuntimeError("wall-descent and additivity tests must agree")
     return direct

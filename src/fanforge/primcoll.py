@@ -90,7 +90,8 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     sigma = minimal_cone_containing(fan, total)
     gens = [fan.ray(i) for i in sigma.ray_indices]
     solved = solve_nonneg_in_span(total, gens)
-    assert solved is not None, "the ray sum lies in its minimal cone"
+    if solved is None:
+        raise RuntimeError(f"the ray sum of {p} is not in its minimal cone")
     coeffs, _ = solved
     b = {sigma.ray_indices[k]: v for k, v in coeffs.items()}
     support = tuple(sorted(b))
@@ -98,15 +99,18 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     relation: RelationVector = {}
     for i in p:
         if i in b:
-            assert 0 < b[i] < 1, "shared rays must have coefficient in (0,1)"
+            if not 0 < b[i] < 1:
+                raise RuntimeError("shared rays must have coefficient in (0,1)")
             relation[i] = ONE - b[i]
         else:
             relation[i] = ONE
     for i in support:
         if i not in pset:
             relation[i] = -b[i]
-    assert relation_is_valid(fan, relation)
-    assert rank([fan.ray(i) for i in support]) == len(support)
+    if not relation_is_valid(fan, relation):
+        raise RuntimeError(f"primitive relation of {p} does not vanish")
+    if rank([fan.ray(i) for i in support]) != len(support):
+        raise RuntimeError(f"primitive relation of {p} has a dependent support")
     return PrimitiveRelation(p, sigma, support, b, relation)
 
 

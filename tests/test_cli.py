@@ -158,3 +158,25 @@ def test_verify_unknown_theorem(capsys):
         capsys, "verify", "--theorem", "nope", "--fan", "corpus:ex21"
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("support", ["a,b", ",", "1,x"])
+def test_refine_bad_support_is_usage_error(capsys, support):
+    code, out, err = run_cli(capsys, "refine", "--fan", "corpus:ex21", "--support", support)
+    assert code == 4 and out == ""
+    assert "--support" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"dim": 2, "rays": 5, "max_cones": [[0]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [0]},
+    {"dim": 2, "rays": [[1, 0], None], "max_cones": [[0, 1]]},
+    {"dim": 2, "rays": [[1, 0], [None, 1]], "max_cones": [[0, 1]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, None]]},
+])
+def test_validate_malformed_shapes_are_invalid_fans(tmp_path, capsys, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "validate", "--fan", str(p))
+    assert code == 2
+    assert "BadInput" in err

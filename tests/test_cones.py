@@ -21,7 +21,6 @@ from fanforge.cones import (
     lineality_dim,
     pulling_triangulation,
     solve_nonneg_in_span,
-    strict_feasible,
 )
 from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot
 
@@ -112,15 +111,6 @@ def test_cones_equal_self_and_cross_representation():
 def test_dual_cone_roundtrip():
     v = VCone.make([(2, 1), (1, 3)])
     assert cones_equal(dual_cone(dual_cone(v)), v)
-
-
-def test_strict_feasible_dim1():
-    w = strict_feasible([(1,)], [], [], 1)
-    assert w is not None and w[0] > 0
-
-
-def test_strict_feasible_none_on_contradiction():
-    assert strict_feasible([(1, 0), (-1, 0)], [], [], 2) is None
 
 
 def test_solve_nonneg_in_span_trivial_and_zero():

@@ -119,3 +119,20 @@ def test_validate_fan_fuzz_fails_cleanly():
         except FanError:
             rejected += 1
     assert built > 0 and rejected > 0
+    # malformed shapes, as JSON can deliver them
+    malformed = [
+        (2, 5, [[0]]),
+        (2, [(1, 0), (0, 1)], 5),
+        (2, [(1, 0), (0, 1)], [0]),
+        (2, [(1, 0), None], [[0, 1]]),
+        (2, [(1, 0), 7], [[0, 1]]),
+        (2, [(1, 0), (None, 1)], [[0, 1]]),
+        (2, [(1, 0), (0, 1)], [[0, None]]),
+    ]
+    for dim, rays, cones in malformed:
+        try:
+            validate_fan(dim, rays, cones)
+        except FanError as e:
+            assert e.code == "BadInput"
+        else:
+            raise AssertionError(f"accepted {rays!r} with cones {cones!r}")

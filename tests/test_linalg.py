@@ -112,3 +112,101 @@ def test_rank_matches_rref(mat):
 def test_rank_invariant_under_row_scaling(mat):
     scaled = [tuple(3 * x for x in row) for row in mat]
     assert rank(scaled) == rank(mat)
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        det([(1, 2)])
+
+
+def reference_rref(rows):
+    """The Fraction Gauss-Jordan loop that rref ran before the fraction-free
+    core, kept as an oracle."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def reference_det(rows):
+    """The Fraction elimination loop that det ran before the fraction-free
+    core, kept as an oracle."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    n = len(mat)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            result = -result
+        result *= mat[c][c]
+        inv = 1 / mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] * inv
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return result
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices with zero rows and columns mixed in; m and n may
+    differ, and either may be 0."""
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(0, 5))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
+        if i < m:
+            rows[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+        if j < n:
+            for row in rows:
+                row[j] = Fraction(0)
+    if m >= 2 and draw(st.booleans()):
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_fraction_reference(mat):
+    red, pivots = rref(mat)
+    assert (red, pivots) == reference_rref(mat)
+    assert rank(mat) == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_matches_fraction_reference(mat):
+    assert det(mat) == reference_det(mat)
+
+
+def test_elimination_of_empty_matrix():
+    assert rref([]) == reference_rref([]) == ([], [])
+    assert rank([]) == 0
+    assert det([]) == reference_det([]) == 1

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,10 @@ def test_solve_nonneg_square_diagonal():
 def test_strict_feasible_single_direction():
     w, _ = lp.strict_feasible([(1,)], [], [], 1)
     assert w is not None and w[0] > 0
+
+
+def test_strict_feasible_none_on_contradiction():
+    assert lp.strict_feasible([(1, 0), (-1, 0)], [], [], 2)[0] is None
 
 
 def test_strict_feasible_infeasible_certificate():
@@ -115,3 +121,57 @@ def test_infeasible_comes_with_farkas(instance):
         assert vdot(y, shifted) < 0
         for g in gens:
             assert vdot(y, g) >= 0
+
+
+def seeded_lps(count=240, seed=2024):
+    """Small rational LPs: half with b = A x0 for a sparse x0 >= 0, so
+    degenerate bases and artificials left at zero are common, and some with
+    a negated duplicate row."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = rng.choice([0, 0, 1, -1, 2, -2, 3])
+        return Fraction(v, rng.choice([1, 1, 2, 3])) if v else Fraction(0)
+
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [-x for x in A[0]]
+        if rng.random() < 0.5:
+            x0 = [rng.choice([0, 0, 1, Fraction(1, 2)]) for _ in range(n)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        else:
+            b = [entry() for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        out.append((A, b, c))
+    return out
+
+
+# SHA-256 of (status, x, objective, dual, farkas) over seeded_lps(), as the
+# Fraction-tableau simplex computed it before the integer tableau.
+SEEDED_LP_DIGEST = "0a20ed4f3ce7b0b702b46631c16bf8e690bf5f99d4a45ea40b16d26685a8fc8d"
+
+
+def test_seeded_lps_match_pinned_digest(monkeypatch):
+    pivots = []
+    real_pivot = lp._pivot
+
+    def counting(T, r, c, d):
+        p = real_pivot(T, r, c, d)
+        pivots.append(p)
+        return p
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    h = hashlib.sha256()
+    statuses = set()
+    for A, b, c in seeded_lps():
+        r = lp.simplex_max(A, b, c)
+        statuses.add(r.status)
+        h.update(repr((r.status, r.x, r.objective, r.dual, r.farkas)).encode())
+    assert h.hexdigest() == SEEDED_LP_DIGEST
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    # Bland pivots are positive; only driving an artificial out of the basis
+    # can pivot on a negative entry, which the tableau must absorb
+    assert any(p < 0 for p in pivots)
