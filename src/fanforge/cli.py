@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import corpus, mori, plfun, primcoll, refine, theorems
 from .cones import VCone, cone_contains
 from .fan import Fan, FanError, fan_from_json_obj
-from .linalg import format_rational, primitivize, rref, vec
+from .linalg import format_rational, primitivize, rref, vneg
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -223,13 +223,13 @@ def _nef_report(f: Fan) -> dict:
     membership = kernel_basis(rv, f.n_rays)
 
     def pin(row):
-        return vec(0 if i in pinned else x for i, x in enumerate(row))
+        return tuple(0 if i in pinned else x for i, x in enumerate(row))
 
     pinned_rows = [pin(r) for r in raw_rows]
     pinned_membership = [pin(r) for r in membership]
     # forced equalities: inequality rows whose negation lies in the cone of
     # all rows modulo the membership subspace
-    span_gens = [g for r in pinned_membership for g in (r, vec(-x for x in r))]
+    span_gens = [g for r in pinned_membership for g in (r, vneg(r))]
     test_gens = [r for r in pinned_rows if any(x != 0 for x in r)] + [
         g for g in span_gens if any(x != 0 for x in g)
     ]
@@ -238,7 +238,7 @@ def _nef_report(f: Fan) -> dict:
     for k, row in enumerate(pinned_rows):
         if all(x == 0 for x in row):
             continue
-        neg = vec(-x for x in row)
+        neg = vneg(row)
         if cone is not None and cone_contains(cone, neg)[0]:
             eq_idx.append(k)
     eq_rows, _ = rref(pinned_membership + [pinned_rows[k] for k in eq_idx])
@@ -251,7 +251,7 @@ def _nef_report(f: Fan) -> dict:
         for erow in eq_rows:
             piv = next(i for i, x in enumerate(erow) if x != 0)
             if r[piv] != 0:
-                fctr = r[piv] / erow[piv]
+                fctr = Fraction(r[piv], erow[piv])
                 r = [a - fctr * b for a, b in zip(r, erow)]
         if any(x != 0 for x in r):
             p = primitivize(r)

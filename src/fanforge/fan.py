@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cones import HCone, VCone, h_to_v, intersect_hcones, v_to_h
-from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vec
+from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vneg
 
 log = logging.getLogger(__name__)
 
@@ -105,7 +105,6 @@ class Fan:
 
     def max_cone_containing(self, x) -> tuple[int, ConeData]:
         """Some maximal cone containing x (the smallest index one)."""
-        x = vec(x)
         for i, c in enumerate(self.max_cones):
             if c.contains_point(x):
                 return i, c
@@ -126,25 +125,27 @@ class Fan:
         )
 
 
-def _cone_faces(indices: tuple[int, ...], rays, memo):
+def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo):
     """All faces of the cone on the indexed rays as ray index sets, the cone
-    itself included."""
-    if indices in memo:
-        return memo[indices]
-    result = {indices}
-    if indices:
-        hrep = v_to_h(VCone.make([rays[i] for i in indices]))
+    itself included.  hrep is the cone's facet description; memo maps each
+    face met so far to its own faces and its facet description, so each
+    face's description is derived once."""
+    if indices not in memo:
+        result = {indices}
         for u in hrep.inequalities:
             tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
-            result |= _cone_faces(tight, rays, memo)
-    memo[indices] = result
-    return result
+            face_hrep = memo[tight][1] if tight in memo else v_to_h(
+                VCone.make([rays[i] for i in tight], hrep.ambient_dim)
+            )
+            result |= _cone_faces(tight, face_hrep, rays, memo)
+        memo[indices] = (result, hrep)
+    return memo[indices][0]
 
 
 def validate_fan(dim: int, rays, max_cones) -> Fan:
     """Build a validated Fan from raw rays and maximal-cone index sets."""
-    if dim < 1:
-        raise FanError("BadInput", "ambient dimension must be at least 1")
+    if type(dim) is not int or dim < 1:
+        raise FanError("BadInput", "ambient dimension must be an integer of at least 1")
     if not isinstance(rays, (list, tuple)) or not isinstance(max_cones, (list, tuple)):
         raise FanError("BadInput", "rays and maximal cones must be lists")
     if not max_cones:
@@ -158,7 +159,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             raise FanError("BadInput", f"ray {k} has wrong dimension")
         try:
             fracs = [Fraction(x) for x in entries]
-        except TypeError:
+        except (TypeError, ValueError, OverflowError):
             raise FanError("BadInput", f"ray {k} has a non-numeric entry") from None
         if any(x.denominator != 1 for x in fracs):
             raise FanError("BadInput", f"ray {k} must have integer entries")
@@ -176,10 +177,9 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     for k, c in enumerate(max_cones):
         if not isinstance(c, (list, tuple)):
             raise FanError("BadInput", f"maximal cone {k} is not a list")
-        try:
-            idx = tuple(sorted(set(int(i) for i in c)))
-        except TypeError:
-            raise FanError("BadInput", f"maximal cone {k} has a non-integer index") from None
+        if any(type(i) is not int for i in c):
+            raise FanError("BadInput", f"maximal cone {k} has a non-integer index")
+        idx = tuple(sorted(set(c)))
         if not idx or idx[0] < 0 or idx[-1] >= len(rays_t):
             raise FanError("BadInput", f"maximal cone {k} has bad ray indices")
         cone_sets.append(idx)
@@ -199,7 +199,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
                 "NotStronglyConvex", f"maximal cone {k} contains a line"
             )
         extreme = set(h_to_v(hrep).generators)
-        if set(vec(g) for g in gens) != extreme:
+        if set(gens) != extreme:
             raise FanError(
                 "RayNotExtreme",
                 f"maximal cone {k} lists a generator that is not an extreme ray",
@@ -207,17 +207,16 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
         cones.append(ConeData(idx, dim, hrep))
 
     # face lattice, shared across cones and closed under taking faces
-    memo: dict[tuple[int, ...], set] = {}
+    memo: dict[tuple[int, ...], tuple[set, HCone]] = {}
     max_face_sets = []
     for c in cones:
         max_face_sets.append(
-            frozenset(_cone_faces(c.ray_indices, rays_t, memo))
+            frozenset(_cone_faces(c.ray_indices, c.facets, rays_t, memo))
         )
     all_face_sets: set[tuple[int, ...]] = set().union(*max_face_sets)
     faces: dict[tuple[int, ...], ConeData] = {}
     for fs in all_face_sets:
-        gens = [rays_t[i] for i in fs]
-        faces[fs] = ConeData(fs, rank(gens), v_to_h(VCone.make(gens, dim)))
+        faces[fs] = ConeData(fs, rank([rays_t[i] for i in fs]), memo[fs][1])
 
     used = set().union(*(c.ray_indices for c in cones))
     if used != set(range(len(rays_t))):
@@ -232,12 +231,12 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             inter = h_to_v(intersect_hcones(cones[a].facets, cones[b].facets))
             got = []
             for g in inter.generators:
-                gi = ray_lookup.get(primitivize(g))
+                gi = ray_lookup.get(g)
                 if gi is None:
                     raise FanError(
                         "ConesOverlapImproperly",
                         f"cones {a} and {b} meet in a cone with extreme ray "
-                        f"{primitivize(g)} which is not a ray of the fan",
+                        f"{g} which is not a ray of the fan",
                     )
                 got.append(gi)
             t = tuple(sorted(set(got)))
@@ -279,8 +278,8 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
                     f"wall {w.ray_indices} does not span a supporting hyperplane "
                     f"of its cone"
                 )
-            u = vec(-x for x in u)
-        boundary_rows.append(vec(primitivize(u)))
+            u = vneg(u)
+        boundary_rows.append(primitivize(u))
     support = HCone(tuple(sorted(set(boundary_rows))), (), dim)
     for r in rays_t:
         if not support.contains_point(r):
@@ -315,7 +314,6 @@ def minimal_cone_containing(fan: Fan, x) -> ConeData:
     """The unique smallest face of the fan containing x: the face of a
     maximal cone containing x cut out by the facets of that cone that x lies
     on."""
-    x = vec(x)
     _, cone = fan.max_cone_containing(x)
     on = [u for u in cone.facets.inequalities if vdot(u, x) == 0]
     face = tuple(
@@ -348,10 +346,10 @@ def fan_to_json(fan: Fan) -> str:
 
 def fan_from_json_obj(obj) -> Fan:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         rays = obj["rays"]
         max_cones = obj["max_cones"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"malformed fan object: {e}") from None
     return validate_fan(dim, rays, max_cones)
 

@@ -1,7 +1,9 @@
 """Exact rational vectors and matrices.
 
-Vectors are tuples of Fraction (or int), matrices are sequences of such
-tuples.  Everything here is exact; no floats are ever produced.
+Vectors are tuples of int or Fraction, matrices are sequences of such
+tuples.  The vector helpers compute on their entries as given, so lattice
+vectors stay ints and a Fraction appears only where one went in or where a
+quotient is formed.  Everything here is exact; no floats are ever produced.
 
 All elimination runs through one fraction-free Gauss-Jordan step,
 ``_pivot``, on integer rows over a common denominator (Bareiss 1968;
@@ -16,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,24 +33,23 @@ def vzero(dim: int) -> Vec:
 
 
 def vadd(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b, strict=True))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vsub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b, strict=True))
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
+    return tuple(c * x for x in a)
 
 
-def vdot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), ZERO)
+def vdot(a: Sequence, b: Sequence) -> int | Fraction:
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def vneg(a: Sequence) -> Vec:
-    return tuple(-Fraction(x) for x in a)
+    return tuple(-x for x in a)
 
 
 def is_zero_vec(a: Sequence) -> bool:
@@ -56,7 +57,7 @@ def is_zero_vec(a: Sequence) -> bool:
 
 
 def vsum(vectors: Iterable[Sequence], dim: int) -> Vec:
-    total = list(vzero(dim))
+    total = [0] * dim
     for v in vectors:
         for i, x in enumerate(v):
             total[i] += x
@@ -65,11 +66,8 @@ def vsum(vectors: Iterable[Sequence], dim: int) -> Vec:
 
 def _integer_row(a: Sequence) -> tuple[list[int], int]:
     """The row times the lcm of its entries' denominators, and that lcm."""
-    fracs = [Fraction(x) for x in a]
-    scale = 1
-    for x in fracs:
-        scale = lcm(scale, x.denominator)
-    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+    scale = lcm(*(x.denominator for x in a))
+    return [x.numerator * (scale // x.denominator) for x in a], scale
 
 
 def primitivize(a: Sequence) -> tuple[int, ...]:
@@ -173,7 +171,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     if not rows:
         return () if len(list(rhs)) == 0 else None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs, strict=True)]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
     red, pivots = rref(aug)
     x = [ZERO] * ncols
     for row, p in zip(red, pivots):
@@ -197,7 +195,6 @@ def lex_min_independent_subset(vectors: Sequence[Sequence], size: int) -> list[i
 
 def format_rational(x) -> str:
     """Lowest-terms string: "p/q", or just "p" for integers."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

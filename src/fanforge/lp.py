@@ -7,10 +7,11 @@ double as combinatorial certificates: a basic feasible solution is supported
 on linearly independent columns, and an infeasible system yields a Farkas
 vector.
 
-Data and answers are Fractions; inside, the tableau is integer over one
-common denominator d, as in Avis's lrs, and pivots with the fraction-free
-step of ``linalg``.  Only signs and exact ratios steer Bland's rule, so the
-pivot sequence is the one a Fraction tableau would take.
+Data are ints or Fractions and answers are Fractions; inside, the tableau
+is integer over one common denominator d, as in Avis's lrs, and pivots
+with the fraction-free step of ``linalg``.  Only signs and exact ratios
+steer Bland's rule, so the pivot sequence is the one a Fraction tableau
+would take.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Vec, _integer_row, _pivot, vec, vzero
+from .linalg import ZERO, Vec, _integer_row, _pivot, vzero
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -139,8 +140,8 @@ def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Vec | None:
     a linearly independent subset of the columns.  None when infeasible.
     """
     dim = len(target)
-    A = [[Fraction(col[i]) for col in columns] for i in range(dim)]
-    res = simplex_max(A, target, [ZERO] * len(columns))
+    A = [[col[i] for col in columns] for i in range(dim)]
+    res = simplex_max(A, target, [0] * len(columns))
     if res.status == INFEASIBLE:
         return None
     return res.x
@@ -160,9 +161,6 @@ def strict_feasible(
     y, z >= 0, sum(y) >= 1 and sum_i y_i s_i + sum_j z_j w_j + sum_k mu_k e_k = 0,
     which proves infeasibility of the strict system.
     """
-    strict = [vec(s) for s in strict]
-    weak = [vec(w) for w in weak]
-    eqs = [vec(e) for e in eqs]
     if not strict:
         return vzero(dim), {}
     ns, nw = len(strict), len(weak)
@@ -173,36 +171,36 @@ def strict_feasible(
     rows = []
     rhs = []
     for i, s in enumerate(strict):
-        row = [ZERO] * nvars
+        row = [0] * nvars
         for d in range(dim):
             row[d] = s[d]
             row[dim + d] = -s[d]
-        row[t_col] = Fraction(-1)
-        row[t_col + 1 + i] = Fraction(-1)
+        row[t_col] = -1
+        row[t_col + 1 + i] = -1
         rows.append(row)
-        rhs.append(ZERO)
+        rhs.append(0)
     for j, w in enumerate(weak):
-        row = [ZERO] * nvars
+        row = [0] * nvars
         for d in range(dim):
             row[d] = w[d]
             row[dim + d] = -w[d]
-        row[t_col + 1 + ns + j] = Fraction(-1)
+        row[t_col + 1 + ns + j] = -1
         rows.append(row)
-        rhs.append(ZERO)
+        rhs.append(0)
     for e in eqs:
-        row = [ZERO] * nvars
+        row = [0] * nvars
         for d in range(dim):
             row[d] = e[d]
             row[dim + d] = -e[d]
         rows.append(row)
-        rhs.append(ZERO)
-    cap = [ZERO] * nvars
-    cap[t_col] = ONE
-    cap[-1] = ONE
+        rhs.append(0)
+    cap = [0] * nvars
+    cap[t_col] = 1
+    cap[-1] = 1
     rows.append(cap)
-    rhs.append(ONE)
-    cost = [ZERO] * nvars
-    cost[t_col] = ONE
+    rhs.append(1)
+    cost = [0] * nvars
+    cost[t_col] = 1
     res = simplex_max(rows, rhs, cost)
     if res.status != OPTIMAL:
         raise RuntimeError(f"the slack LP is {res.status}, not optimal")

@@ -16,18 +16,16 @@ from fractions import Fraction
 from .cones import VCone, cone_contains, lineality_dim
 from .fan import Fan, Wall
 from .linalg import (
+    ZERO,
     Vec,
     kernel_basis,
     lex_min_independent_subset,
     primitivize,
     rank,
-    vec,
 )
 from .plfun import PLBasis
 
 RelationVector = dict[int, Fraction]
-
-ZERO = Fraction(0)
 
 
 class DegenerateWall(Exception):
@@ -49,7 +47,7 @@ def _relation_for_rays(fan: Fan, ray_seq: list[int]) -> RelationVector:
     k = ker[0]
     if k[-1] == 0:
         raise RuntimeError(f"relation of {ray_seq} vanishes on the last ray")
-    scale = 1 / k[-1]
+    scale = Fraction(1, k[-1])
     coeffs = [scale * x for x in k]
     return {i: c for i, c in zip(ray_seq, coeffs) if c != 0}
 
@@ -71,7 +69,7 @@ def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
     off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
     off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
     rel = _relation_for_rays(fan, tau_part + [off_a, off_b])
-    if rel.get(off_a, ZERO) <= 0:
+    if rel.get(off_a, 0) <= 0:
         raise RuntimeError("off-wall rays must have positive coefficients")
     return rel
 
@@ -92,7 +90,7 @@ def wall_relation_choices(fan: Fan, wall: Wall):
 
 def relation_is_valid(fan: Fan, rel: RelationVector) -> bool:
     """Does sum_i rel[i] * ray_i vanish exactly?"""
-    total = [ZERO] * fan.dim
+    total = [0] * fan.dim
     for i, c in rel.items():
         for d, x in enumerate(fan.ray(i)):
             total[d] += c * x
@@ -100,7 +98,7 @@ def relation_is_valid(fan: Fan, rel: RelationVector) -> bool:
 
 
 def relation_dense(fan: Fan, rel: RelationVector) -> Vec:
-    return vec(rel.get(i, ZERO) for i in range(fan.n_rays))
+    return tuple(rel.get(i, 0) for i in range(fan.n_rays))
 
 
 def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis, quotient_only=False) -> Vec:
@@ -108,7 +106,7 @@ def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis, quotient_only=Fa
     sum_i rel[i] * phi_j(ray_i).  Entries over the global linear part vanish
     for genuine relations."""
     fns = basis.quotient_basis if quotient_only else basis.basis_functions
-    return vec(sum((c * f.ray_value(i) for i, c in rel.items()), ZERO) for f in fns)
+    return tuple(sum((c * f.ray_value(i) for i, c in rel.items()), ZERO) for f in fns)
 
 
 def curve_class(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:
@@ -117,7 +115,6 @@ def curve_class(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:
 
 
 def positively_proportional(u: Vec, v: Vec) -> bool:
-    u, v = vec(u), vec(v)
     if all(x == 0 for x in u) or all(x == 0 for x in v):
         return all(x == 0 for x in u) and all(x == 0 for x in v)
     return primitivize(u) == primitivize(v)

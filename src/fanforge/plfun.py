@@ -21,15 +21,15 @@ from .linalg import (
     kernel_basis,
     rank,
     solve_linear,
+    vadd,
     vdot,
     vec,
+    vsub,
     vsum,
     vzero,
     format_rational,
     parse_rational,
 )
-
-ZERO = Fraction(0)
 
 
 class WallIncompatible(Exception):
@@ -51,11 +51,11 @@ class PLFunction:
     fan: Fan
     cone_functionals: tuple[Vec, ...]
 
-    def value(self, x) -> Fraction:
+    def value(self, x) -> int | Fraction:
         i, _ = self.fan.max_cone_containing(x)
         return vdot(self.cone_functionals[i], x)
 
-    def ray_value(self, i: int) -> Fraction:
+    def ray_value(self, i: int) -> int | Fraction:
         for k, c in enumerate(self.fan.max_cones):
             if i in c.ray_indices:
                 return vdot(self.cone_functionals[k], self.fan.ray(i))
@@ -85,7 +85,7 @@ def pl_from_cone_functionals(fan: Fan, functionals) -> PLFunction:
         raise ValueError("need one functional per maximal cone")
     for w in fan.interior_walls:
         a, b = w.cone_indices
-        diff = vec(x - y for x, y in zip(ms[a], ms[b]))
+        diff = vsub(ms[a], ms[b])
         if any(vdot(diff, fan.ray(i)) != 0 for i in w.ray_indices):
             raise WallIncompatible(w)
     return PLFunction(fan, tuple(ms))
@@ -128,16 +128,13 @@ def _off_wall_vector(fan: Fan, wall: Wall) -> Vec:
     return vsum(outside, fan.dim)
 
 
-def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:
+def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> int | Fraction:
     """Evaluate the wall's curve functional on phi: <m_first - m_second, v>
     for a fixed v in the first cone off the wall.  Nonnegative for convex phi
     and positive for strictly convex phi, up to one fixed positive scale per
     wall."""
     a, b = wall.cone_indices
-    diff = vec(
-        x - y
-        for x, y in zip(phi.cone_functionals[a], phi.cone_functionals[b])
-    )
+    diff = vsub(phi.cone_functionals[a], phi.cone_functionals[b])
     return vdot(diff, _off_wall_vector(fan, wall))
 
 
@@ -195,7 +192,7 @@ def _compat_rows(fan: Fan) -> list[Vec]:
     for w in fan.interior_walls:
         a, b = w.cone_indices
         for i in w.ray_indices:
-            row = [ZERO] * (k * n)
+            row = [0] * (k * n)
             ray = fan.ray(i)
             for d in range(n):
                 row[a * n + d] += ray[d]
@@ -225,14 +222,14 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
     compat = _compat_rows(fan)
     lin = []
     for d in range(n):
-        stacked = [ZERO] * (k * n)
+        stacked = [0] * (k * n)
         for c in range(k):
-            stacked[c * n + d] = Fraction(1)
+            stacked[c * n + d] = 1
         lin.append(_stacked_to_pl(fan, tuple(stacked)))
     pin = []
     for d in range(n):
-        row = [ZERO] * (k * n)
-        row[d] = Fraction(1)
+        row = [0] * (k * n)
+        row[d] = 1
         pin.append(tuple(row))
     quotient = [
         _stacked_to_pl(fan, s) for s in kernel_basis(compat + pin, k * n)
@@ -248,7 +245,7 @@ def wall_rows(fan: Fan, basis: PLBasis, quotient_only: bool = False) -> list[Vec
     fns = basis.quotient_basis if quotient_only else basis.basis_functions
     phis = list(fns)
     return [
-        vec(wall_functional(fan, w, f) for f in phis) for w in fan.interior_walls
+        tuple(wall_functional(fan, w, f) for f in phis) for w in fan.interior_walls
     ]
 
 
@@ -340,7 +337,7 @@ def coarse_membership(phi: PLFunction, coarse: Fan) -> bool:
             direct = False
             break
     additive = all(
-        phi.value(vec(a + b for a, b in zip(fine.ray(i), fine.ray(j))))
+        phi.value(vadd(fine.ray(i), fine.ray(j)))
         == phi.ray_value(i) + phi.ray_value(j)
         for i, j in type_a_pairs(fine, coarse)
     )

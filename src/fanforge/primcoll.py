@@ -16,14 +16,11 @@ from fractions import Fraction
 
 from .cones import HCone, solve_nonneg_in_span
 from .fan import Fan, ConeData, contained_in_single_cone, generates_cone, minimal_cone_containing
-from .linalg import Vec, rank, vec, vsum
+from .linalg import ONE, Vec, rank, vsum
 from .mori import RelationVector, relation_is_valid, relation_row
 from .plfun import PLBasis, refinement_ray_map
 
 PrimitiveCollection = tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:

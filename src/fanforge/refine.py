@@ -58,7 +58,7 @@ class NotStrictlyConvex(Exception):
 class WeightAssignment:
     """Per-ray weights in (0,1]; exactly 1 on the designated ray set."""
 
-    w: tuple[Fraction, ...]
+    w: tuple[int | Fraction, ...]
     seed: int
 
 
@@ -76,7 +76,8 @@ def interior_dual_point(fan: Fan, cone: ConeData) -> Vec:
     """A functional positive on every generator: the sum of the cone's
     inward facet normals."""
     m = vsum(cone.facets.inequalities, fan.dim)
-    assert all(vdot(m, fan.ray(i)) > 0 for i in cone.ray_indices)
+    if any(vdot(m, fan.ray(i)) <= 0 for i in cone.ray_indices):
+        raise RuntimeError(f"facet normal sum not positive on {cone.ray_indices}")
     return m
 
 
@@ -85,8 +86,9 @@ def slice_points(fan: Fan, cone: ConeData, m: Vec, weights) -> dict[int, Vec]:
     pts = {}
     for i in cone.ray_indices:
         d = vdot(m, fan.ray(i))
-        assert d > 0
-        pts[i] = vscale(Fraction(weights[i]) / d, fan.ray(i))
+        if d <= 0:
+            raise ValueError(f"the slice functional is not positive on ray {i}")
+        pts[i] = vscale(Fraction(weights[i], d), fan.ray(i))
     return pts
 
 
@@ -124,8 +126,8 @@ def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tupl
             )
         facets.add(tight)
     out = sorted(facets)
-    for f in out:
-        assert rank([fan.ray(i) for i in f]) == n
+    if any(rank([fan.ray(i) for i in f]) != n for f in out):
+        raise RuntimeError(f"a subdivision cone of {idx} is not full-dimensional")
     return out
 
 
@@ -146,7 +148,7 @@ def _draw_weights(fan: Fan, support, rng, seed) -> WeightAssignment:
     w = []
     for i in range(fan.n_rays):
         if i in support:
-            w.append(Fraction(1))
+            w.append(1)
         else:
             w.append(Fraction(rng.randrange(1, WEIGHT_DENOMINATOR), WEIGHT_DENOMINATOR))
     return WeightAssignment(tuple(w), seed)
@@ -174,7 +176,8 @@ def _build(fan: Fan, support, dual_points, seed) -> Refinement:
         r = Refinement(fine, fan, tuple(cone_map), weights, tuple(dual_points), attempt)
         for cone in fan.max_cones:
             pa = tuple(sorted(set(support) & set(cone.ray_indices)))
-            assert pa in fine.faces, "designated rays must span a cone of the result"
+            if pa not in fine.faces:
+                raise RuntimeError("designated rays must span a cone of the result")
         return r
     raise GenericityExhausted(f"no generic draw in {MAX_RETRIES} attempts")
 
@@ -207,34 +210,49 @@ def qp_refinement(
     rows = [tuple(fan.ray(i)) + (phi.ray_value(i),) for i in range(fan.n_rays)]
     rows.append((0,) * n + (1,))
     witness, _ = lp.strict_feasible(rows, [], [], n + 1)
-    assert witness is not None, "strict convexity makes the lifted cone pointed"
+    if witness is None:
+        raise RuntimeError("strict convexity makes the lifted cone pointed")
     shift_m, mu = witness[:n], witness[n]
     shifted = PLFunction(
         fan,
         tuple(vadd(shift_m, vscale(mu, mk)) for mk in phi.cone_functionals),
     )
-    assert all(shifted.ray_value(i) > 0 for i in range(fan.n_rays))
-    assert is_strictly_convex(shifted)
+    if any(shifted.ray_value(i) <= 0 for i in range(fan.n_rays)):
+        raise RuntimeError("the shifted function must be positive on every ray")
+    if not is_strictly_convex(shifted):
+        raise RuntimeError("a linear shift must keep the function strictly convex")
     refinement = _build(fan, s, list(shifted.cone_functionals), seed)
     fine = refinement.fine
     vals = [
-        shifted.ray_value(i) / refinement.weights.w[i] for i in range(fan.n_rays)
+        Fraction(shifted.ray_value(i), refinement.weights.w[i])
+        for i in range(fan.n_rays)
     ]
     phi_fine = pl_from_ray_values(fine, vals)
-    assert strictly_convex_relative(phi_fine, refinement)
+    if not strictly_convex_relative(phi_fine, refinement):
+        raise RuntimeError("the fine function must be strictly convex relative to the fan")
     ok, _ = is_quasi_projective(fine)
-    assert ok, "the refined fan must stay quasi-projective"
+    if not ok:
+        raise RuntimeError("the refined fan must stay quasi-projective")
     return refinement, phi_fine
 
 
 def supported_refinement(fan: Fan, collection, seed: int = 0) -> Refinement:
     """Refinement on which the given primitive collection stays primitive."""
-    r = simplicial_refinement(fan, collection, seed)
     p = tuple(sorted(collection))
-    assert not contained_in_single_cone(r.fine, p)
-    for sub in itertools.combinations(p, len(p) - 1):
-        assert contained_in_single_cone(r.fine, sub)
+    if not _is_primitive(fan, p):
+        raise ValueError(f"{p} is not a primitive collection of the fan")
+    r = simplicial_refinement(fan, p, seed)
+    if not _is_primitive(r.fine, p):
+        raise RuntimeError(f"the refinement must keep {p} primitive")
     return r
+
+
+def _is_primitive(fan: Fan, p: tuple[int, ...]) -> bool:
+    """In no single cone, while every subset one ray smaller is."""
+    return not contained_in_single_cone(fan, p) and all(
+        contained_in_single_cone(fan, sub)
+        for sub in itertools.combinations(p, len(p) - 1)
+    )
 
 
 def strictly_convex_relative(phi_fine: PLFunction, r: Refinement) -> bool:
@@ -281,7 +299,7 @@ def covers_coarse_exactly(r: Refinement) -> bool:
 
         def slice_volume(ray_idx_tuple):
             pts = [
-                vscale(1 / vdot(m, r.coarse.ray(i)), r.coarse.ray(i))
+                vscale(Fraction(1, vdot(m, r.coarse.ray(i))), r.coarse.ray(i))
                 for i in ray_idx_tuple
             ]
             return abs(det(pts))

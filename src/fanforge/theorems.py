@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import corpus, primcoll
 from .cones import HCone, VCone, cone_contains, h_to_v, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
-from .linalg import Vec, kernel_basis, primitivize, rank, solve_linear, vdot, vec, vsum
+from .linalg import Vec, kernel_basis, primitivize, rank, solve_linear, vdot, vsum
 from .mori import (
     curve_class,
     extremal_walls,
@@ -170,7 +170,7 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
         nz = next(i for i, x in enumerate(a_p) if x != 0)
         certs.append(
             {"u": [str(x) for x in a_t], "v": [str(x) for x in a_p],
-             "scale": str(a_t[nz] / a_p[nz])}
+             "scale": str(Fraction(a_t[nz], a_p[nz]))}
         )
     return TheoremReport(
         "extremal-positive-support", fan_id, HOLDS,
@@ -267,7 +267,8 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
     of the coarse function space inside the fine one."""
     t0 = time.perf_counter()
     fine = refinement.fine
-    assert fine.is_simplicial
+    if not fine.is_simplicial:
+        raise ValueError("the type-A check needs a simplicial refinement")
     n_rays = fine.n_rays
     rows = []
     for i, j in type_a_pairs(fine, coarse):
@@ -276,14 +277,14 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
         lam = solve_linear(
             [[fine.ray(t)[d] for t in cone.ray_indices] for d in range(fine.dim)], x
         )
-        row = [Fraction(0)] * n_rays
+        row = [0] * n_rays
         row[i] += 1
         row[j] += 1
         for t, l in zip(cone.ray_indices, lam):
             row[t] -= l
-        rows.append(vec(row))
+        rows.append(tuple(row))
     cut_basis = kernel_basis(rows, n_rays) if rows else [
-        vec(1 if t == s else 0 for t in range(n_rays)) for s in range(n_rays)
+        tuple(1 if t == s else 0 for t in range(n_rays)) for s in range(n_rays)
     ]
     pull_basis = [f.ray_values() for f in pl_basis(coarse).basis_functions]
     ra, rb = rank(cut_basis), rank(pull_basis)
@@ -360,7 +361,7 @@ def verify_certificates(report: TheoremReport) -> bool:
         if any(c < 0 for c in coeffs):
             return False
         for d in range(len(target)):
-            if sum((c * g[d] for c, g in zip(coeffs, gens)), Fraction(0)) != target[d]:
+            if sum(c * g[d] for c, g in zip(coeffs, gens)) != target[d]:
                 return False
     for p in report.certificates.get("proportional", []):
         u = [Fraction(x) for x in p["u"]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -173,6 +174,11 @@ def test_refine_bad_support_is_usage_error(capsys, support):
     {"dim": 2, "rays": [[1, 0], None], "max_cones": [[0, 1]]},
     {"dim": 2, "rays": [[1, 0], [None, 1]], "max_cones": [[0, 1]]},
     {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, None]]},
+    {"dim": 2, "rays": [[1, 0], [float("inf"), 1]], "max_cones": [[0, 1]]},
+    {"dim": 2, "rays": [[1, 0], [float("nan"), 1]], "max_cones": [[0, 1]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1.7]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, True]]},
+    {"dim": 2.9, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
 ])
 def test_validate_malformed_shapes_are_invalid_fans(tmp_path, capsys, obj):
     p = tmp_path / "bad.json"
@@ -180,3 +186,43 @@ def test_validate_malformed_shapes_are_invalid_fans(tmp_path, capsys, obj):
     code, _, err = run_cli(capsys, "validate", "--fan", str(p))
     assert code == 2
     assert "BadInput" in err
+
+
+# SHA-256 of each subcommand's --json output, concatenated over these corpus
+# fans, and of the full verify suite.  Tier-1 otherwise checks only that the
+# bytes repeat, so a number that leaked as 0.5 or Fraction(1, 2) into a
+# report would pass unnoticed.
+PINNED_FANS = ("ex21", "ex22:5", "ex22:8", "ex22:10", "ex31", "fulton")
+PINNED_JSON = {
+    "validate": ((), "aa6a99dc5c8683c5371329a7cdf0ed2ecfbbbad8808cfe439a7130e53d5c37d9"),
+    "prim": ((), "a0ec9064710d3074be7e83bc4680f87bd81006e13da7c9a8e55089049309bcc5"),
+    "walls": ((), "7a9af03f35df1493e728056eddd8036886ea49cc3ea18bb6a91f62b77800bd5b"),
+    "relations": ((), "d2d28814967e2966d235db9fafa060f65592461525c2feead027ea5bd228fd95"),
+    "mori": ((), "9a7c510bac316b2eba3a8f43181ee914a5c61a501a3866b44962bd8a478bcd51"),
+    "nef": ((), "444ca2989fb7f9629c271c18ab3609c6bc5c3a16857fb242783c5bdbb3b99104"),
+    "qp": ((), "b31c1d9ff3b8b3456691bff5f658b606c89c53fc389c73c04660aa79ffbdcc55"),
+    "refine": (("--seed", "7"),
+               "f5f70df077cb9833717d8de5af4c91e5dc3657607626b227f1625f2daa385d66"),
+    "verify": (("--seed", "0"),
+               "36f730bd25254dc2e89780073b6c448bb7e26603c2faa09ef568bbaa18af5695"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PINNED_JSON))
+def test_json_output_bytes_are_pinned(capsys, sub):
+    extra, digest = PINNED_JSON[sub]
+    h = hashlib.sha256()
+    for name in PINNED_FANS:
+        code, out, _ = run_cli(capsys, sub, "--fan", f"corpus:{name}", "--json", *extra)
+        assert code == 0, name
+        h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
+def test_verify_all_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--all", "--seed", "7", "--random-fans", "25", "--json"
+    )
+    assert code == 0 and len(out.encode()) == 18140
+    digest = "875cfefe2ddb57bcff9a66fa271f453fdce4bda52650d447369ee725b759a28e"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -128,6 +128,11 @@ def test_validate_fan_fuzz_fails_cleanly():
         (2, [(1, 0), 7], [[0, 1]]),
         (2, [(1, 0), (None, 1)], [[0, 1]]),
         (2, [(1, 0), (0, 1)], [[0, None]]),
+        (2, [(1, 0), (float("inf"), 1)], [[0, 1]]),
+        (2, [(1, 0), (float("nan"), 1)], [[0, 1]]),
+        (2, [(1, 0), (0, 1)], [[0, 1.7]]),
+        (2, [(1, 0), (0, 1)], [[0, True]]),
+        (2.9, [(1, 0), (0, 1)], [[0, 1]]),
     ]
     for dim, rays, cones in malformed:
         try:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,13 @@ from fanforge.linalg import (
     rank,
     rref,
     solve_linear,
+    vadd,
     vdot,
     vec,
+    vneg,
+    vscale,
+    vsub,
+    vsum,
 )
 
 PYRAMID_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
@@ -210,3 +216,82 @@ def test_elimination_of_empty_matrix():
     assert rref([]) == reference_rref([]) == ([], [])
     assert rank([]) == 0
     assert det([]) == reference_det([]) == 1
+
+
+# The vector helpers as they were when they converted every entry to
+# Fraction, kept as oracles for the helpers that compute on entries as given.
+def reference_vadd(a, b):
+    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b, strict=True))
+
+
+def reference_vsub(a, b):
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b, strict=True))
+
+
+def reference_vscale(c, a):
+    return tuple(Fraction(c) * Fraction(x) for x in a)
+
+
+def reference_vdot(a, b):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def reference_vneg(a):
+    return tuple(-Fraction(x) for x in a)
+
+
+def reference_vsum(vectors, dim):
+    total = [Fraction(0)] * dim
+    for v in vectors:
+        for i, x in enumerate(v):
+            total[i] += x
+    return tuple(total)
+
+
+def reference_primitivize(a):
+    fracs = [Fraction(x) for x in a]
+    scale = 1
+    for x in fracs:
+        scale = lcm(scale, x.denominator)
+    ints = [x.numerator * (scale // x.denominator) for x in fracs]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("cannot primitivize the zero vector")
+    return tuple(x // g for x in ints)
+
+
+mixed = st.one_of(small_ints, rationals)
+
+
+@st.composite
+def mixed_vectors(draw, count=3):
+    """count vectors of one length, each entry an int or a Fraction."""
+    n = draw(st.integers(0, 5))
+    return [tuple(draw(mixed) for _ in range(n)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_vectors(), mixed)
+def test_vector_helpers_match_fraction_reference(vectors, c):
+    a, b, _ = vectors
+    n = len(a)
+    cases = [
+        (vadd(a, b), reference_vadd(a, b)),
+        (vsub(a, b), reference_vsub(a, b)),
+        (vscale(c, a), reference_vscale(c, a)),
+        ((vdot(a, b),), (reference_vdot(a, b),)),
+        (vneg(a), reference_vneg(a)),
+        (vsum(vectors, n), reference_vsum(vectors, n)),
+    ]
+    if any(x != 0 for x in a):
+        cases.append((primitivize(a), reference_primitivize(a)))
+    else:
+        with pytest.raises(ValueError):
+            primitivize(a)
+    for got, want in cases:
+        assert got == want
+        assert all(type(x) in (int, Fraction) for x in got)
+    if all(type(x) is int for v in vectors for x in v) and type(c) is int:
+        # lattice vectors stay ints
+        for got, _ in cases:
+            assert all(type(x) is int for x in got)
