@@ -11,13 +11,14 @@ only for pairs that share enough tight rows.  Its lines and rays are
 primitive integer vectors, so the generators from h_to_v and the facet
 normals from v_to_h are int tuples, like the rays of a fan; HCone.make and
 VCone.make keep entries as given.  Membership and inclusion questions are
-exact LPs.
+exact LPs.  Simplicial coverage is decided by facet matching.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -221,12 +222,6 @@ def cone_contains(c: VCone, x) -> tuple[bool, Vec | None]:
     return True, coeffs
 
 
-def cone_dim(c: HCone | VCone) -> int:
-    if isinstance(c, HCone):
-        c = h_to_v(c)
-    return rank(c.generators)
-
-
 def lineality_dim(c: HCone | VCone) -> int:
     """Dimension of the largest subspace contained in the cone."""
     if isinstance(c, VCone):
@@ -292,34 +287,34 @@ def solve_nonneg_in_span(target, gens) -> tuple[dict[int, Fraction], list[int]] 
     return {i: coeffs[i] for i in support}, support
 
 
-def hcone_covered_by(big: HCone, parts: list[HCone]) -> tuple[bool, list[HCone]]:
-    """Exact test that big is contained in the union of parts.
+def hcone_covered_by(big: HCone, parts, rays) -> tuple[bool, list[tuple[int, ...]]]:
+    """Exact test that the union of parts contains big, by facet matching.
 
-    Sweeps the common refinement: big is cut along every bounding hyperplane
-    of every part, and a full-dimensional leftover region witnesses a point
-    of big interior to no part.  Returns (covered, uncovered_regions).
+    Each part is a tuple of indices into rays: a full-dimensional simplicial
+    cone inside big that meets the other parts face to face with disjoint
+    interiors, as maximal cones of one validated fan do.  A facet (a part
+    minus one ray) is open when one part alone has it and no inequality of
+    big vanishes on all its rays.  big is covered iff there are parts and no
+    facet is open.  A generic segment from inside a part to an uncovered
+    point of big would leave the union through a facet interior to big,
+    which a second part shares and continues past.  Conversely, the points
+    of big just beyond an open facet lie in no part, for a part reaching
+    them would have that facet as a face.  This is the pseudo-manifold
+    criterion for triangulations (De Loera, Rambau and Santos,
+    Triangulations, 2010, ch. 4).  Returns (covered, open facets, sorted).
     """
-    n = big.ambient_dim
-    regions = [big]
-    for part in parts:
-        cuts = list(part.inequalities)
-        for e in part.equalities:
-            cuts.append(e)
-            cuts.append(vneg(e))
-        new_regions = []
-        for reg in regions:
-            prefix: list[Vec] = []
-            for u in cuts:
-                piece = HCone(
-                    reg.inequalities + tuple(prefix) + (vneg(u),),
-                    reg.equalities,
-                    n,
-                )
-                if cone_dim(piece) == n:
-                    new_regions.append(piece)
-                prefix.append(u)
-        regions = new_regions
-    return not regions, regions
+    def on_boundary(facet) -> bool:
+        return any(
+            all(vdot(h, rays[i]) == 0 for i in facet) for h in big.inequalities
+        )
+
+    count = Counter(
+        facet
+        for part in parts
+        for facet in itertools.combinations(sorted(part), len(part) - 1)
+    )
+    open_facets = sorted(f for f, n in count.items() if n == 1 and not on_boundary(f))
+    return bool(parts) and not open_facets, open_facets
 
 
 def pulling_triangulation(gens) -> list[tuple[int, ...]]:

@@ -157,6 +157,9 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             raise FanError("BadInput", f"ray {k} is not a list")
         if len(entries) != dim:
             raise FanError("BadInput", f"ray {k} has wrong dimension")
+        # Fraction would read both "1" and True as 1
+        if any(isinstance(x, (str, bool)) for x in entries):
+            raise FanError("BadInput", f"ray {k} has a non-numeric entry")
         try:
             fracs = [Fraction(x) for x in entries]
         except (TypeError, ValueError, OverflowError):

@@ -137,9 +137,14 @@ def classify_type(collection, fine: Fan, coarse: Fan) -> str:
     mapped = tuple(sorted(ray_map[i] for i in collection))
     if contained_in_single_cone(coarse, mapped):
         return TYPE_A
-    for sub in itertools.combinations(mapped, len(mapped) - 1):
-        if not contained_in_single_cone(coarse, sub):
-            raise AssertionError(
-                "a type B collection must be primitive for the coarse fan"
-            )
+    if not _is_primitive(coarse, mapped):
+        raise RuntimeError("a type B collection must be primitive for the coarse fan")
     return TYPE_B
+
+
+def _is_primitive(fan: Fan, p: tuple[int, ...]) -> bool:
+    """In no single cone, while every subset one ray smaller is."""
+    return not contained_in_single_cone(fan, p) and all(
+        contained_in_single_cone(fan, sub)
+        for sub in itertools.combinations(p, len(p) - 1)
+    )

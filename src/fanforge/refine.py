@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import pulling_triangulation
-from .fan import Fan, ConeData, FanError, contained_in_single_cone, validate_fan
+from .fan import Fan, ConeData, FanError, validate_fan
 from .linalg import Vec, det, kernel_basis, rank, vadd, vdot, vneg, vscale, vsum
 from . import lp
 from .plfun import (
@@ -31,6 +31,7 @@ from .plfun import (
     pl_from_ray_values,
     wall_functional,
 )
+from .primcoll import _is_primitive
 
 log = logging.getLogger(__name__)
 
@@ -245,14 +246,6 @@ def supported_refinement(fan: Fan, collection, seed: int = 0) -> Refinement:
     if not _is_primitive(r.fine, p):
         raise RuntimeError(f"the refinement must keep {p} primitive")
     return r
-
-
-def _is_primitive(fan: Fan, p: tuple[int, ...]) -> bool:
-    """In no single cone, while every subset one ray smaller is."""
-    return not contained_in_single_cone(fan, p) and all(
-        contained_in_single_cone(fan, sub)
-        for sub in itertools.combinations(p, len(p) - 1)
-    )
 
 
 def strictly_convex_relative(phi_fine: PLFunction, r: Refinement) -> bool:

@@ -20,7 +20,6 @@ from .cones import HCone, VCone, cone_contains, h_to_v, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, kernel_basis, primitivize, rank, solve_linear, vdot, vsum
 from .mori import (
-    curve_class,
     extremal_walls,
     mori_cone,
     positively_proportional,
@@ -94,19 +93,15 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     qp, _ = is_quasi_projective(fan)
     d = basis.dim_pic
     walls_h = HCone.make(wall_rows(fan, basis, quotient_only=True), (), d)
-    prim_h = HCone.make(
-        primcoll.primitive_rows(fan, basis, quotient_only=True), (), d
-    )
+    # a primitive relation's row over the quotient basis is its curve class
+    prim_rows = primcoll.primitive_rows(fan, basis, quotient_only=True)
+    prim_h = HCone.make(prim_rows, (), d)
     certs: list = []
     bad = _cones_equal_certified(h_to_v(walls_h), h_to_v(prim_h), certs)
     dual_bad = None
     if bad is None:
         mc = mori_cone(fan, basis)
-        prim_classes = [
-            curve_class(fan, primcoll.primitive_relation(fan, p).relation, basis)
-            for p in primcoll.enumerate_primitive_collections(fan)
-        ]
-        prim_v = VCone.make(prim_classes, d) if prim_classes else VCone((), d)
+        prim_v = VCone.make(prim_rows, d)
         dual_bad = _cones_equal_certified(mc.cone, prim_v, certs)
     elapsed = time.perf_counter() - t0
     if bad is not None or dual_bad is not None:
@@ -179,33 +174,33 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     )
 
 
-def _wall_relation_rays(fan: Fan, wall: Wall) -> tuple[list[int], dict]:
-    rel = wall_relation(fan, wall)
-    a, b = wall.cone_indices
-    off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
-    off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
-    return list(wall.ray_indices) + [off_a, off_b], rel
-
-
 def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremReport:
     """At an extremal wall of a simplicial quasi-projective fan, dropping a
     positive-coefficient ray from the wall relation leaves a maximal cone of
     the fan, and those cones cover the cone on all n+1 relation rays."""
     t0 = time.perf_counter()
+    reason = _reid_inapplicable(fan)
+    if reason is None and wall not in extremal_walls(fan, pl_basis(fan)):
+        reason = f"wall {wall.ray_indices} is not extremal"
+    if reason is not None:
+        return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
+    return _reid_at_wall(fan, wall, fan_id, t0)
+
+
+def _reid_inapplicable(fan: Fan) -> str | None:
+    """Why the Reid conditions do not apply to the fan, or None."""
     if not fan.is_simplicial:
-        return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, "not simplicial")
-    qp, _ = is_quasi_projective(fan)
-    if not qp:
-        return TheoremReport(
-            "reid-conditions", fan_id, INAPPLICABLE, "not quasi-projective"
-        )
-    basis = pl_basis(fan)
-    if wall not in set(extremal_walls(fan, basis)):
-        return TheoremReport(
-            "reid-conditions", fan_id, INAPPLICABLE,
-            f"wall {wall.ray_indices} is not extremal",
-        )
-    ray_seq, rel = _wall_relation_rays(fan, wall)
+        return "not simplicial"
+    if not is_quasi_projective(fan)[0]:
+        return "not quasi-projective"
+    return None
+
+
+def _reid_at_wall(fan: Fan, wall: Wall, fan_id: str, t0: float) -> TheoremReport:
+    """Both Reid conditions at one extremal wall of a simplicial fan."""
+    rel = wall_relation(fan, wall)
+    a, b = (set(fan.max_cones[k].ray_indices) for k in wall.cone_indices)
+    ray_seq = list(wall.ray_indices) + [min(a - b), min(b - a)]
     positive = [i for i in ray_seq if rel.get(i, 0) > 0]
     max_cone_sets = {c.ray_indices for c in fan.max_cones}
     deltas = []
@@ -220,13 +215,12 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
             )
         deltas.append(delta)
     big = v_to_h(VCone.make([fan.ray(i) for i in ray_seq], fan.dim))
-    parts = [v_to_h(VCone.make([fan.ray(i) for i in d], fan.dim)) for d in deltas]
-    covered, leftover = hcone_covered_by(big, parts)
+    covered, open_facets = hcone_covered_by(big, deltas, fan.rays)
     if not covered:
         return TheoremReport(
             "reid-conditions", fan_id, FAILS,
-            f"{len(leftover)} uncovered regions in the relation cone",
-            {"counterexample": [[str(x) for x in r.inequalities[0]] for r in leftover]},
+            f"{len(open_facets)} open facets inside the relation cone",
+            {"counterexample": [list(f) for f in open_facets]},
             time.perf_counter() - t0,
         )
     return TheoremReport(
@@ -240,19 +234,14 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
 def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     """Aggregate reid-conditions over every extremal wall of the fan."""
     t0 = time.perf_counter()
-    if not fan.is_simplicial:
-        return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, "not simplicial")
-    qp, _ = is_quasi_projective(fan)
-    if not qp:
-        return TheoremReport(
-            "reid-conditions", fan_id, INAPPLICABLE, "not quasi-projective"
-        )
-    basis = pl_basis(fan)
-    walls = extremal_walls(fan, basis)
-    reports = [check_reid_conditions(fan, w, fan_id) for w in walls]
-    bad = [r for r in reports if r.verdict == FAILS]
-    if bad:
-        return bad[0]
+    reason = _reid_inapplicable(fan)
+    if reason is not None:
+        return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
+    walls = extremal_walls(fan, pl_basis(fan))
+    for w in walls:
+        r = _reid_at_wall(fan, w, fan_id, time.perf_counter())
+        if r.verdict == FAILS:
+            return r
     return TheoremReport(
         "reid-conditions", fan_id, HOLDS,
         f"verified at {len(walls)} extremal walls",

@@ -179,6 +179,10 @@ def test_refine_bad_support_is_usage_error(capsys, support):
     {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1.7]]},
     {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, True]]},
     {"dim": 2.9, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
+    {"dim": 2, "rays": [["1", 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]},
+    {"dim": 2, "rays": [[1, 0], [0, True], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]},
+    {"dim": 2, "rays": [["1", 0], [0, True], [-1, "-1"]],
+     "max_cones": [[0, 1], [1, 2], [2, 0]]},
 ])
 def test_validate_malformed_shapes_are_invalid_fans(tmp_path, capsys, obj):
     p = tmp_path / "bad.json"

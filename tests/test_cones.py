@@ -10,7 +10,6 @@ from fanforge.cones import (
     HCone,
     VCone,
     cone_contains,
-    cone_dim,
     cones_equal,
     double_description,
     dual_cone,
@@ -22,7 +21,11 @@ from fanforge.cones import (
     pulling_triangulation,
     solve_nonneg_in_span,
 )
-from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot
+from fanforge import corpus
+from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot, vneg
+from fanforge.mori import extremal_walls, wall_relation
+from fanforge.plfun import is_quasi_projective, pl_basis
+from fanforge.theorems import random_complete_fan
 
 SQUARE_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
 
@@ -136,18 +139,96 @@ def test_intersect_and_dim():
     a = HCone.make([(1, 0), (0, 1)])
     b = HCone.make([(-1, 1)], ambient_dim=2)
     inter = intersect_hcones(a, b)
-    assert cone_dim(inter) == 2
+    assert rank(h_to_v(inter).generators) == 2
     assert is_pointed(inter)
 
 
 def test_hcone_covered_by():
+    # the quadrant on rays (1,0), (1,1), (0,1), split along the diagonal
+    rays = [(1, 0), (1, 1), (0, 1)]
     quadrant = HCone.make([(1, 0), (0, 1)])
-    left = HCone.make([(1, -1), (0, 1), (1, 0)])
-    right = HCone.make([(-1, 1), (1, 0), (0, 1)])
-    ok, leftover = hcone_covered_by(quadrant, [left, right])
-    assert ok and not leftover
-    ok, leftover = hcone_covered_by(quadrant, [left])
-    assert not ok and leftover
+    assert hcone_covered_by(quadrant, [(0, 1), (1, 2)], rays) == (True, [])
+    # one half alone leaves the diagonal open; its other facet, the ray
+    # (1,0), lies on the quadrant's boundary
+    assert hcone_covered_by(quadrant, [(0, 1)], rays) == (False, [(1,)])
+    assert hcone_covered_by(quadrant, [], rays) == (False, [])
+
+
+def reference_hcone_covered_by(big: HCone, parts: list[HCone]) -> tuple[bool, list[HCone]]:
+    """The region sweep the facet matching replaced, kept as its reference.
+
+    Sweeps the common refinement: big is cut along every bounding hyperplane
+    of every part, and a full-dimensional leftover region witnesses a point
+    of big interior to no part.  Returns (covered, uncovered_regions).
+    """
+    n = big.ambient_dim
+    regions = [big]
+    for part in parts:
+        cuts = list(part.inequalities)
+        for e in part.equalities:
+            cuts.append(e)
+            cuts.append(vneg(e))
+        new_regions = []
+        for reg in regions:
+            prefix = []
+            for u in cuts:
+                piece = HCone(
+                    reg.inequalities + tuple(prefix) + (vneg(u),),
+                    reg.equalities,
+                    n,
+                )
+                if rank(h_to_v(piece).generators) == n:
+                    new_regions.append(piece)
+                prefix.append(u)
+        regions = new_regions
+    return not regions, regions
+
+
+def _reid_coverage_cases():
+    """(fan, relation cone, deltas) at every extremal wall of the paper
+    examples, the cross fans and seeded random fans: the deltas are the
+    maximal cones left by dropping a positive ray of the wall relation."""
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(2), corpus.cross_fan(3)]
+    rng = random.Random(11)
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    for f in fans:
+        if not f.is_simplicial or not is_quasi_projective(f)[0]:
+            continue
+        max_cone_sets = {c.ray_indices for c in f.max_cones}
+        for w in extremal_walls(f, pl_basis(f)):
+            a, b = w.cone_indices
+            ray_seq = set(f.max_cones[a].ray_indices) | set(f.max_cones[b].ray_indices)
+            rel = wall_relation(f, w)
+            deltas = [
+                tuple(sorted(ray_seq - {i})) for i in sorted(ray_seq) if rel.get(i, 0) > 0
+            ]
+            assert set(deltas) <= max_cone_sets
+            big = v_to_h_checked([f.ray(i) for i in sorted(ray_seq)])
+            yield f, big, deltas
+
+
+def test_hcone_covered_by_matches_region_sweep_at_reid_walls():
+    from fanforge.cones import v_to_h
+
+    walls = non_pointed = dropped = 0
+    for f, big, deltas in _reid_coverage_cases():
+        walls += 1
+        non_pointed += not is_pointed(big)
+        parts = [v_to_h(VCone.make([f.ray(i) for i in d])) for d in deltas]
+        assert reference_hcone_covered_by(big, parts)[0]
+        assert hcone_covered_by(big, deltas, f.rays) == (True, [])
+        for k in range(len(deltas)):
+            dropped += 1
+            rest = deltas[:k] + deltas[k + 1:]
+            assert not reference_hcone_covered_by(big, parts[:k] + parts[k + 1:])[0]
+            covered, open_facets = hcone_covered_by(big, rest, f.rays)
+            assert not covered
+            # the open facets are those the dropped delta shared
+            assert open_facets and all(set(c) < set(deltas[k]) for c in open_facets)
+    # relation cones such as e2 + (-e2) = 0 in the cross fans span a
+    # half-space or more, so slice volumes could not decide these
+    assert walls > 100 and non_pointed > 40 and dropped > 250
 
 
 def test_pulling_triangulation_square_cone():

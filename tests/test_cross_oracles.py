@@ -133,6 +133,9 @@ def test_validate_fan_fuzz_fails_cleanly():
         (2, [(1, 0), (0, 1)], [[0, 1.7]]),
         (2, [(1, 0), (0, 1)], [[0, True]]),
         (2.9, [(1, 0), (0, 1)], [[0, 1]]),
+        (2, [("1", 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]]),
+        (2, [(1, 0), (0, True), (-1, -1)], [[0, 1], [1, 2], [2, 0]]),
+        (2, [("1", 0), (0, True), (-1, "-1")], [[0, 1], [1, 2], [2, 0]]),
     ]
     for dim, rays, cones in malformed:
         try:
