@@ -4,10 +4,11 @@ A fan is given by primitive integer ray vectors plus maximal cones as ray
 index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, pairwise intersection in common faces,
 convex support) and derives the face lattice, the walls with their incident
-maximal cones, and the simplicial/complete flags.  Fans are immutable after
+maximal cones, and the simplicial/complete flags, reading each verdict off
+the double descriptions it computes anyway.  Fans are immutable after
 validation and all queries are pure, so the invariants that other modules
 derive from a fan (PL basis, quasi-projectivity, Mori cone, extremal walls)
-are computed once and kept on the fan.
+are computed once and kept on the fan under their names.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cones import HCone, VCone, h_to_v, intersect_hcones, v_to_h
-from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vneg
+from .cones import HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
+from .linalg import is_zero_vec, primitivize, vdot
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +84,7 @@ class Fan:
         self.is_simplicial: bool = all(
             len(c.ray_indices) == c.dim for c in max_cones
         )
-        self._derived: dict[str, tuple[object, object]] = {}
+        self._derived: dict[str, object] = {}
 
     @property
     def n_rays(self) -> int:
@@ -92,16 +93,12 @@ class Fan:
     def ray(self, i: int) -> tuple[int, ...]:
         return self.rays[i]
 
-    def derived(self, name: str, compute, basis=None):
+    def derived(self, name: str, compute):
         """The invariant `name` of this fan, computed by compute() on first
-        use and kept.  An invariant given in the coordinates of a PL basis is
-        kept for that basis object and recomputed when another is passed."""
-        hit = self._derived.get(name)
-        if hit is not None and hit[0] is basis:
-            return hit[1]
-        value = compute()
-        self._derived[name] = (basis, value)
-        return value
+        use and kept; one value per name."""
+        if name not in self._derived:
+            self._derived[name] = compute()
+        return self._derived[name]
 
     def max_cone_containing(self, x) -> tuple[int, ConeData]:
         """Some maximal cone containing x (the smallest index one)."""
@@ -189,20 +186,22 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     if len(set(cone_sets)) != len(cone_sets):
         raise FanError("BadInput", "duplicate maximal cones")
 
+    # full-dimensional iff the facet description has no equalities, pointed
+    # iff the facet normals leave no line, and then the DD rays are extreme
     cones: list[ConeData] = []
     for k, idx in enumerate(cone_sets):
         gens = [rays_t[i] for i in idx]
-        if rank(gens) != dim:
+        hrep = v_to_h(VCone.make(gens))
+        if hrep.equalities:
             raise FanError(
                 "MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}"
             )
-        hrep = v_to_h(VCone.make(gens))
-        if rank(list(hrep.inequalities) + list(hrep.equalities)) != dim:
+        lines, extreme = double_description((), hrep.inequalities, dim)
+        if lines:
             raise FanError(
                 "NotStronglyConvex", f"maximal cone {k} contains a line"
             )
-        extreme = set(h_to_v(hrep).generators)
-        if set(gens) != extreme:
+        if set(gens) != set(extreme):
             raise FanError(
                 "RayNotExtreme",
                 f"maximal cone {k} lists a generator that is not an extreme ray",
@@ -219,7 +218,8 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     all_face_sets: set[tuple[int, ...]] = set().union(*max_face_sets)
     faces: dict[tuple[int, ...], ConeData] = {}
     for fs in all_face_sets:
-        faces[fs] = ConeData(fs, rank([rays_t[i] for i in fs]), memo[fs][1])
+        _, hrep = memo[fs]
+        faces[fs] = ConeData(fs, dim - len(hrep.equalities), hrep)
 
     used = set().union(*(c.ray_indices for c in cones))
     if used != set(range(len(rays_t))):
@@ -263,27 +263,16 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             )
         walls.append(Wall(fs, incident))
 
-    # support convexity from boundary-wall halfspaces
-    boundary_rows: list[Vec] = []
-    for w in walls:
-        if len(w.cone_indices) != 1:
-            continue
-        span_rows = [rays_t[i] for i in w.ray_indices]
-        normal = kernel_basis(span_rows, dim)
-        if len(normal) != 1:
-            raise RuntimeError(f"wall {w.ray_indices} does not span a hyperplane")
-        u = normal[0]
-        cone = cones[w.cone_indices[0]]
-        side = [vdot(u, rays_t[i]) for i in cone.ray_indices]
-        if any(s < 0 for s in side):
-            if any(s > 0 for s in side):
-                raise RuntimeError(
-                    f"wall {w.ray_indices} does not span a supporting hyperplane "
-                    f"of its cone"
-                )
-            u = vneg(u)
-        boundary_rows.append(primitivize(u))
-    support = HCone(tuple(sorted(set(boundary_rows))), (), dim)
+    # support convexity from boundary-wall halfspaces: a boundary wall is a
+    # facet of its one cone, and the inequality of that facet is its normal
+    boundary_rows = {
+        u
+        for w in walls
+        if not w.is_interior
+        for u in cones[w.cone_indices[0]].facets.inequalities
+        if all(vdot(u, rays_t[i]) == 0 for i in w.ray_indices)
+    }
+    support = HCone(tuple(sorted(boundary_rows)), (), dim)
     for r in rays_t:
         if not support.contains_point(r):
             raise FanError(

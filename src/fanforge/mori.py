@@ -9,7 +9,6 @@ interior walls generate the Mori cone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +20,8 @@ from .linalg import (
     kernel_basis,
     lex_min_independent_subset,
     primitivize,
-    rank,
 )
-from .plfun import PLBasis
+from .plfun import PLBasis, pl_basis
 
 RelationVector = dict[int, Fraction]
 
@@ -74,20 +72,6 @@ def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
     return rel
 
 
-def wall_relation_choices(fan: Fan, wall: Wall):
-    """All admissible wall relations (every independent (n-1)-subset of the
-    wall rays, every off-wall ray pair); used to test representative
-    independence of the class."""
-    a, b = wall.cone_indices
-    wall_idx = wall.ray_indices
-    for subset in itertools.combinations(wall_idx, fan.dim - 1):
-        if rank([fan.ray(i) for i in subset]) != fan.dim - 1:
-            continue
-        for off_a in set(fan.max_cones[a].ray_indices) - set(wall_idx):
-            for off_b in set(fan.max_cones[b].ray_indices) - set(wall_idx):
-                yield _relation_for_rays(fan, list(subset) + [off_a, off_b])
-
-
 def relation_is_valid(fan: Fan, rel: RelationVector) -> bool:
     """Does sum_i rel[i] * ray_i vanish exactly?"""
     total = [0] * fan.dim
@@ -134,9 +118,11 @@ class MoriCone:
 
 
 def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
-    """The cone of the interior-wall classes in the basis's quotient
-    coordinates, once per fan and basis."""
-    return fan.derived("mori_cone", lambda: _build_mori_cone(fan, basis), basis)
+    """The cone of the interior-wall classes in the quotient coordinates of
+    the fan's own pl_basis, derived once per fan."""
+    if basis is not pl_basis(fan):
+        raise ValueError("the basis must be the fan's own pl_basis")
+    return fan.derived("mori_cone", lambda: _build_mori_cone(fan, basis))
 
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
@@ -155,13 +141,12 @@ def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
     A wall is extremal iff its class is outside the cone generated by the
     classes of the walls that are not positively proportional to it; this LP
     exclusion test also works when the Mori cone is not full dimensional.
-    Decided once per fan and basis; each call returns a fresh list.
+    Decided once per fan in the fan's own pl_basis; each call returns a
+    fresh list.
     """
-    return list(
-        fan.derived(
-            "extremal_walls", lambda: _find_extremal_walls(fan, basis), basis
-        )
-    )
+    if basis is not pl_basis(fan):
+        raise ValueError("the basis must be the fan's own pl_basis")
+    return list(fan.derived("extremal_walls", lambda: _find_extremal_walls(fan, basis)))
 
 
 def _find_extremal_walls(fan: Fan, basis: PLBasis) -> tuple[Wall, ...]:

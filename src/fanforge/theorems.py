@@ -139,13 +139,11 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
             "extremal-positive-support", fan_id, INAPPLICABLE,
             "fan not quasi-projective",
         )
-    basis = pl_basis(fan)
-    collections = set(primcoll.enumerate_primitive_collections(fan))
     certs = []
-    for w in extremal_walls(fan, basis):
+    for w in extremal_walls(fan, pl_basis(fan)):
         rel = wall_relation(fan, w)
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
-        if p not in collections:
+        if not primcoll._is_primitive(fan, p):
             return TheoremReport(
                 "extremal-positive-support", fan_id, FAILS,
                 f"positive support {p} of wall {w.ray_indices} is not primitive",

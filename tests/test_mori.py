@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
 from fanforge import corpus
 from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone
 from fanforge.fan import validate_fan
-from fanforge.linalg import primitivize, vec
+from fanforge.linalg import primitivize, rank, vec
 from fanforge.mori import (
     MoriConeNotPointed,
+    _relation_for_rays,
     curve_class,
     extremal_walls,
     mori_cone,
@@ -13,13 +16,26 @@ from fanforge.mori import (
     relation_dense,
     relation_is_valid,
     wall_relation,
-    wall_relation_choices,
 )
 from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
 
 
 def wall_by_rays(fan, rays):
     return next(w for w in fan.interior_walls if w.ray_indices == tuple(rays))
+
+
+def wall_relation_choices(fan, wall):
+    """All admissible wall relations (every independent (n-1)-subset of the
+    wall rays, every off-wall ray pair); the reference for representative
+    independence of the class."""
+    a, b = wall.cone_indices
+    wall_idx = wall.ray_indices
+    for subset in itertools.combinations(wall_idx, fan.dim - 1):
+        if rank([fan.ray(i) for i in subset]) != fan.dim - 1:
+            continue
+        for off_a in set(fan.max_cones[a].ray_indices) - set(wall_idx):
+            for off_b in set(fan.max_cones[b].ray_indices) - set(wall_idx):
+                yield _relation_for_rays(fan, list(subset) + [off_a, off_b])
 
 
 def test_wall_relation_top_diagonal():

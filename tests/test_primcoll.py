@@ -11,12 +11,14 @@ from fanforge.plfun import pl_basis
 from fanforge.primcoll import (
     TYPE_A,
     TYPE_B,
+    _is_primitive,
     batyrev_primitive_collections,
     classify_type,
     enumerate_primitive_collections,
     primitive_inequality_cone,
     primitive_relation,
 )
+from fanforge.theorems import random_complete_fan
 
 FULTON_EXPECTED = {
     (1, 3): ((6,), {6: 1}),
@@ -85,6 +87,19 @@ def test_enumeration_matches_naive_oracle():
     for f in fans:
         assert f.n_rays <= 9
         assert enumerate_primitive_collections(f) == naive_primitive_collections(f)
+
+
+def test_primitivity_predicate_matches_enumeration():
+    # the two primitivity oracles agree on every ray subset the enumeration
+    # searches, on the simplicial paper examples and on seeded random fans
+    fans = [f for _, f in corpus.paper_examples() if f.is_simplicial]
+    rng = random.Random(11)
+    fans += [random_complete_fan(rng)[1] for _ in range(10)]
+    for f in fans:
+        found = set(enumerate_primitive_collections(f))
+        for size in range(2, f.dim + 2):
+            for p in itertools.combinations(range(f.n_rays), size):
+                assert _is_primitive(f, p) == (p in found)
 
 
 def test_batyrev_variant():

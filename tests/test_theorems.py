@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from fanforge import corpus, lp
 from fanforge.cones import HCone, cones_equal
 from fanforge.fan import fan_from_json_obj
@@ -115,6 +117,11 @@ def test_reid_all_walls_derives_fan_invariants_once(monkeypatch):
     assert extremal_walls(f, pl_basis(f)) == extremal_walls(g, pl_basis(g))
     walls = extremal_walls(f, pl_basis(f))
     assert walls is not extremal_walls(f, pl_basis(f))
+    # an invariant is kept once per fan, in the fan's own basis only
+    with pytest.raises(ValueError):
+        mori_cone(f, pl_basis(g))
+    with pytest.raises(ValueError):
+        extremal_walls(f, pl_basis(g))
 
 
 def test_type_a_description_square_pyramid():
