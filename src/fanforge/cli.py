@@ -219,8 +219,7 @@ def _nef_report(f: Fan) -> dict:
         raw_rows.append(mori.relation_dense(f, pr.relation))
     # linear conditions cutting the function space inside ray-value space
     # (nontrivial only for non-simplicial fans)
-    rv = [fn.ray_values() for fn in plfun.pl_basis(f).basis_functions]
-    membership = kernel_basis(rv, f.n_rays)
+    membership = kernel_basis(plfun.pl_basis(f).ray_values, f.n_rays)
 
     def pin(row):
         return tuple(0 if i in pinned else x for i, x in enumerate(row))

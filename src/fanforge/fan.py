@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cones import HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
+from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
 from .linalg import is_zero_vec, primitivize, vdot
 
 log = logging.getLogger(__name__)
@@ -143,6 +143,8 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     """Build a validated Fan from raw rays and maximal-cone index sets."""
     if type(dim) is not int or dim < 1:
         raise FanError("BadInput", "ambient dimension must be an integer of at least 1")
+    if dim > MAX_DIM:
+        raise FanError("BadInput", f"ambient dimension {dim} exceeds the {MAX_DIM} guard")
     if not isinstance(rays, (list, tuple)) or not isinstance(max_cones, (list, tuple)):
         raise FanError("BadInput", "rays and maximal cones must be lists")
     if not max_cones:

@@ -183,14 +183,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
 
 def lex_min_independent_subset(vectors: Sequence[Sequence], size: int) -> list[int] | None:
     """Indices of the lexicographically smallest linearly independent subset
-    of the given size (greedy; greedy is optimal for matroid independence)."""
-    chosen: list[int] = []
-    for i, v in enumerate(vectors):
-        if len(chosen) == size:
-            break
-        if rank([vectors[j] for j in chosen] + [v]) == len(chosen) + 1:
-            chosen.append(i)
-    return chosen if len(chosen) == size else None
+    of the given size: the greedy choice, optimal for matroid independence,
+    is the pivot columns of one elimination of the vectors as columns."""
+    dim = len(vectors[0]) if vectors else 0
+    pivots = _eliminate([[v[d] for v in vectors] for d in range(dim)])[1]
+    return pivots[:size] if len(pivots) >= size else None
 
 
 def format_rational(x) -> str:

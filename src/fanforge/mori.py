@@ -85,17 +85,19 @@ def relation_dense(fan: Fan, rel: RelationVector) -> Vec:
     return tuple(rel.get(i, 0) for i in range(fan.n_rays))
 
 
-def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis, quotient_only=False) -> Vec:
-    """The relation as a linear functional over basis coordinates: entry j is
-    sum_i rel[i] * phi_j(ray_i).  Entries over the global linear part vanish
-    for genuine relations."""
-    fns = basis.quotient_basis if quotient_only else basis.basis_functions
-    return tuple(sum((c * f.ray_value(i) for i, c in rel.items()), ZERO) for f in fns)
+def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:
+    """The relation as a linear functional over quotient_basis: entry j is
+    sum_i rel[i] * phi_j(ray_i).  A global linear function pairs to 0 with
+    every relation, so the linear part has no entries."""
+    return tuple(
+        sum((c * values[i] for i, c in rel.items()), ZERO)
+        for values in basis.ray_values[fan.dim:]
+    )
 
 
 def curve_class(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:
     """Coordinates of the relation's class in the dual of the quotient basis."""
-    return relation_row(fan, rel, basis, quotient_only=True)
+    return relation_row(fan, rel, basis)
 
 
 def positively_proportional(u: Vec, v: Vec) -> bool:

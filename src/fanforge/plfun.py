@@ -150,11 +150,13 @@ def is_strictly_convex(phi: PLFunction) -> bool:
 class PLBasis:
     """A basis of the space of piecewise-linear functions on a fan, split as
     the global linear functionals plus representatives of the quotient
-    (pinned to vanish on the first maximal cone)."""
+    Pic(X)_R (pinned to vanish on the first maximal cone); rows and classes
+    are over quotient_basis.  ray_values is aligned with basis_functions."""
 
     fan: Fan
     lin_part: tuple[PLFunction, ...]
     quotient_basis: tuple[PLFunction, ...]
+    ray_values: tuple[Vec, ...]
 
     @property
     def basis_functions(self) -> tuple[PLFunction, ...]:
@@ -220,32 +222,26 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
     n = fan.dim
     k = len(fan.max_cones)
     compat = _compat_rows(fan)
-    lin = []
-    for d in range(n):
-        stacked = [0] * (k * n)
-        for c in range(k):
-            stacked[c * n + d] = 1
-        lin.append(_stacked_to_pl(fan, tuple(stacked)))
-    pin = []
-    for d in range(n):
-        row = [0] * (k * n)
-        row[d] = 1
-        pin.append(tuple(row))
+    # a global linear functional is one unit vector on every cone; the
+    # quotient is pinned by the first cone's functional
+    units = [tuple(int(j == d) for j in range(n)) for d in range(n)]
+    lin = tuple(PLFunction(fan, (u,) * k) for u in units)
+    pin = [u + (0,) * (n * (k - 1)) for u in units]
     quotient = [
         _stacked_to_pl(fan, s) for s in kernel_basis(compat + pin, k * n)
     ]
     dim_pl = k * n - rank(compat) if compat else k * n
     if dim_pl != n + len(quotient):
         raise RuntimeError("first-cone pinning must split off M")
-    return PLBasis(fan, tuple(lin), tuple(quotient))
+    ray_values = tuple(zip(*fan.rays)) + tuple(f.ray_values() for f in quotient)
+    return PLBasis(fan, lin, tuple(quotient), ray_values)
 
 
-def wall_rows(fan: Fan, basis: PLBasis, quotient_only: bool = False) -> list[Vec]:
-    """Interior-wall functionals as inequality rows over basis coordinates."""
-    fns = basis.quotient_basis if quotient_only else basis.basis_functions
-    phis = list(fns)
+def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
+    """Interior-wall functionals as inequality rows over quotient_basis."""
     return [
-        tuple(wall_functional(fan, w, f) for f in phis) for w in fan.interior_walls
+        tuple(wall_functional(fan, w, f) for f in basis.quotient_basis)
+        for w in fan.interior_walls
     ]
 
 
@@ -258,11 +254,10 @@ def is_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:
 
 def _solve_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:
     basis = pl_basis(fan)
-    rows = wall_rows(fan, basis)
-    witness, _ = lp.strict_feasible(rows, [], [], basis.dim_pl)
+    witness, _ = lp.strict_feasible(wall_rows(fan, basis), [], [], basis.dim_pic)
     if witness is None:
         return False, None
-    phi = basis.combine(witness)
+    phi = basis.combine((0,) * fan.dim + witness)
     if not is_strictly_convex(phi):
         raise RuntimeError("LP witness is not strictly convex on every wall")
     return True, phi

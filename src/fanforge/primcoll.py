@@ -111,18 +111,17 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     return PrimitiveRelation(p, sigma, support, b, relation)
 
 
-def primitive_rows(fan: Fan, basis: PLBasis, quotient_only=False) -> list[Vec]:
-    """One inequality row per primitive collection over basis coordinates."""
+def primitive_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
+    """One inequality row per primitive collection over quotient_basis."""
     return [
-        relation_row(fan, primitive_relation(fan, p).relation, basis, quotient_only)
+        relation_row(fan, primitive_relation(fan, p).relation, basis)
         for p in enumerate_primitive_collections(fan)
     ]
 
 
-def primitive_inequality_cone(fan: Fan, basis: PLBasis, quotient_only=False) -> HCone:
-    """The cone cut out by all primitive inequalities, over basis coordinates."""
-    dim = basis.dim_pic if quotient_only else basis.dim_pl
-    return HCone.make(primitive_rows(fan, basis, quotient_only), (), dim)
+def primitive_inequality_cone(fan: Fan, basis: PLBasis) -> HCone:
+    """The cone cut out by all primitive inequalities in Pic coordinates."""
+    return HCone.make(primitive_rows(fan, basis), (), basis.dim_pic)
 
 
 TYPE_A = "A"

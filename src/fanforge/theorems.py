@@ -92,9 +92,9 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     basis = pl_basis(fan)
     qp, _ = is_quasi_projective(fan)
     d = basis.dim_pic
-    walls_h = HCone.make(wall_rows(fan, basis, quotient_only=True), (), d)
+    walls_h = HCone.make(wall_rows(fan, basis), (), d)
     # a primitive relation's row over the quotient basis is its curve class
-    prim_rows = primcoll.primitive_rows(fan, basis, quotient_only=True)
+    prim_rows = primcoll.primitive_rows(fan, basis)
     prim_h = HCone.make(prim_rows, (), d)
     certs: list = []
     bad = _cones_equal_certified(h_to_v(walls_h), h_to_v(prim_h), certs)
@@ -273,7 +273,7 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
     cut_basis = kernel_basis(rows, n_rays) if rows else [
         tuple(1 if t == s else 0 for t in range(n_rays)) for s in range(n_rays)
     ]
-    pull_basis = [f.ray_values() for f in pl_basis(coarse).basis_functions]
+    pull_basis = pl_basis(coarse).ray_values
     ra, rb = rank(cut_basis), rank(pull_basis)
     rab = rank(list(cut_basis) + list(pull_basis))
     ok = ra == rb == rab

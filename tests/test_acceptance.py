@@ -140,9 +140,9 @@ def test_criterion_3_square_pyramid():
 
     basis = pl_basis(f31)
     walls_h = HCone.make(
-        wall_rows(f31, basis, quotient_only=True), (), basis.dim_pic
+        wall_rows(f31, basis), (), basis.dim_pic
     )
-    prim_rows_q = primitive_rows(f31, basis, quotient_only=True)
+    prim_rows_q = primitive_rows(f31, basis)
     prim_h = HCone.make(prim_rows_q, (), basis.dim_pic)
     assert cones_equal(walls_h, prim_h)
     for row in prim_rows_q:
@@ -190,7 +190,7 @@ def test_criterion_4_fulton_fan():
         )
 
     prim_h = HCone.make(
-        primitive_rows(f, basis, quotient_only=True), (), basis.dim_pic
+        primitive_rows(f, basis), (), basis.dim_pic
     )
     expected = HCone.make(
         # a >= b and 3b >= 2a with a = value on rho4, b = value on rho5
@@ -206,7 +206,7 @@ def test_criterion_4_fulton_fan():
     assert cones_equal(prim_h, expected)
 
     walls_h = HCone.make(
-        wall_rows(f, basis, quotient_only=True), (), basis.dim_pic
+        wall_rows(f, basis), (), basis.dim_pic
     )
     assert cones_equal(prim_h, walls_h)
 
@@ -251,10 +251,10 @@ def test_criterion_5_property_suite_random_fans():
         if qp:
             # (d) wall and primitive descriptions cut the same cone
             walls_h = HCone.make(
-                wall_rows(f, basis, quotient_only=True), (), basis.dim_pic
+                wall_rows(f, basis), (), basis.dim_pic
             )
             prim_h = HCone.make(
-                primitive_rows(f, basis, quotient_only=True), (), basis.dim_pic
+                primitive_rows(f, basis), (), basis.dim_pic
             )
             assert cones_equal(walls_h, prim_h)
             if f.is_simplicial:

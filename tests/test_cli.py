@@ -192,6 +192,16 @@ def test_validate_malformed_shapes_are_invalid_fans(tmp_path, capsys, obj):
     assert "BadInput" in err
 
 
+def test_validate_dimension_above_guard_is_invalid_fan(tmp_path, capsys):
+    obj = {"dim": 13, "rays": [[int(j == i) for j in range(13)] for i in range(13)],
+           "max_cones": [list(range(13))]}
+    p = tmp_path / "orthant13.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "validate", "--fan", str(p))
+    assert code == 2
+    assert "invalid fan: BadInput: ambient dimension 13 exceeds the 12 guard" in err
+
+
 # SHA-256 of each subcommand's --json output, concatenated over these corpus
 # fans, and of the full verify suite.  Tier-1 otherwise checks only that the
 # bytes repeat, so a number that leaked as 0.5 or Fraction(1, 2) into a

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from fanforge.cones import DimensionTooLarge
 from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.theorems import stellar_subdivide
@@ -132,8 +131,9 @@ def test_non_convex_unions_of_orthants_rejected(dim, missing):
 
 
 def test_dimension_guard_precedes_cone_checks():
-    # the first cone's facet description is derived before its dimension is
-    # read, so a dimension above the guard is refused even for a flat cone
+    # a dimension above the guard is bad input, refused before any cone is
+    # looked at, even a flat one
     rays = [[int(j == i) for j in range(13)] for i in range(13)]
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(FanError) as e:
         validate_fan(13, rays, [[0], list(range(13))])
+    assert e.value.code == "BadInput"

@@ -74,6 +74,12 @@ def test_lex_min_independent_subset():
     vecs = [(1, 0), (2, 0), (0, 1)]
     assert lex_min_independent_subset(vecs, 2) == [0, 2]
     assert lex_min_independent_subset([(1, 0), (2, 0)], 2) is None
+    vecs = [(0, 0), (1, 1), (2, 2), (0, 1)]
+    assert lex_min_independent_subset(vecs, 2) == [1, 3]
+    assert lex_min_independent_subset(vecs, 1) == [1]
+    assert lex_min_independent_subset(vecs, 3) is None
+    assert lex_min_independent_subset([], 0) == []
+    assert lex_min_independent_subset([], 1) is None
 
 
 def test_format_parse_rational():
@@ -216,6 +222,29 @@ def test_elimination_of_empty_matrix():
     assert rref([]) == reference_rref([]) == ([], [])
     assert rank([]) == 0
     assert det([]) == reference_det([]) == 1
+
+
+def reference_lex_min_independent_subset(vectors, size):
+    """The greedy loop, one rank per candidate, that
+    lex_min_independent_subset ran before it read the pivot columns of one
+    elimination, kept as an oracle."""
+    chosen = []
+    for i, v in enumerate(vectors):
+        if len(chosen) == size:
+            break
+        if rank([vectors[j] for j in chosen] + [v]) == len(chosen) + 1:
+            chosen.append(i)
+    return chosen if len(chosen) == size else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.integers(0, 7))
+def test_lex_min_independent_subset_matches_greedy_reference(vectors, size):
+    # the rows are the vectors: zero and dependent ones mixed in, possibly
+    # none, and size may exceed both their number and their rank
+    got = lex_min_independent_subset(vectors, size)
+    assert got == reference_lex_min_independent_subset(vectors, size)
+    assert (got is None) == (size > rank(vectors))
 
 
 # The vector helpers as they were when they converted every entry to

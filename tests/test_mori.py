@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,9 @@ from fanforge.mori import (
     relation_is_valid,
     wall_relation,
 )
-from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
+from fanforge.plfun import is_quasi_projective, pl_basis, wall_functional, wall_rows
+from fanforge.primcoll import enumerate_primitive_collections, primitive_relation
+from fanforge.theorems import random_complete_fan
 
 
 def wall_by_rays(fan, rays):
@@ -120,6 +123,29 @@ def test_convex_functions_pair_nonnegatively_with_classes():
             assert sum(c * zero_phi.ray_value(i) for i, c in rel.items()) == 0
 
 
+def test_global_linear_functions_have_no_pic_coordinates():
+    # why wall rows, relation rows and curve classes carry only the
+    # quotient_basis coordinates: a global linear function has one
+    # functional on both sides of every wall, and a relation's rays sum to 0
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(4), corpus.cube_fan(4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(12)]
+    for f in fans:
+        basis = pl_basis(f)
+        assert basis.ray_values == tuple(fn.ray_values() for fn in basis.basis_functions)
+        rels = [wall_relation(f, w) for w in f.interior_walls] + [
+            primitive_relation(f, p).relation for p in enumerate_primitive_collections(f)
+        ]
+        assert len(basis.lin_part) == f.dim
+        for fn in basis.lin_part:
+            assert all(wall_functional(f, w, fn) == 0 for w in f.interior_walls)
+            for rel in rels:
+                assert sum(c * fn.ray_value(i) for i, c in rel.items()) == 0
+        for row in wall_rows(f, basis) + [curve_class(f, rel, basis) for rel in rels]:
+            assert len(row) == basis.dim_pic
+
+
 def test_mori_cone_of_split_pyramid():
     f = corpus.split_pyramid_fan()
     basis = pl_basis(f)
@@ -177,7 +203,7 @@ def test_mori_cone_is_dual_of_wall_inequalities():
         basis = pl_basis(f)
         mc = mori_cone(f, basis)
         cpl = HCone.make(
-            wall_rows(f, basis, quotient_only=True), (), basis.dim_pic
+            wall_rows(f, basis), (), basis.dim_pic
         )
         assert cones_equal(mc.cone, dual_cone(cpl))
 

@@ -229,7 +229,7 @@ def test_primitive_inequality_cone_split_pyramid():
         relation_row(f, {1: 1, 2: -1, 3: 1, 4: -1}, basis),
         relation_row(f, {0: 2, 2: 1, 4: 1}, basis),
     ]
-    expected = HCone.make(expected_rows, (), basis.dim_pl)
+    expected = HCone.make(expected_rows, (), basis.dim_pic)
     assert cones_equal(cone, expected)
 
 

@@ -41,8 +41,8 @@ def test_main_theorem_square_pyramid_single_inequality_suffices():
     r = check_main_theorem(f, "ex31")
     assert r.verdict == HOLDS
     basis = pl_basis(f)
-    walls_h = HCone.make(wall_rows(f, basis, quotient_only=True), (), basis.dim_pic)
-    for row in primitive_rows(f, basis, quotient_only=True):
+    walls_h = HCone.make(wall_rows(f, basis), (), basis.dim_pic)
+    for row in primitive_rows(f, basis):
         single = HCone.make([row], (), basis.dim_pic)
         assert cones_equal(single, walls_h)
 
