@@ -12,7 +12,6 @@ from .cones import (
     cones_equal,
     dual_cone,
     h_to_v,
-    solve_nonneg_in_span,
     v_to_h,
 )
 from .fan import (

@@ -20,7 +20,6 @@ import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import lp
@@ -264,27 +263,6 @@ def intersect_hcones(a: HCone, b: HCone) -> HCone:
     return HCone(
         a.inequalities + b.inequalities, a.equalities + b.equalities, a.ambient_dim
     )
-
-
-def solve_nonneg_in_span(target, gens) -> tuple[dict[int, Fraction], list[int]] | None:
-    """Write target = sum b_i gens[i] with b_i > 0 on a linearly independent
-    support, or None when target is outside cone(gens).
-
-    The LP returns a basic feasible solution, whose positive support is
-    automatically independent; the support indices are returned alongside.
-    """
-    gens = list(gens)
-    if is_zero_vec(target):
-        return {}, []
-    if not gens:
-        return None
-    coeffs = lp.solve_nonneg(gens, target)
-    if coeffs is None:
-        return None
-    support = [i for i, b in enumerate(coeffs) if b != 0]
-    if rank([gens[i] for i in support]) != len(support):
-        raise RuntimeError("basic solution has a linearly dependent support")
-    return {i: coeffs[i] for i in support}, support
 
 
 def hcone_covered_by(big: HCone, parts, rays) -> tuple[bool, list[tuple[int, ...]]]:

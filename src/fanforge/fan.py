@@ -84,6 +84,12 @@ class Fan:
         self.is_simplicial: bool = all(
             len(c.ray_indices) == c.dim for c in max_cones
         )
+        first: dict[int, int] = {}
+        for k, c in enumerate(max_cones):
+            for i in c.ray_indices:
+                first.setdefault(i, k)
+        # for each ray, the smallest-index maximal cone containing it
+        self.ray_cone: tuple[int, ...] = tuple(first[i] for i in range(len(rays)))
         self._derived: dict[str, object] = {}
 
     @property

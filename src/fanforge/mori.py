@@ -108,11 +108,13 @@ def positively_proportional(u: Vec, v: Vec) -> bool:
 
 @dataclass(frozen=True)
 class MoriCone:
-    """The Mori cone with its generating wall classes, labeled by wall."""
+    """The Mori cone with its generating wall classes, labeled by wall; the
+    wall relations behind the classes are kept aligned with the walls."""
 
     cone: VCone
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
+    relations: tuple[RelationVector, ...]
 
     @property
     def is_pointed(self) -> bool:
@@ -129,22 +131,20 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
     walls = fan.interior_walls
-    classes = tuple(
-        curve_class(fan, wall_relation(fan, w), basis) for w in walls
-    )
+    relations = tuple(wall_relation(fan, w) for w in walls)
+    classes = tuple(curve_class(fan, rel, basis) for rel in relations)
     nonzero = [c for c in classes if any(x != 0 for x in c)]
     cone = VCone(tuple(nonzero), basis.dim_pic)
-    return MoriCone(cone, walls, classes)
+    return MoriCone(cone, walls, classes, relations)
 
 
 def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
     """Interior walls whose class spans an extremal ray of the Mori cone.
 
-    A wall is extremal iff its class is outside the cone generated by the
-    classes of the walls that are not positively proportional to it; this LP
-    exclusion test also works when the Mori cone is not full dimensional.
-    Decided once per fan in the fan's own pl_basis; each call returns a
-    fresh list.
+    A class direction is extremal iff it lies outside the cone of the other
+    distinct directions; this LP exclusion test also works when the Mori
+    cone is not full dimensional.  Decided once per fan in the fan's own
+    pl_basis; each call returns a fresh list.
     """
     if basis is not pl_basis(fan):
         raise ValueError("the basis must be the fan's own pl_basis")
@@ -155,19 +155,11 @@ def _find_extremal_walls(fan: Fan, basis: PLBasis) -> tuple[Wall, ...]:
     mc = mori_cone(fan, basis)
     if not mc.is_pointed:
         raise MoriConeNotPointed("extremal rays need a strongly convex Mori cone")
-    out = []
-    for w, cls in zip(mc.walls, mc.classes):
-        if all(x == 0 for x in cls):
-            continue
-        others = [
-            c
-            for c in mc.classes
-            if any(x != 0 for x in c) and not positively_proportional(c, cls)
-        ]
-        if not others:
-            out.append(w)
-            continue
-        inside, _ = cone_contains(VCone(tuple(others), basis.dim_pic), cls)
-        if not inside:
-            out.append(w)
-    return tuple(out)
+    dirs = [primitivize(c) if any(x != 0 for x in c) else None for c in mc.classes]
+    distinct = sorted({d for d in dirs if d is not None})
+    extremal = set()
+    for d in distinct:
+        others = tuple(e for e in distinct if e != d)
+        if not cone_contains(VCone(others, basis.dim_pic), d)[0]:
+            extremal.add(d)
+    return tuple(w for w, d in zip(mc.walls, dirs) if d in extremal)

@@ -56,10 +56,7 @@ class PLFunction:
         return vdot(self.cone_functionals[i], x)
 
     def ray_value(self, i: int) -> int | Fraction:
-        for k, c in enumerate(self.fan.max_cones):
-            if i in c.ray_indices:
-                return vdot(self.cone_functionals[k], self.fan.ray(i))
-        raise ValueError(f"ray {i} not in any maximal cone")
+        return vdot(self.cone_functionals[self.fan.ray_cone[i]], self.fan.ray(i))
 
     def ray_values(self) -> Vec:
         return tuple(self.ray_value(i) for i in range(self.fan.n_rays))

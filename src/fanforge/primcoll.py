@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import HCone, solve_nonneg_in_span
+from .cones import HCone, VCone, cone_contains
 from .fan import Fan, ConeData, contained_in_single_cone, generates_cone, minimal_cone_containing
 from .linalg import ONE, Vec, rank, vsum
 from .mori import RelationVector, relation_is_valid, relation_row
@@ -25,8 +25,9 @@ PrimitiveCollection = tuple[int, ...]
 
 def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
     """All primitive collections, sorted; search runs over subset sizes
-    2..n+1 (larger collections would contain a dependent proper subset) and
-    prunes any candidate containing an already-found collection."""
+    2..n+1 (larger collections would contain a dependent proper subset).  A
+    candidate containing a smaller collection has a one-smaller subset in no
+    cone, so the subset test rejects it."""
     cofaces = [set(c.ray_indices) for c in fan.max_cones]
 
     def in_cone(s: tuple[int, ...]) -> bool:
@@ -37,9 +38,6 @@ def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
     for size in range(2, fan.dim + 2):
         for cand in itertools.combinations(range(fan.n_rays), size):
             if in_cone(cand):
-                continue
-            cs = set(cand)
-            if any(set(p) <= cs for p in found):
                 continue
             if all(in_cone(sub) for sub in itertools.combinations(cand, size - 1)):
                 found.append(cand)
@@ -85,12 +83,11 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     p = tuple(sorted(collection))
     total = vsum([fan.ray(i) for i in p], fan.dim)
     sigma = minimal_cone_containing(fan, total)
-    gens = [fan.ray(i) for i in sigma.ray_indices]
-    solved = solve_nonneg_in_span(total, gens)
-    if solved is None:
+    gens = tuple(fan.ray(i) for i in sigma.ray_indices)
+    inside, coeffs = cone_contains(VCone(gens, fan.dim), total)
+    if not inside:
         raise RuntimeError(f"the ray sum of {p} is not in its minimal cone")
-    coeffs, _ = solved
-    b = {sigma.ray_indices[k]: v for k, v in coeffs.items()}
+    b = {i: v for i, v in zip(sigma.ray_indices, coeffs) if v != 0}
     support = tuple(sorted(b))
     pset = set(p)
     relation: RelationVector = {}

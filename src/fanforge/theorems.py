@@ -18,14 +18,8 @@ from fractions import Fraction
 from . import corpus, primcoll
 from .cones import HCone, VCone, cone_contains, h_to_v, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
-from .linalg import Vec, kernel_basis, primitivize, rank, solve_linear, vdot, vsum
-from .mori import (
-    extremal_walls,
-    mori_cone,
-    positively_proportional,
-    relation_dense,
-    wall_relation,
-)
+from .linalg import Vec, kernel_basis, primitivize, rank, vdot, vsum
+from .mori import MoriCone, extremal_walls, mori_cone, positively_proportional, relation_dense
 from .plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from .refine import Refinement, simplicial_refinement
 
@@ -140,8 +134,10 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
             "fan not quasi-projective",
         )
     certs = []
-    for w in extremal_walls(fan, pl_basis(fan)):
-        rel = wall_relation(fan, w)
+    basis = pl_basis(fan)
+    mc = mori_cone(fan, basis)
+    for w in extremal_walls(fan, basis):
+        rel = mc.relations[mc.walls.index(w)]
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
         if not primcoll._is_primitive(fan, p):
             return TheoremReport(
@@ -182,7 +178,7 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
         reason = f"wall {wall.ray_indices} is not extremal"
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    return _reid_at_wall(fan, wall, fan_id, t0)
+    return _reid_at_wall(fan, mori_cone(fan, pl_basis(fan)), wall, fan_id, t0)
 
 
 def _reid_inapplicable(fan: Fan) -> str | None:
@@ -194,9 +190,11 @@ def _reid_inapplicable(fan: Fan) -> str | None:
     return None
 
 
-def _reid_at_wall(fan: Fan, wall: Wall, fan_id: str, t0: float) -> TheoremReport:
+def _reid_at_wall(
+    fan: Fan, mc: MoriCone, wall: Wall, fan_id: str, t0: float
+) -> TheoremReport:
     """Both Reid conditions at one extremal wall of a simplicial fan."""
-    rel = wall_relation(fan, wall)
+    rel = mc.relations[mc.walls.index(wall)]
     a, b = (set(fan.max_cones[k].ray_indices) for k in wall.cone_indices)
     ray_seq = list(wall.ray_indices) + [min(a - b), min(b - a)]
     positive = [i for i in ray_seq if rel.get(i, 0) > 0]
@@ -235,9 +233,11 @@ def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     reason = _reid_inapplicable(fan)
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    walls = extremal_walls(fan, pl_basis(fan))
+    basis = pl_basis(fan)
+    mc = mori_cone(fan, basis)
+    walls = extremal_walls(fan, basis)
     for w in walls:
-        r = _reid_at_wall(fan, w, fan_id, time.perf_counter())
+        r = _reid_at_wall(fan, mc, w, fan_id, time.perf_counter())
         if r.verdict == FAILS:
             return r
     return TheoremReport(
@@ -256,23 +256,13 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
     fine = refinement.fine
     if not fine.is_simplicial:
         raise ValueError("the type-A check needs a simplicial refinement")
-    n_rays = fine.n_rays
-    rows = []
-    for i, j in type_a_pairs(fine, coarse):
-        x = vsum([fine.ray(i), fine.ray(j)], fine.dim)
-        k, cone = fine.max_cone_containing(x)
-        lam = solve_linear(
-            [[fine.ray(t)[d] for t in cone.ray_indices] for d in range(fine.dim)], x
-        )
-        row = [0] * n_rays
-        row[i] += 1
-        row[j] += 1
-        for t, l in zip(cone.ray_indices, lam):
-            row[t] -= l
-        rows.append(tuple(row))
-    cut_basis = kernel_basis(rows, n_rays) if rows else [
-        tuple(1 if t == s else 0 for t in range(n_rays)) for s in range(n_rays)
+    # a type-A pair is primitive for the refinement: its additivity
+    # equality is its primitive relation
+    rows = [
+        relation_dense(fine, primcoll.primitive_relation(fine, p).relation)
+        for p in type_a_pairs(fine, coarse)
     ]
+    cut_basis = kernel_basis(rows, fine.n_rays)
     pull_basis = pl_basis(coarse).ray_values
     ra, rb = rank(cut_basis), rank(pull_basis)
     rab = rank(list(cut_basis) + list(pull_basis))

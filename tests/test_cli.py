@@ -202,6 +202,29 @@ def test_validate_dimension_above_guard_is_invalid_fan(tmp_path, capsys):
     assert "invalid fan: BadInput: ambient dimension 13 exceeds the 12 guard" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mori",),
+    ("verify",),
+    ("verify", "--theorem", "extremal-positive-support"),
+], ids=["mori", "verify", "verify-theorem"])
+def test_picard_rank_above_guard_is_exit_2(capsys, argv):
+    # ex22:15 is a valid fan of dimension 2 whose Mori cone lives in
+    # dimension 13, one above the double-description guard
+    code, _, err = run_cli(capsys, *argv, "--fan", "corpus:ex22:15")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == "error: ambient dimension 13 exceeds the 12 guard\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mori",),
+    ("verify", "--theorem", "extremal-positive-support"),
+], ids=["mori", "verify-theorem"])
+def test_picard_rank_at_guard_is_exit_0(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv, "--fan", "corpus:ex22:14")
+    assert code == 0
+
+
 # SHA-256 of each subcommand's --json output, concatenated over these corpus
 # fans, and of the full verify suite.  Tier-1 otherwise checks only that the
 # bytes repeat, so a number that leaked as 0.5 or Fraction(1, 2) into a

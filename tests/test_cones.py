@@ -19,7 +19,6 @@ from fanforge.cones import (
     is_pointed,
     lineality_dim,
     pulling_triangulation,
-    solve_nonneg_in_span,
 )
 from fanforge import corpus
 from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot, vneg
@@ -116,22 +115,23 @@ def test_dual_cone_roundtrip():
     assert cones_equal(dual_cone(dual_cone(v)), v)
 
 
-def test_solve_nonneg_in_span_trivial_and_zero():
-    res = solve_nonneg_in_span((2, 0), [(1, 0)])
-    assert res == ({0: Fraction(2)}, [0])
-    assert solve_nonneg_in_span((0, 0), [(1, 0)]) == ({}, [])
-    assert solve_nonneg_in_span((0, 1), [(1, 0)]) is None
+def test_cone_contains_positive_zero_and_outside_targets():
+    c = VCone.make([(1, 0)])
+    assert cone_contains(c, (2, 0)) == (True, (Fraction(2),))
+    assert cone_contains(c, (0, 0)) == (True, (0,))
+    assert cone_contains(c, (0, 1)) == (False, None)
 
 
-def test_solve_nonneg_in_span_square_cone_point():
-    # (0,1,2) over the four square-cone generators: independent positive support
-    res = solve_nonneg_in_span((0, 1, 2), SQUARE_TOP)
-    assert res is not None
-    coeffs, support = res
-    assert all(c > 0 for c in coeffs.values())
+def test_cone_contains_square_cone_point_independent_support():
+    # (0,1,2) over the four square-cone generators: the LP's basic solution
+    # has a linearly independent positive support
+    ok, coeffs = cone_contains(VCone.make(SQUARE_TOP), (0, 1, 2))
+    assert ok
+    assert all(c >= 0 for c in coeffs)
+    support = [i for i, c in enumerate(coeffs) if c != 0]
     assert rank([SQUARE_TOP[i] for i in support]) == len(support)
     for d in range(3):
-        got = sum(c * SQUARE_TOP[i][d] for i, c in coeffs.items())
+        got = sum(coeffs[i] * SQUARE_TOP[i][d] for i in support)
         assert got == (0, 1, 2)[d]
 
 

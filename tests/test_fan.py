@@ -180,6 +180,14 @@ def test_simpliciality_flag_matches_definition():
         assert f.is_simplicial == expect
 
 
+def test_ray_cone_is_first_maximal_cone_holding_the_ray():
+    for f in (corpus.split_pyramid_fan(), corpus.square_pyramid_fan(), corpus.cube_fan(3)):
+        assert f.ray_cone == tuple(
+            min(k for k, c in enumerate(f.max_cones) if i in c.ray_indices)
+            for i in range(f.n_rays)
+        )
+
+
 def test_json_roundtrip():
     f = corpus.fulton_fan()
     g = fan_from_json(fan_to_json(f))

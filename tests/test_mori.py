@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fanforge import corpus
-from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone
+from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone, VCone
 from fanforge.fan import validate_fan
 from fanforge.linalg import primitivize, rank, vec
 from fanforge.mori import (
@@ -144,6 +144,59 @@ def test_global_linear_functions_have_no_pic_coordinates():
                 assert sum(c * fn.ray_value(i) for i, c in rel.items()) == 0
         for row in wall_rows(f, basis) + [curve_class(f, rel, basis) for rel in rels]:
             assert len(row) == basis.dim_pic
+
+
+def reference_extremal_walls(fan, basis):
+    """The pairwise loop: each wall's class tested against the cone of every
+    class not positively proportional to it."""
+    mc = mori_cone(fan, basis)
+    out = []
+    for w, cls in zip(mc.walls, mc.classes):
+        if all(x == 0 for x in cls):
+            continue
+        others = [
+            c
+            for c in mc.classes
+            if any(x != 0 for x in c) and not positively_proportional(c, cls)
+        ]
+        if not others or not cone_contains(VCone(tuple(others), basis.dim_pic), cls)[0]:
+            out.append(w)
+    return out
+
+
+def _wall_class_fans():
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(d) for d in (3, 4)] + [corpus.cube_fan(d) for d in (3, 4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    return fans
+
+
+def test_extremal_walls_match_pairwise_reference():
+    shared = compared = 0
+    for f in _wall_class_fans():
+        basis = pl_basis(f)
+        mc = mori_cone(f, basis)
+        if not mc.is_pointed:
+            with pytest.raises(MoriConeNotPointed):
+                extremal_walls(f, basis)
+            continue
+        assert extremal_walls(f, basis) == reference_extremal_walls(f, basis)
+        compared += 1
+        dirs = [primitivize(c) for c in mc.classes if any(x != 0 for x in c)]
+        shared += len(dirs) > len(set(dirs))
+    # grouping classes by direction is exercised: walls share a direction
+    assert compared >= 30 and shared >= 15
+
+
+def test_mori_cone_keeps_each_wall_relation():
+    for f in _wall_class_fans():
+        basis = pl_basis(f)
+        mc = mori_cone(f, basis)
+        assert len(mc.relations) == len(mc.walls) == len(mc.classes)
+        for w, rel, cls in zip(mc.walls, mc.relations, mc.classes):
+            assert rel == wall_relation(f, w)
+            assert cls == curve_class(f, rel, basis)
 
 
 def test_mori_cone_of_split_pyramid():

@@ -5,9 +5,10 @@ import pytest
 from fanforge import corpus, lp
 from fanforge.cones import HCone, cones_equal
 from fanforge.fan import fan_from_json_obj
-from fanforge.mori import extremal_walls, mori_cone
-from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
-from fanforge.primcoll import primitive_rows
+from fanforge.linalg import kernel_basis, rank, solve_linear, vsum
+from fanforge.mori import extremal_walls, mori_cone, relation_dense
+from fanforge.plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
+from fanforge.primcoll import primitive_relation, primitive_rows
 from fanforge.refine import simplicial_refinement
 from fanforge.theorems import (
     EVIDENCE,
@@ -152,6 +153,53 @@ def test_type_a_description_random_nonsimplicial():
         r = simplicial_refinement(f, (), seed=found)
         rep = check_type_a_description(f, r, name)
         assert rep.verdict == HOLDS
+
+
+def reference_type_a_rows(fine, coarse):
+    """The additivity equality of each type-A pair (i, j), solved by hand:
+    e_i + e_j minus the coordinates of ray_i + ray_j over the rays of the
+    first maximal cone of the simplicial refinement containing it."""
+    rows = []
+    for i, j in type_a_pairs(fine, coarse):
+        x = vsum([fine.ray(i), fine.ray(j)], fine.dim)
+        _, cone = fine.max_cone_containing(x)
+        lam = solve_linear(
+            [[fine.ray(t)[d] for t in cone.ray_indices] for d in range(fine.dim)], x
+        )
+        row = [0] * fine.n_rays
+        row[i] += 1
+        row[j] += 1
+        for t, l in zip(cone.ray_indices, lam):
+            row[t] -= l
+        rows.append(tuple(row))
+    return rows
+
+
+def test_type_a_rows_are_primitive_relations():
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(d) for d in (3, 4)] + [corpus.cube_fan(d) for d in (3, 4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    pairs = empty = 0
+    for coarse in fans:
+        r = simplicial_refinement(coarse, (), seed=0)
+        fine = r.fine
+        ref = reference_type_a_rows(fine, coarse)
+        rows = [
+            relation_dense(fine, primitive_relation(fine, p).relation)
+            for p in type_a_pairs(fine, coarse)
+        ]
+        assert rows == ref
+        # with no pair the cut subspace is the whole fine function space
+        cut = kernel_basis(ref, fine.n_rays) if ref else [
+            tuple(int(t == s) for t in range(fine.n_rays)) for s in range(fine.n_rays)
+        ]
+        pull = pl_basis(coarse).ray_values
+        dims = [rank(cut), rank(pull), rank(list(cut) + list(pull))]
+        assert check_type_a_description(coarse, r).certificates["dims"] == dims
+        pairs += len(ref)
+        empty += not ref
+    assert pairs >= 50 and empty >= 10
 
 
 def test_stellar_subdivision_keeps_validity():
