@@ -6,7 +6,8 @@ suite, and the built-in corpus.  Fans travel as JSON
 {"dim": n, "rays": [[..]], "max_cones": [[..]]} with 0-based ray indices;
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
 failures, 2 invalid fan or a cone above the dimension guard, 3 parse error,
-4 usage.
+4 usage (also a FANFORGE_SEED that is not an integer and an output path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("FANFORGE_SEED", "0"))
+    value = os.environ.get("FANFORGE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        print(f"error: FANFORGE_SEED must be an integer, got {value!r}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _load_fan(spec: str) -> Fan:
@@ -330,11 +337,14 @@ def cmd_refine(args) -> int:
         "seed": seed,
     })
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(fan_json + "\n")
         side_path = args.sidecar or args.out + ".sidecar.json"
-        with open(side_path, "w") as fh:
-            fh.write(sidecar + "\n")
+        try:
+            for path, text in ((args.out, fan_json), (side_path, sidecar)):
+                with open(path, "w") as fh:
+                    fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(fan_json)
         print(sidecar)

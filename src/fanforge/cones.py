@@ -3,15 +3,14 @@
 Cones come in two representations: HCone (intersection of halfspaces
 <h,x> >= 0 and hyperplanes <e,x> = 0) and VCone (nonnegative hull of
 generators).  Conversion both ways is the double description method with
-lexicographic insertion order and the algebraic rank adjacency test, which
-is the simplest correct choice at the intended sizes (ambient dimension is
-guarded at 12).  Its loop runs in integer arithmetic on primitive vectors
-and keeps each ray's set of tight rows as a bitmask, so the rank test runs
-only for pairs that share enough tight rows.  Its lines and rays are
-primitive integer vectors, so the generators from h_to_v and the facet
-normals from v_to_h are int tuples, like the rays of a fan; HCone.make and
-VCone.make keep entries as given.  Membership and inclusion questions are
-exact LPs.  Simplicial coverage is decided by facet matching.
+lexicographic insertion order and the combinatorial adjacency test
+(ambient dimension is guarded at 12).  Its loop runs in integer arithmetic
+on primitive vectors and keeps each ray's set of tight rows as a bitmask,
+so adjacency is decided by bitmask inclusion, with no elimination.  Its
+lines and rays are primitive integer vectors, so the generators from h_to_v
+and the facet normals from v_to_h are int tuples, like the rays of a fan;
+HCone.make and VCone.make keep entries as given.  Membership and inclusion
+questions are exact LPs.  Simplicial coverage is decided by facet matching.
 """
 
 from __future__ import annotations
@@ -101,16 +100,20 @@ def double_description(
 
     Returns (lines, rays), both primitive integer vectors: the cone equals
     span(lines) + cone(rays) and the rays are extreme modulo the lineality.
-    Inequalities are inserted in lexicographic order; adjacency of rays is
-    decided by the rank of the constraints tight at both.
+    Inequalities are inserted in lexicographic order; two rays are adjacent
+    iff no third ray is tight at every row tight at both (the combinatorial
+    test of Fukuda and Prodon, "Double description method revisited", 1996).
 
     The loop runs on Python ints: every row, line and ray is a primitive
     integer vector, each row-ray product is taken once, and each ray carries
     a bitmask of the inserted rows it is tight at (bit i for the i-th
-    inserted row), updated as rays are formed (Fukuda-Prodon 1996).  A pair
-    whose common tight set has too few rows to reach the adjacency rank is
-    skipped before the rank is computed.  The lines always span the kernel
-    of E and the inserted rows, so that kernel has rank dim - len(lines).
+    inserted row), updated as rays are formed.  The current rays are exactly
+    the extreme rays modulo the lineality and every equality is tight at all
+    of them, so the test agrees with the algebraic one (the common tight
+    rows and E have rank dim - len(lines) - 2).  A pair whose common tight
+    set has too few rows to reach that rank is skipped first.  The lines
+    always span the kernel of E and the inserted rows, so that kernel has
+    rank dim - len(lines).
     """
     _check_dim(dim)
     eq_rows = [e for e in equalities if not is_zero_vec(e)]
@@ -152,23 +155,24 @@ def double_description(
         new_rays = [rays[k] for k in plus + zero]
         new_tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero]
         if minus and plus:
-            # adjacent pairs have common tight rows of rank full_rank - 2,
-            # which needs at least that many rows beyond E's rank
-            full_rank = dim - len(lines)
-            need = full_rank - 2 - eq_rank
+            # adjacent pairs have common tight rows of rank
+            # dim - len(lines) - 2, which needs at least that many rows
+            # beyond E's rank; a pair is adjacent iff no other ray is tight
+            # at all of its common rows
+            need = dim - len(lines) - 2 - eq_rank
             for p, m in itertools.product(plus, minus):
                 common = tight[p] & tight[m]
-                if common.bit_count() < need:
+                if common.bit_count() < need or any(
+                    common & z == common
+                    for k, z in enumerate(tight)
+                    if k != p and k != m
+                ):
                     continue
-                common_rows = eq_rows + [
-                    rows[i] for i in range(n_done) if common >> i & 1
-                ]
-                if rank(common_rows) == full_rank - 2:
-                    rp, rm, vp, vm = rays[p], rays[m], vals[p], vals[m]
-                    new_rays.append(
-                        _iprimitive([vp * y - vm * x for x, y in zip(rp, rm)])
-                    )
-                    new_tight.append(common | bit)
+                rp, rm, vp, vm = rays[p], rays[m], vals[p], vals[m]
+                new_rays.append(
+                    _iprimitive([vp * y - vm * x for x, y in zip(rp, rm)])
+                )
+                new_tight.append(common | bit)
         seen = set()
         rays, tight = [], []
         for r, z in zip(new_rays, new_tight):

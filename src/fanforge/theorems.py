@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import corpus, primcoll
 from .cones import HCone, VCone, cone_contains, h_to_v, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
-from .linalg import Vec, kernel_basis, primitivize, rank, vdot, vsum
+from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
 from .mori import MoriCone, extremal_walls, mori_cone, positively_proportional, relation_dense
 from .plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from .refine import Refinement, simplicial_refinement
@@ -55,12 +55,24 @@ class TheoremReport:
 def _membership_certificates(inner: VCone, outer: VCone, certs: list) -> Vec | None:
     """Record one nonnegative combination per generator of inner over the
     generators of outer; returns a counterexample generator on failure.  The
-    certificates share one list of the outer generators."""
+    certificates share one list of the outer generators.  A generator
+    positively proportional to an outer one is that one scaled, and only
+    the others need an LP."""
     outer_strs = [[str(x) for x in og] for og in outer.generators]
+    index: dict = {}
+    for k, og in enumerate(outer.generators):
+        if not is_zero_vec(og):
+            index.setdefault(primitivize(og), k)
     for g in inner.generators:
-        ok, coeffs = cone_contains(outer, g)
-        if not ok:
-            return g
+        k = None if is_zero_vec(g) else index.get(primitivize(g))
+        if k is not None:
+            j = next(i for i, x in enumerate(g) if x != 0)
+            coeffs = [0] * len(outer.generators)
+            coeffs[k] = Fraction(g[j]) / outer.generators[k][j]
+        else:
+            ok, coeffs = cone_contains(outer, g)
+            if not ok:
+                return g
         certs.append(
             {
                 "target": [str(x) for x in g],
@@ -329,21 +341,54 @@ def run_paper_suite(
     return reports
 
 
+# the certificate list a passing verdict must carry
+_REQUIRED_CERTIFICATES = {
+    ("main-cone-equality", HOLDS): "memberships",
+    ("main-cone-equality", EVIDENCE): "memberships",
+    ("extremal-positive-support", HOLDS): "proportional",
+}
+
+
 def verify_certificates(report: TheoremReport) -> bool:
-    """Independent re-check of a report's certificates by plain arithmetic."""
-    for m in report.certificates.get("memberships", []):
-        target = [Fraction(x) for x in m["target"]]
-        gens = [[Fraction(x) for x in g] for g in m["generators"]]
-        coeffs = [Fraction(c) for c in m["coeffs"]]
-        if any(c < 0 for c in coeffs):
-            return False
-        for d in range(len(target)):
-            if sum(c * g[d] for c, g in zip(coeffs, gens)) != target[d]:
+    """Independent re-check of a report's certificates by plain arithmetic.
+
+    Fails closed: a passing verdict without its certificate list, an entry
+    that does not parse as a rational, and vectors of unequal lengths are
+    all rejected."""
+    certs = report.certificates
+    required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict))
+    if required is not None and not isinstance(certs.get(required), list):
+        return False
+    try:
+        # the memberships of one cone equality share their generator list,
+        # so each distinct list is parsed once
+        parsed: dict = {}
+        for m in certs.get("memberships", []):
+            gens = m["generators"]
+            if id(gens) not in parsed:
+                parsed[id(gens)] = [[Fraction(x) for x in g] for g in gens]
+            if not _membership_holds(m, parsed[id(gens)]):
                 return False
-    for p in report.certificates.get("proportional", []):
-        u = [Fraction(x) for x in p["u"]]
-        v = [Fraction(x) for x in p["v"]]
-        s = Fraction(p["scale"])
-        if s <= 0 or any(x != s * y for x, y in zip(u, v)):
-            return False
-    return True
+        return all(_proportional_holds(p) for p in certs.get("proportional", []))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return False
+
+
+def _membership_holds(m: dict, gens: list) -> bool:
+    target = [Fraction(x) for x in m["target"]]
+    coeffs = [Fraction(c) for c in m["coeffs"]]
+    if len(coeffs) != len(gens) or any(len(g) != len(target) for g in gens):
+        return False
+    if any(c < 0 for c in coeffs):
+        return False
+    terms = [(c, g) for c, g in zip(coeffs, gens) if c]
+    return all(
+        sum(c * g[d] for c, g in terms) == target[d] for d in range(len(target))
+    )
+
+
+def _proportional_holds(p: dict) -> bool:
+    u = [Fraction(x) for x in p["u"]]
+    v = [Fraction(x) for x in p["v"]]
+    s = Fraction(p["scale"])
+    return len(u) == len(v) and s > 0 and all(x == s * y for x, y in zip(u, v))

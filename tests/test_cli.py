@@ -219,10 +219,37 @@ def test_picard_rank_above_guard_is_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("mori",),
     ("verify", "--theorem", "extremal-positive-support"),
-], ids=["mori", "verify-theorem"])
+    ("verify", "--theorem", "main-cone-equality"),
+], ids=["mori", "verify-theorem", "verify-main-theorem"])
 def test_picard_rank_at_guard_is_exit_0(capsys, argv):
     code, _, _ = run_cli(capsys, *argv, "--fan", "corpus:ex22:14")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("refine", "--fan", "corpus:ex21"),
+    ("verify", "--fan", "corpus:ex21"),
+], ids=["refine", "verify"])
+def test_non_integer_seed_variable_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("FANFORGE_SEED", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err == "error: FANFORGE_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed does not read the variable
+    code, _, _ = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--sidecar"])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = ["--out", missing] if flag == "--out" else [
+        "--out", str(tmp_path / "fine.json"), "--sidecar", missing
+    ]
+    code, out, err = run_cli(capsys, "refine", "--fan", "corpus:ex21", *argv)
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert missing in err
 
 
 # SHA-256 of each subcommand's --json output, concatenated over these corpus

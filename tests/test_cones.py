@@ -23,7 +23,7 @@ from fanforge.cones import (
 from fanforge import corpus
 from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.mori import extremal_walls, wall_relation
-from fanforge.plfun import is_quasi_projective, pl_basis
+from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
 from fanforge.theorems import random_complete_fan
 
 SQUARE_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
@@ -501,3 +501,96 @@ def test_double_description_matches_brute_force(system):
         assert all(vdot(a, r) >= 0 for a in ineqs)
     if not lines:
         assert set(rays) == _brute_force_rays(eqs, ineqs, dim)
+
+
+def reference_double_description(equalities, inequalities, dim):
+    """Double description with the algebraic adjacency test: a plus/minus
+    pair is adjacent iff the equalities and the inserted rows tight at both
+    have rank dim - len(lines) - 2.  Otherwise the same loop as
+    double_description, kept as the oracle for its combinatorial test."""
+    eq_rows = [e for e in equalities if any(e)]
+    if eq_rows:
+        lines = [primitivize(l) for l in kernel_basis(eq_rows, dim)]
+    else:
+        lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    eq_rank = dim - len(lines)
+    rays, tight = [], []
+    rows = sorted({primitivize(h) for h in inequalities if any(h)})
+    for n_done, a in enumerate(rows):
+        bit = 1 << n_done
+        vals_lines = [vdot(a, l) for l in lines]
+        hit = next((i for i, v in enumerate(vals_lines) if v != 0), None)
+        if hit is not None:
+            pv = vals_lines[hit]
+            pivot = lines[hit] if pv > 0 else vneg(lines[hit])
+            pv = abs(pv)
+            lines = [
+                primitivize([pv * x - v * y for x, y in zip(l, pivot)])
+                for i, (l, v) in enumerate(zip(lines, vals_lines))
+                if i != hit
+            ]
+            rays = [
+                primitivize([pv * x - vdot(a, r) * y for x, y in zip(r, pivot)])
+                for r in rays
+            ] + [pivot]
+            tight = [z | bit for z in tight] + [bit - 1]
+            continue
+        vals = [vdot(a, r) for r in rays]
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        new_rays = [rays[k] for k in plus + zero]
+        new_tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero]
+        full_rank = dim - len(lines)
+        for p, m in itertools.product(plus, minus):
+            common = tight[p] & tight[m]
+            if common.bit_count() < full_rank - 2 - eq_rank:
+                continue
+            common_rows = eq_rows + [rows[i] for i in range(n_done) if common >> i & 1]
+            if rank(common_rows) == full_rank - 2:
+                rp, rm, vp, vm = rays[p], rays[m], vals[p], vals[m]
+                new_rays.append(primitivize([vp * y - vm * x for x, y in zip(rp, rm)]))
+                new_tight.append(common | bit)
+        seen = set()
+        rays, tight = [], []
+        for r, z in zip(new_rays, new_tight):
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+                tight.append(z)
+    return lines, rays
+
+
+@st.composite
+def _dd_systems(draw):
+    dim = draw(st.integers(2, 6))
+    # entries in {-1, 0, 1} make degenerate cones, whose rays are tight at
+    # more rows than the dimension needs and where the tests can disagree
+    bound = draw(st.sampled_from((1, 3)))
+    row = st.tuples(*[st.integers(-bound, bound)] * dim)
+    ineqs = draw(st.lists(row, max_size=10))
+    eqs = draw(st.one_of(st.just([]), st.lists(row, min_size=1, max_size=2)))
+    return eqs, ineqs, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dd_systems())
+def test_combinatorial_adjacency_matches_rank_reference(system):
+    eqs, ineqs, dim = system
+    assert double_description(eqs, ineqs, dim) == reference_double_description(
+        eqs, ineqs, dim
+    )
+
+
+def test_combinatorial_adjacency_matches_rank_reference_on_wall_cones():
+    # the nef cones of the polygon fans, pointed of dimension r - 2: the
+    # double descriptions behind the main theorem's first cone equality
+    for r in range(4, 13):
+        f = corpus.polygon_fan(r)
+        basis = pl_basis(f)
+        c = HCone.make(wall_rows(f, basis), (), basis.dim_pic)
+        out = double_description(c.equalities, c.inequalities, c.ambient_dim)
+        assert out == reference_double_description(
+            c.equalities, c.inequalities, c.ambient_dim
+        )
+        assert out[0] == [] and rank(out[1]) == r - 2

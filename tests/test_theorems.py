@@ -1,12 +1,14 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, lp
-from fanforge.cones import HCone, cones_equal
+from fanforge import corpus, lp, theorems
+from fanforge.cones import HCone, cone_contains, cones_equal
 from fanforge.fan import fan_from_json_obj
 from fanforge.linalg import kernel_basis, rank, solve_linear, vsum
-from fanforge.mori import extremal_walls, mori_cone, relation_dense
+from fanforge.mori import extremal_walls, mori_cone, positively_proportional, relation_dense
 from fanforge.plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from fanforge.primcoll import primitive_relation, primitive_rows
 from fanforge.refine import simplicial_refinement
@@ -229,3 +231,158 @@ def test_tampered_certificates_fail_verification():
     assert verify_certificates(r)
     r.certificates["memberships"][0]["coeffs"][0] = "99"
     assert not verify_certificates(r)
+
+
+def reference_membership_certificates(inner, outer, certs):
+    """One membership LP per generator of inner, with no lookup: the loop
+    that _membership_certificates ran before it looked generators up."""
+    outer_strs = [[str(x) for x in og] for og in outer.generators]
+    for g in inner.generators:
+        ok, coeffs = cone_contains(outer, g)
+        if not ok:
+            return g
+        certs.append(
+            {
+                "target": [str(x) for x in g],
+                "generators": outer_strs,
+                "coeffs": [str(c) for c in coeffs],
+            }
+        )
+    return None
+
+
+def _lookup_fans():
+    rng = random.Random(11)
+    fans = corpus.paper_examples()
+    fans += [(f"cross{d}", corpus.cross_fan(d)) for d in (3, 4)]
+    fans += [(f"cube{d}", corpus.cube_fan(d)) for d in (3, 4)]
+    fans += [random_complete_fan(rng) for _ in range(20)]
+    return fans
+
+
+def _has_proportional_generator(target, gens) -> bool:
+    return any(positively_proportional(g, target) for g in gens)
+
+
+def test_membership_lookup_matches_lp_reference(monkeypatch):
+    lp_targets = []
+
+    def counting(c, x):
+        lp_targets.append((c.generators, x))
+        return cone_contains(c, x)
+
+    looked_up = differ = 0
+    for name, f in _lookup_fans():
+        lp_targets.clear()
+        monkeypatch.setattr(theorems, "cone_contains", counting)
+        new = check_main_theorem(f, name)
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            theorems, "_membership_certificates", reference_membership_certificates
+        )
+        ref = check_main_theorem(f, name)
+        monkeypatch.undo()
+        assert (new.verdict, new.details) == (ref.verdict, ref.details), name
+        assert new.certificates.get("counterexample") == ref.certificates.get(
+            "counterexample"
+        )
+        assert verify_certificates(new) and verify_certificates(ref), name
+        # the LP runs exactly for the targets no outer generator is
+        # positively proportional to
+        assert all(not _has_proportional_generator(x, gens) for gens, x in lp_targets)
+        certs = new.certificates["memberships"]
+        assert len(certs) == len(ref.certificates["memberships"])
+        proportional = [
+            _has_proportional_generator(
+                [Fraction(x) for x in m["target"]],
+                [[Fraction(x) for x in g] for g in m["generators"]],
+            )
+            for m in certs
+        ]
+        assert len(lp_targets) == proportional.count(False), name
+        looked_up += proportional.count(True)
+        differ += sum(
+            a["coeffs"] != b["coeffs"]
+            for a, b in zip(certs, ref.certificates["memberships"])
+        )
+    assert looked_up >= 500 and differ > 0
+
+
+def _ex21_main():
+    r = check_main_theorem(corpus.split_pyramid_fan(), "ex21")
+    assert r.verdict == HOLDS and verify_certificates(r)
+    return copy.deepcopy(r)
+
+
+def _tamper_short_generator(certs):
+    m = certs["memberships"][0]
+    m["generators"] = [g[:-1] if k == 0 else g for k, g in enumerate(m["generators"])]
+
+
+def _tamper_bad_coefficient(certs):
+    certs["memberships"][0]["coeffs"][0] = "x"
+
+
+def _tamper_drop_zero_coefficient(certs):
+    # dropping a coefficient that is 0 leaves the sum unchanged
+    m = next(m for m in certs["memberships"] if m["coeffs"][-1] == "0")
+    m["coeffs"] = m["coeffs"][:-1]
+
+
+def _tamper_short_target(certs):
+    m = certs["memberships"][0]
+    m["target"] = m["target"][:-1]
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_short_generator,
+    _tamper_bad_coefficient,
+    _tamper_drop_zero_coefficient,
+    _tamper_short_target,
+    lambda certs: certs.clear(),
+    lambda certs: certs.update(memberships=None),
+], ids=["short-generator", "bad-coefficient", "dropped-zero-coefficient",
+        "short-target", "emptied", "not-a-list"])
+def test_malformed_membership_certificates_fail_closed(tamper):
+    r = _ex21_main()
+    tamper(r.certificates)
+    assert verify_certificates(r) is False
+
+
+def test_evidence_report_needs_memberships():
+    r = check_main_theorem(corpus.fulton_fan(), "fulton")
+    assert r.verdict == EVIDENCE and verify_certificates(r)
+    del r.certificates["memberships"]
+    assert not verify_certificates(r)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda certs: certs.clear(),
+    lambda certs: certs["proportional"][0].update(scale="1/0"),
+    lambda certs: certs["proportional"][0].update(
+        u=certs["proportional"][0]["u"][:-1]
+    ),
+], ids=["emptied", "zero-denominator", "short-u"])
+def test_malformed_proportional_certificates_fail_closed(tamper):
+    r = check_extremal_primitive(corpus.split_pyramid_fan(), "ex21")
+    assert verify_certificates(r)
+    tamper(r.certificates)
+    assert verify_certificates(r) is False
+
+
+def test_tampered_lookup_certificate_fails_verification():
+    r = _ex21_main()
+    i, m = next(
+        (i, m) for i, m in enumerate(r.certificates["memberships"])
+        if m["target"] in m["generators"]
+    )
+    n = len(m["coeffs"])
+    k = m["generators"].index(m["target"])
+    assert m["coeffs"] == ["1" if j == k else "0" for j in range(n)]
+    for coeffs in (
+        ["2" if j == k else "0" for j in range(n)],
+        ["1" if j == (k + 1) % n else "0" for j in range(n)],
+    ):
+        bad = copy.deepcopy(r)
+        bad.certificates["memberships"][i]["coeffs"] = coeffs
+        assert not verify_certificates(bad)
