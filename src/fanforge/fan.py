@@ -2,10 +2,12 @@
 
 A fan is given by primitive integer ray vectors plus maximal cones as ray
 index sets.  validate_fan checks the fan axioms exactly (strong convexity,
-full-dimensional maximal cones, pairwise intersection in common faces,
-convex support) and derives the face lattice, the walls with their incident
+full-dimensional maximal cones, cones meeting in common faces, convex
+support) and derives the face lattice, the walls with their incident
 maximal cones, and the simplicial/complete flags, reading each verdict off
-the double descriptions it computes anyway.  Fans are immutable after
+the double descriptions it computes anyway.  That the cones meet in common
+faces and cover a convex set is decided by matching the facets of the
+maximal cones, which needs no cone intersection.  Fans are immutable after
 validation and all queries are pure, so the invariants that other modules
 derive from a fan (PL basis, quasi-projectivity, Mori cone, extremal walls)
 are computed once and kept on the fan under their names.
@@ -21,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
-from .linalg import is_zero_vec, primitivize, vdot
+from .linalg import Vec, is_zero_vec, primitivize, vdot, vneg, vsum
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +51,21 @@ class ConeData:
 
     def contains_point(self, x) -> bool:
         return self.facets.contains_point(x)
+
+    def dual_basis(self, rays) -> tuple[Vec, ...]:
+        """For a simplicial cone, the functionals d_i, one per ray v_i in
+        ray_indices order, with <d_i, v_j> = 1 if i = j and 0 otherwise:
+        d_i = u_i / <u_i, v_i>, where u_i is the one facet inequality that
+        does not vanish on v_i.  A point x of the cone's span is
+        sum_i <d_i, x> v_i.  rays holds the fan's rays."""
+        if len(self.ray_indices) != self.dim:
+            raise ValueError(f"cone {self.ray_indices} is not simplicial")
+        basis = []
+        for i in self.ray_indices:
+            (u,) = (u for u in self.facets.inequalities if vdot(u, rays[i]) != 0)
+            s = vdot(u, rays[i])
+            basis.append(tuple(Fraction(x, s) for x in u))
+        return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -145,8 +162,98 @@ def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo):
     return memo[indices][0]
 
 
+def _facets_match(cones: list[ConeData], rays) -> bool:
+    """The facet-matching test of validate_fan's docstring, on maximal
+    cones that are full-dimensional and pointed with extreme rays."""
+    normals: dict[tuple[int, ...], list[Vec]] = {}
+    for c in cones:
+        for u in c.facets.inequalities:
+            key = tuple(i for i in c.ray_indices if vdot(u, rays[i]) == 0)
+            normals.setdefault(key, []).append(u)
+    unmatched = []
+    for us in normals.values():
+        if len(us) == 1:
+            unmatched.append(us[0])
+        elif len(us) > 2 or us[1] != vneg(us[0]):
+            return False
+    x0 = vsum([rays[i] for i in cones[0].ray_indices], len(rays[0]))
+    if any(c.contains_point(x0) for c in cones[1:]):
+        return False
+    if unmatched:
+        hull = set(v_to_h(VCone.make(rays)).inequalities)
+        if any(u not in hull for u in unmatched):
+            return False
+    return True
+
+
+def _check_pairwise_faces(cones: list[ConeData], max_face_sets, rays) -> None:
+    """Raise the FanError of the first pair of maximal cones whose
+    intersection is not a common face."""
+    ray_lookup = {r: i for i, r in enumerate(rays)}
+    for a in range(len(cones)):
+        for b in range(a + 1, len(cones)):
+            inter = h_to_v(intersect_hcones(cones[a].facets, cones[b].facets))
+            got = []
+            for g in inter.generators:
+                gi = ray_lookup.get(g)
+                if gi is None:
+                    raise FanError(
+                        "ConesOverlapImproperly",
+                        f"cones {a} and {b} meet in a cone with extreme ray "
+                        f"{g} which is not a ray of the fan",
+                    )
+                got.append(gi)
+            t = tuple(sorted(set(got)))
+            if t not in max_face_sets[a] or t not in max_face_sets[b]:
+                raise FanError(
+                    "ConesOverlapImproperly",
+                    f"intersection of cones {a} and {b} is not a common face",
+                )
+
+
 def validate_fan(dim: int, rays, max_cones) -> Fan:
-    """Build a validated Fan from raw rays and maximal-cone index sets."""
+    """Build a validated Fan from raw rays and maximal-cone index sets.
+
+    The maximal cones meet in common faces and cover a convex set iff these
+    three conditions hold (_facets_match), where C is the cone on all rays:
+    (1) keyed by its set of rays, each facet of a maximal cone belongs to at
+    most two maximal cones, and to two only with opposite inward normals
+    (it is matched); (2) each facet of only one cone has its normal among
+    C's facet normals, so it lies on the boundary of C; (3) the ray sum x0
+    of cone 0 lies in no other maximal cone.  They are necessary: in a fan
+    with convex support C each facet is an interior wall of two cones or a
+    boundary wall inside a facet of C, and x0 is interior to cone 0.  They
+    are sufficient:
+
+    (a) Call a point generic if it lies on no face of dimension below
+    dim - 1 of any cone and on at most one facet hyperplane, and count the
+    cones that cover it.  A generic segment inside int C crosses facets at
+    generic points only.  Such a point y is interior to C, so each cone with
+    y on its boundary has y in exactly one of its facets, which by (2) is
+    matched, and by (1) its partner has the same facet on the other side.
+    The cones entered and left pair off, so crossing keeps the count.
+    Points near x0 are covered once by (3), so every generic point of int C
+    is.  Hence the cones cover C, which is convex, and their interiors are
+    disjoint.
+    (b) Let p lie in the relative interior of a face F of a cone k, and take
+    tangent cones at p.  Those of the cones containing p cover the tangent
+    cone of C at p with disjoint interiors, and each of their facets lies on
+    its boundary or is the facet of a partner on the other side, so as in
+    (a) a generic segment joins any two of them through a chain of
+    partners.  The tangent cone of k contains the linear space span(F),
+    hence so does each of its facets and each partner, and along the chain
+    every tangent cone at p contains span(F).  So each cone containing p
+    contains the points of F near p: the cones containing a point are the
+    same all along the connected relative interior of F, and each of them
+    contains F.  Now let p be a relative interior point of the intersection
+    D of cones k and l.  The least faces of k and of l containing p contain
+    each other by the above, so they are one face G, and D is inside G,
+    which is inside both cones: D = G is a common face.
+
+    When the test fails, the intersection of every pair of maximal cones is
+    computed to name the violated axiom, and each FanError is the one that
+    intersection gives.
+    """
     if type(dim) is not int or dim < 1:
         raise FanError("BadInput", "ambient dimension must be an integer of at least 1")
     if dim > MAX_DIM:
@@ -204,16 +311,19 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             raise FanError(
                 "MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}"
             )
-        lines, extreme = double_description((), hrep.inequalities, dim)
-        if lines:
-            raise FanError(
-                "NotStronglyConvex", f"maximal cone {k} contains a line"
-            )
-        if set(gens) != set(extreme):
-            raise FanError(
-                "RayNotExtreme",
-                f"maximal cone {k} lists a generator that is not an extreme ray",
-            )
+        # dim rays spanning the space are independent: no line, all extreme
+        if len(idx) != dim:
+            lines, extreme = double_description((), hrep.inequalities, dim)
+            if lines:
+                raise FanError(
+                    "NotStronglyConvex", f"maximal cone {k} contains a line"
+                )
+            if set(gens) != set(extreme):
+                raise FanError(
+                    "RayNotExtreme",
+                    f"maximal cone {k} lists a generator that is not an "
+                    "extreme ray",
+                )
         cones.append(ConeData(idx, dim, hrep))
 
     # face lattice, shared across cones and closed under taking faces
@@ -235,27 +345,8 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             "BadInput", f"rays {sorted(set(range(len(rays_t))) - used)} unused"
         )
 
-    # pairwise intersections must be common faces
-    ray_lookup = {r: i for i, r in enumerate(rays_t)}
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            inter = h_to_v(intersect_hcones(cones[a].facets, cones[b].facets))
-            got = []
-            for g in inter.generators:
-                gi = ray_lookup.get(g)
-                if gi is None:
-                    raise FanError(
-                        "ConesOverlapImproperly",
-                        f"cones {a} and {b} meet in a cone with extreme ray "
-                        f"{g} which is not a ray of the fan",
-                    )
-                got.append(gi)
-            t = tuple(sorted(set(got)))
-            if t not in max_face_sets[a] or t not in max_face_sets[b]:
-                raise FanError(
-                    "ConesOverlapImproperly",
-                    f"intersection of cones {a} and {b} is not a common face",
-                )
+    if not _facets_match(cones, rays_t):
+        _check_pairwise_faces(cones, max_face_sets, rays_t)
 
     # walls and their incident maximal cones
     walls = []

@@ -167,7 +167,10 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One solution of A x = b over Q, or None if inconsistent."""
+    """One solution of A x = b over Q, or None if inconsistent.  No library
+    code calls it: the tests use it as the elimination reference for
+    coordinates read off facet normals, and perfbench's tracer reports it by
+    name."""
     if not rows:
         return () if len(list(rhs)) == 0 else None
     ncols = len(rows[0])

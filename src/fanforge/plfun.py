@@ -20,8 +20,8 @@ from .linalg import (
     Vec,
     kernel_basis,
     rank,
-    solve_linear,
     vadd,
+    vscale,
     vdot,
     vec,
     vsub,
@@ -89,8 +89,9 @@ def pl_from_cone_functionals(fan: Fan, functionals) -> PLFunction:
 
 
 def pl_from_ray_values(fan: Fan, values) -> PLFunction:
-    """Simplicial fans only: each maximal cone determines its functional from
-    the prescribed ray values; wall compatibility then holds automatically."""
+    """Simplicial fans only: each maximal cone's functional is the sum of
+    its dual basis weighted by the prescribed ray values; wall compatibility
+    then holds automatically."""
     if not fan.is_simplicial:
         raise NonSimplicialFan("ray values underdetermine a non-simplicial fan")
     if isinstance(values, dict):
@@ -98,12 +99,9 @@ def pl_from_ray_values(fan: Fan, values) -> PLFunction:
     vals = [Fraction(v) for v in values]
     ms = []
     for c in fan.max_cones:
-        rows = [fan.ray(i) for i in c.ray_indices]
-        rhs = [vals[i] for i in c.ray_indices]
-        m = solve_linear(rows, rhs)
-        if m is None:
-            raise RuntimeError(f"rays of maximal cone {c.ray_indices} are dependent")
-        ms.append(m)
+        duals = c.dual_basis(fan.rays)
+        terms = [vscale(vals[i], d) for i, d in zip(c.ray_indices, duals)]
+        ms.append(vsum(terms, fan.dim))
     return PLFunction(fan, tuple(ms))
 
 

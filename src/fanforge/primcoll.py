@@ -5,7 +5,8 @@ while every proper subset is contained in some cone; equivalently a minimal
 non-coface.  Summing its rays and re-expressing the sum positively over an
 independent subset of the minimal containing cone yields the primitive
 relation, whose class lies in the Mori cone and whose functional is the
-primitive inequality.
+primitive inequality.  Over a simplicial minimal cone the coefficients are
+read off the cone's facet normals; an exact LP finds them otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .cones import HCone, VCone, cone_contains
 from .fan import Fan, ConeData, contained_in_single_cone, generates_cone, minimal_cone_containing
-from .linalg import ONE, Vec, rank, vsum
+from .linalg import ONE, Vec, rank, vdot, vsum
 from .mori import RelationVector, relation_is_valid, relation_row
 from .plfun import PLBasis, refinement_ray_map
 
@@ -83,8 +84,13 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     p = tuple(sorted(collection))
     total = vsum([fan.ray(i) for i in p], fan.dim)
     sigma = minimal_cone_containing(fan, total)
-    gens = tuple(fan.ray(i) for i in sigma.ray_indices)
-    inside, coeffs = cone_contains(VCone(gens, fan.dim), total)
+    if len(sigma.ray_indices) == sigma.dim:
+        # the coordinates over independent rays are unique
+        coeffs = tuple(vdot(d, total) for d in sigma.dual_basis(fan.rays))
+        inside = all(c >= 0 for c in coeffs)
+    else:
+        gens = tuple(fan.ray(i) for i in sigma.ray_indices)
+        inside, coeffs = cone_contains(VCone(gens, fan.dim), total)
     if not inside:
         raise RuntimeError(f"the ray sum of {p} is not in its minimal cone")
     b = {i: v for i, v in zip(sigma.ray_indices, coeffs) if v != 0}

@@ -5,7 +5,9 @@ the FanError code and message of every rejected input and the face
 dimensions, walls and support of every accepted one.  The support tests
 compare the support's facet normals on non-complete convex fans with the
 kernel of each boundary wall oriented towards its cone, and with the
-orthant inequalities that cut the fan out.
+orthant inequalities that cut the fan out.  The facet-matching test that
+accepts fans is checked against the pairwise intersection of maximal cones,
+which is kept here as the reference.
 """
 
 import hashlib
@@ -14,9 +16,12 @@ import random
 
 import pytest
 
+from fanforge import corpus
+from fanforge import fan as fanmod
+from fanforge.cones import h_to_v, intersect_hcones
 from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot, vneg
-from fanforge.theorems import stellar_subdivide
+from fanforge.theorems import random_complete_fan, stellar_subdivide
 
 # sha256 of the outcomes of verdict_inputs(), one repr per line
 VERDICT_DIGEST = "d19701652d050d15a3e17538a89a99e5bd4bd8acc176bdc7bb6d22a7de88776e"
@@ -137,3 +142,140 @@ def test_dimension_guard_precedes_cone_checks():
     with pytest.raises(FanError) as e:
         validate_fan(13, rays, [[0], list(range(13))])
     assert e.value.code == "BadInput"
+
+
+def reference_pairwise_faces(fan):
+    """Do all pairs of maximal cones meet in a common face?  Each
+    intersection is computed by double description and its extreme rays are
+    looked up among the fan's rays and faces."""
+    ray_lookup = {r: i for i, r in enumerate(fan.rays)}
+    cones = fan.max_cones
+    for a in range(len(cones)):
+        for b in range(a + 1, len(cones)):
+            inter = h_to_v(intersect_hcones(cones[a].facets, cones[b].facets))
+            got = [ray_lookup.get(g) for g in inter.generators]
+            if None in got:
+                return False
+            t = tuple(sorted(set(got)))
+            if t not in fan.max_face_sets[a] or t not in fan.max_face_sets[b]:
+                return False
+    return True
+
+
+def fan_args(f):
+    return f.dim, [list(r) for r in f.rays], [list(c.ray_indices) for c in f.max_cones]
+
+
+def drop_cone(f, k):
+    """The fan's input with maximal cone k left out and the rays no other
+    cone uses removed."""
+    kept = [c.ray_indices for j, c in enumerate(f.max_cones) if j != k]
+    used = sorted(set().union(*kept))
+    index = {i: n for n, i in enumerate(used)}
+    return f.dim, [list(f.ray(i)) for i in used], [[index[i] for i in c] for c in kept]
+
+
+def matching_inputs():
+    """verdict_inputs(), then valid fans, then those fans with one maximal
+    cone dropped."""
+    yield from verdict_inputs()
+    rng = random.Random(11)
+    fans = [random_complete_fan(rng)[1] for _ in range(20)]
+    for dim in (2, 3, 4):
+        for bounded in sorted({dim, 1, 2}):
+            f = convex_part(dim, bounded)
+            fans.append(f)
+            for _ in range(2):
+                f = stellar_subdivide(f, rng.randrange(len(f.max_cones)))
+                fans.append(f)
+    fans += [corpus.cube_fan(3), corpus.cube_fan(4)]
+    for f in fans:
+        yield fan_args(f)
+    for f in fans:
+        for k in range(len(f.max_cones)):
+            if len(f.max_cones) > 1:
+                yield drop_cone(f, k)
+
+
+def test_facet_matching_accepts_only_fans_whose_cones_meet_in_faces(monkeypatch):
+    verdicts = []
+    real = fanmod._facets_match
+
+    def spy(cones, rays):
+        verdicts.append(real(cones, rays))
+        return verdicts[-1]
+
+    monkeypatch.setattr(fanmod, "_facets_match", spy)
+    tested = accepted = 0
+    for args in matching_inputs():
+        verdicts.clear()
+        try:
+            f = validate_fan(*args)
+        except FanError:
+            f = None
+        if not verdicts:
+            continue
+        tested += 1
+        # an accepted fan is one that facet matching accepted, and the
+        # pairwise reference agrees that its cones meet in common faces
+        assert verdicts == [f is not None]
+        if f is not None:
+            accepted += 1
+            assert reference_pairwise_faces(f)
+    # 720 inputs reach the test and 155 pass it
+    assert tested >= 700 and accepted >= 150
+
+
+def test_accepted_fans_compute_no_cone_intersection(monkeypatch):
+    calls = []
+    real = fanmod.h_to_v
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(fanmod, "h_to_v", counting)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(4), corpus.cube_fan(4), convex_part(3, 1)]
+    for f in fans:
+        validate_fan(*fan_args(f))
+    assert calls == []
+    # the cones overlap in a two-dimensional region, not in a common face
+    with pytest.raises(FanError) as e:
+        validate_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [[0, 1], [2, 3]])
+    assert str(e.value) == (
+        "ConesOverlapImproperly: intersection of cones 0 and 1 is not a common face"
+    )
+    assert len(calls) == 1
+
+
+
+# Each input breaks one condition of facet matching and passes the others.
+OVERLAPS = {
+    # five cones winding twice round the plane: every facet is matched, but
+    # the ray sum of cone 0 lies in a second cone
+    "double-cover": (
+        [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)],
+        [[0, 2], [1, 3], [2, 4], [3, 0], [4, 1]],
+    ),
+    # the quadrants plus three cones over the second one, two of which
+    # share each of the rays (1, 1) and (-1, 1) from the same side
+    "same-side": (
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, 3)],
+        [[2, 3], [3, 0], [0, 1], [1, 2], [4, 5], [4, 6], [6, 5]],
+    ),
+    # the quadrants plus two cones over the first one: three cones have
+    # the facet (1, 0), and three the facet (0, 1)
+    "three-cones": (
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
+        [[2, 3], [3, 0], [0, 1], [1, 2], [0, 4], [4, 1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAPS))
+def test_overlaps_passing_part_of_facet_matching_rejected(name):
+    rays, cones = OVERLAPS[name]
+    with pytest.raises(FanError) as e:
+        validate_fan(2, rays, cones)
+    assert e.value.code == "ConesOverlapImproperly"

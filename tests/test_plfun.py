@@ -5,7 +5,7 @@ import pytest
 
 from fanforge import corpus
 from fanforge.fan import validate_fan
-from fanforge.linalg import vsum
+from fanforge.linalg import solve_linear, vsum
 from fanforge.plfun import (
     NonSimplicialFan,
     NotARefinement,
@@ -21,6 +21,8 @@ from fanforge.plfun import (
     refinement_cone_map,
     wall_functional,
 )
+from fanforge.refine import qp_refinement
+from fanforge.theorems import random_complete_fan
 
 
 def test_zero_function():
@@ -38,6 +40,42 @@ def test_ray_values_solve_per_cone():
     k = [c.ray_indices for c in f.max_cones].index((1, 2, 4))
     assert phi.cone_functionals[k] == (0, 0, 1)
     assert phi.ray_values() == (1, 1, 1, 1, 1)
+
+
+def reference_cone_functionals(fan, values):
+    """Each maximal cone's functional solved from its rays and their values
+    by elimination."""
+    return tuple(
+        solve_linear(
+            [fan.ray(i) for i in c.ray_indices],
+            [Fraction(values[i]) for i in c.ray_indices],
+        )
+        for c in fan.max_cones
+    )
+
+
+def test_ray_values_match_elimination_reference():
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples() if f.is_simplicial]
+    fans += [corpus.cross_fan(3), corpus.cross_fan(4)]
+    randoms = [random_complete_fan(rng)[1] for _ in range(20)]
+    fans += [f for f in randoms if f.is_simplicial]
+    # the fine fans of quasi-projective refinements, with their functions
+    coarse = [corpus.square_pyramid_fan(), corpus.cube_fan(3), corpus.cross_fan(3)]
+    for k, f in enumerate(coarse):
+        ok, witness = is_quasi_projective(f)
+        r, phi = qp_refinement(f, (), witness, seed=k)
+        expected = reference_cone_functionals(r.fine, phi.ray_values())
+        assert phi.cone_functionals == expected
+        fans.append(r.fine)
+    for f in fans:
+        for _ in range(3):
+            vals = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.n_rays)
+            ]
+            phi = pl_from_ray_values(f, vals)
+            assert phi.cone_functionals == reference_cone_functionals(f, vals)
+            assert all(type(x) is Fraction for m in phi.cone_functionals for x in m)
 
 
 def test_ray_values_need_coherence_on_nonsimplicial():

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 from fanforge import corpus
-from fanforge.cones import cones_equal, HCone
-from fanforge.fan import contained_in_single_cone, validate_fan
+from fanforge import primcoll
+from fanforge.cones import cone_contains, cones_equal, HCone, VCone
+from fanforge.fan import contained_in_single_cone, minimal_cone_containing, validate_fan
 from fanforge.linalg import rank, vsum
 from fanforge.mori import curve_class, relation_row
 from fanforge.plfun import pl_basis
 from fanforge.primcoll import (
     TYPE_A,
     TYPE_B,
+    PrimitiveRelation,
     _is_primitive,
     batyrev_primitive_collections,
     classify_type,
@@ -128,6 +130,45 @@ def test_primitive_relations_fulton_verbatim():
         pr = primitive_relation(f, p)
         assert pr.sigma_min.ray_indices == sigma
         assert pr.b == {k: Fraction(v) for k, v in b.items()}
+
+
+def reference_primitive_relation(fan, collection):
+    """The primitive relation with the ray sum's coefficients over its
+    minimal cone found by LP, whether that cone is simplicial or not."""
+    p = tuple(sorted(collection))
+    total = vsum([fan.ray(i) for i in p], fan.dim)
+    sigma = minimal_cone_containing(fan, total)
+    gens = tuple(fan.ray(i) for i in sigma.ray_indices)
+    inside, coeffs = cone_contains(VCone(gens, fan.dim), total)
+    assert inside
+    b = {i: v for i, v in zip(sigma.ray_indices, coeffs) if v != 0}
+    relation = {i: 1 - b.get(i, 0) for i in p}
+    relation.update({i: -v for i, v in b.items() if i not in p})
+    return PrimitiveRelation(p, sigma, tuple(sorted(b)), b, relation)
+
+
+def test_primitive_relations_match_lp_reference(monkeypatch):
+    calls = []
+
+    def counting(c, x):
+        calls.append(x)
+        return cone_contains(c, x)
+
+    monkeypatch.setattr(primcoll, "cone_contains", counting)
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(d) for d in (3, 4)] + [corpus.cube_fan(d) for d in (3, 4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    fat = 0
+    for f in fans:
+        for p in enumerate_primitive_collections(f):
+            pr = primitive_relation(f, p)
+            assert pr == reference_primitive_relation(f, p)
+            assert all(type(v) is Fraction for v in pr.b.values())
+            assert all(type(v) is Fraction for v in pr.relation.values())
+            fat += len(pr.sigma_min.ray_indices) != pr.sigma_min.dim
+    # the LP runs once for each minimal cone that is not simplicial
+    assert len(calls) == fat > 0
 
 
 def test_antipodal_pair_relation_sums_to_zero():
