@@ -193,8 +193,7 @@ def matching_inputs():
         yield fan_args(f)
     for f in fans:
         for k in range(len(f.max_cones)):
-            if len(f.max_cones) > 1:
-                yield drop_cone(f, k)
+            yield drop_cone(f, k)
 
 
 def test_facet_matching_accepts_only_fans_whose_cones_meet_in_faces(monkeypatch):
@@ -249,7 +248,6 @@ def test_accepted_fans_compute_no_cone_intersection(monkeypatch):
     assert len(calls) == 1
 
 
-
 # Each input breaks one condition of facet matching and passes the others.
 OVERLAPS = {
     # five cones winding twice round the plane: every facet is matched, but
@@ -258,14 +256,14 @@ OVERLAPS = {
         [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)],
         [[0, 2], [1, 3], [2, 4], [3, 0], [4, 1]],
     ),
-    # the quadrants plus three cones over the second one, two of which
-    # share each of the rays (1, 1) and (-1, 1) from the same side
+    # the quadrants plus three cones between (1, 1) and (-1, 1), two of
+    # which have each of those rays on the same side
     "same-side": (
         [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, 3)],
         [[2, 3], [3, 0], [0, 1], [1, 2], [4, 5], [4, 6], [6, 5]],
     ),
-    # the quadrants plus two cones over the first one: three cones have
-    # the facet (1, 0), and three the facet (0, 1)
+    # the quadrants plus two cones that split the first one: three cones
+    # have the facet (1, 0), and three the facet (0, 1)
     "three-cones": (
         [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
         [[2, 3], [3, 0], [0, 1], [1, 2], [0, 4], [4, 1]],

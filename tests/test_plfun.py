@@ -63,7 +63,7 @@ def test_ray_values_match_elimination_reference():
     # the fine fans of quasi-projective refinements, with their functions
     coarse = [corpus.square_pyramid_fan(), corpus.cube_fan(3), corpus.cross_fan(3)]
     for k, f in enumerate(coarse):
-        ok, witness = is_quasi_projective(f)
+        _, witness = is_quasi_projective(f)
         r, phi = qp_refinement(f, (), witness, seed=k)
         expected = reference_cone_functionals(r.fine, phi.ray_values())
         assert phi.cone_functionals == expected
