@@ -5,9 +5,9 @@ Mori/nef cone reports, quasi-projectivity, refinement, the verification
 suite, and the built-in corpus.  Fans travel as JSON
 {"dim": n, "rays": [[..]], "max_cones": [[..]]} with 0-based ray indices;
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
-failures, 2 invalid fan or a cone above the dimension guard, 3 parse error,
-4 usage (also a FANFORGE_SEED that is not an integer and an output path
-that cannot be written).
+failures, 2 invalid fan (also one above the dimension guard of 12), 3 parse
+error, 4 usage (also a FANFORGE_SEED that is not an integer and an output
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, mori, plfun, primcoll, refine, theorems
-from .cones import DimensionTooLarge, VCone, cone_contains
+from .cones import VCone, cone_contains
 from .fan import Fan, FanError, fan_from_json_obj
 from .linalg import format_rational, primitivize, rref, vneg
 
@@ -451,9 +451,6 @@ def main(argv=None) -> int:
         code = args.fn(args)
     except FanError as e:
         print(f"error: invalid fan: {e}", file=sys.stderr)
-        return EXIT_INVALID_FAN
-    except DimensionTooLarge as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_FAN
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE

@@ -225,17 +225,6 @@ def cone_contains(c: VCone, x) -> tuple[bool, Vec | None]:
     return True, coeffs
 
 
-def lineality_dim(c: HCone | VCone) -> int:
-    """Dimension of the largest subspace contained in the cone."""
-    if isinstance(c, VCone):
-        c = v_to_h(c)
-    return c.ambient_dim - rank(list(c.inequalities) + list(c.equalities))
-
-
-def is_pointed(c: HCone | VCone) -> bool:
-    return lineality_dim(c) == 0
-
-
 def cone_includes(outer: HCone | VCone, inner: HCone | VCone) -> bool:
     """Exact test that inner is a subset of outer."""
     if outer.ambient_dim != inner.ambient_dim:

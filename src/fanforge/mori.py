@@ -12,16 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import VCone, cone_contains, lineality_dim
+from . import lp
+from .cones import VCone, cone_contains
 from .fan import Fan, Wall
-from .linalg import (
-    ZERO,
-    Vec,
-    kernel_basis,
-    lex_min_independent_subset,
-    primitivize,
-)
-from .plfun import PLBasis, pl_basis
+from .linalg import ONE, ZERO, Vec, kernel_basis, lex_min_independent_subset, primitivize, vdot
+from .plfun import PLBasis, is_quasi_projective, pl_basis
 
 RelationVector = dict[int, Fraction]
 
@@ -55,18 +50,26 @@ def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
     (n-1)-subset of the wall rays, smallest-index off-wall rays, coefficient
     1 on the second cone's off-wall ray.  The coefficient on the first
     cone's off-wall ray is checked positive (the two lie on opposite
-    sides)."""
+    sides).  If the first cone is simplicial, the wall is a facet of it and
+    v_off_b = sum_i <d_i, v_off_b> v_i over its dual basis d_i gives the
+    relation with no elimination."""
     if not wall.is_interior:
         raise ValueError("wall relations need an interior wall")
     a, b = wall.cone_indices
-    wall_vecs = [fan.ray(i) for i in wall.ray_indices]
-    chosen = lex_min_independent_subset(wall_vecs, fan.dim - 1)
-    if chosen is None:
-        raise DegenerateWall(f"wall {wall.ray_indices} spans too little")
-    tau_part = [wall.ray_indices[i] for i in chosen]
-    off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
+    cone_a = fan.max_cones[a]
+    off_a = min(set(cone_a.ray_indices) - set(wall.ray_indices))
     off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
-    rel = _relation_for_rays(fan, tau_part + [off_a, off_b])
+    if len(cone_a.ray_indices) == cone_a.dim:
+        x = fan.ray(off_b)
+        duals = zip(cone_a.ray_indices, cone_a.dual_basis(fan.rays))
+        rel = {i: -c for i, d in duals if (c := vdot(d, x)) != 0} | {off_b: ONE}
+    else:
+        wall_vecs = [fan.ray(i) for i in wall.ray_indices]
+        chosen = lex_min_independent_subset(wall_vecs, fan.dim - 1)
+        if chosen is None:
+            raise DegenerateWall(f"wall {wall.ray_indices} spans too little")
+        tau_part = [wall.ray_indices[i] for i in chosen]
+        rel = _relation_for_rays(fan, tau_part + [off_a, off_b])
     if rel.get(off_a, 0) <= 0:
         raise RuntimeError("off-wall rays must have positive coefficients")
     return rel
@@ -109,16 +112,16 @@ def positively_proportional(u: Vec, v: Vec) -> bool:
 @dataclass(frozen=True)
 class MoriCone:
     """The Mori cone with its generating wall classes, labeled by wall; the
-    wall relations behind the classes are kept aligned with the walls."""
+    wall relations behind the classes are kept aligned with the walls.
+    is_pointed: some functional is positive on every nonzero class.  A
+    strictly convex function is one (each class is a positive multiple of
+    its wall row); otherwise one strict-feasibility LP decides."""
 
     cone: VCone
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
     relations: tuple[RelationVector, ...]
-
-    @property
-    def is_pointed(self) -> bool:
-        return lineality_dim(self.cone) == 0 if self.cone.generators else True
+    is_pointed: bool
 
 
 def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
@@ -135,7 +138,9 @@ def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
     classes = tuple(curve_class(fan, rel, basis) for rel in relations)
     nonzero = [c for c in classes if any(x != 0 for x in c)]
     cone = VCone(tuple(nonzero), basis.dim_pic)
-    return MoriCone(cone, walls, classes, relations)
+    pointed = is_quasi_projective(fan)[0] or lp.strict_feasible(
+        nonzero, [], [], basis.dim_pic)[0] is not None
+    return MoriCone(cone, walls, classes, relations, pointed)
 
 
 def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:

@@ -19,7 +19,6 @@ from .fan import Fan, Wall, contained_in_single_cone
 from .linalg import (
     Vec,
     kernel_basis,
-    rank,
     vadd,
     vscale,
     vdot,
@@ -222,22 +221,26 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
     units = [tuple(int(j == d) for j in range(n)) for d in range(n)]
     lin = tuple(PLFunction(fan, (u,) * k) for u in units)
     pin = [u + (0,) * (n * (k - 1)) for u in units]
+    # the pin, the identity on global linear functions, splits them off iff
+    # every row vanishes on them
+    if any(sum(row[d::n]) != 0 for row in compat for d in range(n)):
+        raise RuntimeError("first-cone pinning must split off M")
     quotient = [
         _stacked_to_pl(fan, s) for s in kernel_basis(compat + pin, k * n)
     ]
-    dim_pl = k * n - rank(compat) if compat else k * n
-    if dim_pl != n + len(quotient):
-        raise RuntimeError("first-cone pinning must split off M")
     ray_values = tuple(zip(*fan.rays)) + tuple(f.ray_values() for f in quotient)
     return PLBasis(fan, lin, tuple(quotient), ray_values)
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
-    """Interior-wall functionals as inequality rows over quotient_basis."""
-    return [
+    """Interior-wall functionals as inequality rows over quotient_basis, in
+    fan.interior_walls order; derived once per fan in its own pl_basis."""
+    if basis is not pl_basis(fan):
+        raise ValueError("the basis must be the fan's own pl_basis")
+    return list(fan.derived("wall_rows", lambda: tuple(
         tuple(wall_functional(fan, w, f) for f in basis.quotient_basis)
         for w in fan.interior_walls
-    ]
+    )))
 
 
 def is_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:

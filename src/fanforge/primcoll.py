@@ -84,7 +84,8 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     p = tuple(sorted(collection))
     total = vsum([fan.ray(i) for i in p], fan.dim)
     sigma = minimal_cone_containing(fan, total)
-    if len(sigma.ray_indices) == sigma.dim:
+    simplicial = len(sigma.ray_indices) == sigma.dim
+    if simplicial:
         # the coordinates over independent rays are unique
         coeffs = tuple(vdot(d, total) for d in sigma.dual_basis(fan.rays))
         inside = all(c >= 0 for c in coeffs)
@@ -109,7 +110,8 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
             relation[i] = -b[i]
     if not relation_is_valid(fan, relation):
         raise RuntimeError(f"primitive relation of {p} does not vanish")
-    if rank([fan.ray(i) for i in support]) != len(support):
+    # the rays of a simplicial cone are independent, and so is any subset
+    if not simplicial and rank([fan.ray(i) for i in support]) != len(support):
         raise RuntimeError(f"primitive relation of {p} has a dependent support")
     return PrimitiveRelation(p, sigma, support, b, relation)
 

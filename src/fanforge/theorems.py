@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import corpus, primcoll
-from .cones import HCone, VCone, cone_contains, h_to_v, hcone_covered_by, v_to_h
+from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
 from .mori import MoriCone, extremal_walls, mori_cone, positively_proportional, relation_dense
@@ -90,34 +90,41 @@ def _cones_equal_certified(a: VCone, b: VCone, certs: list) -> Vec | None:
     return _membership_certificates(b, a, certs)
 
 
+def _proportional_certificate(u: Vec, v: Vec) -> dict:
+    """u = scale * v, the scale read at v's first nonzero entry; it fails
+    verification unless u and v are positively proportional."""
+    nz = next((i for i, x in enumerate(v) if x != 0), None)
+    scale = 1 if nz is None else Fraction(u[nz], v[nz])
+    return {"u": [str(x) for x in u], "v": [str(x) for x in v], "scale": str(scale)}
+
+
 def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
-    """The convex-function cone cut by wall inequalities equals the cone cut
-    by primitive inequalities, and dually the Mori cone is generated by the
-    primitive-relation classes."""
+    """The convex-function cone cut by the wall rows W equals the cone cut
+    by the primitive rows P, which are the primitive classes.  By Farkas,
+    {x : Wx >= 0} = {x : Px >= 0} iff cone(W) = cone(P).  A wall's class
+    pairs with (m_sigma) as rel[off_a] <m_a - m_b, v_off_a> (subtract m_b
+    applied to the relation), and its row is <m_a - m_b, s> for the sum s
+    of the first cone's off-wall rays, all on v_off_a's side; so each row
+    is a positive multiple of its class and cone(W) is the Mori cone.
+    Certified: memberships both ways between the Mori and primitive
+    classes, and one proportional entry per wall, row over class."""
     t0 = time.perf_counter()
     basis = pl_basis(fan)
     qp, _ = is_quasi_projective(fan)
-    d = basis.dim_pic
-    walls_h = HCone.make(wall_rows(fan, basis), (), d)
-    # a primitive relation's row over the quotient basis is its curve class
-    prim_rows = primcoll.primitive_rows(fan, basis)
-    prim_h = HCone.make(prim_rows, (), d)
+    mc = mori_cone(fan, basis)
+    rows = wall_rows(fan, basis)
+    bridge = [_proportional_certificate(u, v) for u, v in zip(rows, mc.classes)]
+    prim_v = VCone.make(primcoll.primitive_rows(fan, basis), basis.dim_pic)
     certs: list = []
-    bad = _cones_equal_certified(h_to_v(walls_h), h_to_v(prim_h), certs)
-    dual_bad = None
-    if bad is None:
-        mc = mori_cone(fan, basis)
-        prim_v = VCone.make(prim_rows, d)
-        dual_bad = _cones_equal_certified(mc.cone, prim_v, certs)
+    bad = _cones_equal_certified(mc.cone, prim_v, certs)
     elapsed = time.perf_counter() - t0
-    if bad is not None or dual_bad is not None:
-        culprit = bad if bad is not None else dual_bad
+    if bad is not None:
         return TheoremReport(
             "main-cone-equality",
             fan_id,
             FAILS,
-            f"cone equality fails at generator {[str(x) for x in culprit]}",
-            {"counterexample": [str(x) for x in culprit]},
+            f"cone equality fails at generator {[str(x) for x in bad]}",
+            {"counterexample": [str(x) for x in bad]},
             elapsed,
         )
     verdict = HOLDS if qp else EVIDENCE
@@ -126,7 +133,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     )
     return TheoremReport(
         "main-cone-equality", fan_id, verdict, details,
-        {"memberships": certs}, elapsed,
+        {"memberships": certs, "proportional": bridge}, elapsed,
     )
 
 
@@ -168,11 +175,7 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
                 {"counterexample": list(p)},
                 time.perf_counter() - t0,
             )
-        nz = next(i for i, x in enumerate(a_p) if x != 0)
-        certs.append(
-            {"u": [str(x) for x in a_t], "v": [str(x) for x in a_p],
-             "scale": str(Fraction(a_t[nz], a_p[nz]))}
-        )
+        certs.append(_proportional_certificate(a_t, a_p))
     return TheoremReport(
         "extremal-positive-support", fan_id, HOLDS,
         f"checked {len(certs)} extremal walls",
@@ -341,11 +344,11 @@ def run_paper_suite(
     return reports
 
 
-# the certificate list a passing verdict must carry
+# the certificate lists a passing verdict must carry
 _REQUIRED_CERTIFICATES = {
-    ("main-cone-equality", HOLDS): "memberships",
-    ("main-cone-equality", EVIDENCE): "memberships",
-    ("extremal-positive-support", HOLDS): "proportional",
+    ("main-cone-equality", HOLDS): ("memberships", "proportional"),
+    ("main-cone-equality", EVIDENCE): ("memberships", "proportional"),
+    ("extremal-positive-support", HOLDS): ("proportional",),
 }
 
 
@@ -356,8 +359,8 @@ def verify_certificates(report: TheoremReport) -> bool:
     that does not parse as a rational, and vectors of unequal lengths are
     all rejected."""
     certs = report.certificates
-    required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict))
-    if required is not None and not isinstance(certs.get(required), list):
+    required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict), ())
+    if not all(isinstance(certs.get(name), list) for name in required):
         return False
     try:
         # the memberships of one cone equality share their generator list,

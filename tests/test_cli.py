@@ -202,18 +202,27 @@ def test_validate_dimension_above_guard_is_invalid_fan(tmp_path, capsys):
     assert "invalid fan: BadInput: ambient dimension 13 exceeds the 12 guard" in err
 
 
+@pytest.mark.parametrize("fan", ["ex22:15", "ex22:16"])
 @pytest.mark.parametrize("argv", [
     ("mori",),
     ("verify",),
     ("verify", "--theorem", "extremal-positive-support"),
 ], ids=["mori", "verify", "verify-theorem"])
-def test_picard_rank_above_guard_is_exit_2(capsys, argv):
-    # ex22:15 is a valid fan of dimension 2 whose Mori cone lives in
-    # dimension 13, one above the double-description guard
-    code, _, err = run_cli(capsys, *argv, "--fan", "corpus:ex22:15")
-    assert code == 2
-    assert "Traceback" not in err
-    assert err == "error: ambient dimension 13 exceeds the 12 guard\n"
+def test_picard_rank_above_guard_is_exit_0(capsys, argv, fan):
+    # ex22:15 and ex22:16 are valid fans of dimension 2 whose Mori cones
+    # live in dimensions 13 and 14, above the double-description guard of
+    # 12; no command on them runs double description in Picard space
+    code, out, err = run_cli(capsys, *argv, "--fan", f"corpus:{fan}", "--json")
+    assert code == 0 and err == "" and "Traceback" not in out
+    obj = json.loads(out)
+    if argv == ("mori",):
+        r = int(fan.split(":")[1])
+        assert obj["dim_pic"] == r - 2 and obj["pointed"] is True
+        assert len(obj["walls"]) == r
+    else:
+        assert obj["all_passing"] is True
+        assert obj["certificates_verified"] is True
+        assert all(rep["verdict"] == "holds" for rep in obj["reports"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,9 +16,8 @@ from fanforge.cones import (
     h_to_v,
     hcone_covered_by,
     intersect_hcones,
-    is_pointed,
-    lineality_dim,
     pulling_triangulation,
+    v_to_h,
 )
 from fanforge import corpus
 from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot, vneg
@@ -27,6 +26,18 @@ from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
 from fanforge.theorems import random_complete_fan
 
 SQUARE_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
+
+
+def lineality_dim(c: HCone | VCone) -> int:
+    """Dimension of the largest subspace contained in the cone, by double
+    description and a rank: the reference for pointedness tests."""
+    if isinstance(c, VCone):
+        c = v_to_h(c)
+    return c.ambient_dim - rank(list(c.inequalities) + list(c.equalities))
+
+
+def is_pointed(c: HCone | VCone) -> bool:
+    return lineality_dim(c) == 0
 
 
 def gens_as_primitive_set(v: VCone):

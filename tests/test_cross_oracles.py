@@ -6,9 +6,10 @@ import itertools
 import random
 
 from fanforge import lp
-from fanforge.cones import HCone, VCone, h_to_v, lineality_dim, v_to_h
+from fanforge.cones import HCone, VCone, h_to_v, v_to_h
 from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
+from test_cones import lineality_dim
 
 
 def brute_force_extreme_rays(rows, dim):

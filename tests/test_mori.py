@@ -1,12 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus
+from fanforge import corpus, mori
 from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone, VCone
-from fanforge.fan import validate_fan
-from fanforge.linalg import primitivize, rank, vec
+from fanforge.fan import fan_from_json_obj, validate_fan
+from fanforge.linalg import lex_min_independent_subset, primitivize, rank, vec
 from fanforge.mori import (
     MoriConeNotPointed,
     _relation_for_rays,
@@ -20,7 +21,8 @@ from fanforge.mori import (
 )
 from fanforge.plfun import is_quasi_projective, pl_basis, wall_functional, wall_rows
 from fanforge.primcoll import enumerate_primitive_collections, primitive_relation
-from fanforge.theorems import random_complete_fan
+from fanforge.theorems import random_complete_fan, stellar_subdivide
+from test_cones import lineality_dim
 
 
 def wall_by_rays(fan, rays):
@@ -294,3 +296,78 @@ def test_nonsimplicial_walls_in_dim_four():
     canon = wall_relation(f, w)
     assert relation_is_valid(f, canon)
     assert positively_proportional(curve_class(f, canon, basis), classes[0])
+
+
+def reference_wall_relation(fan, wall):
+    """The canonical wall relation solved by elimination on every wall: the
+    kernel of the lexicographically smallest independent (n-1)-subset of
+    the wall rays and the two smallest off-wall rays."""
+    a, b = wall.cone_indices
+    wall_vecs = [fan.ray(i) for i in wall.ray_indices]
+    chosen = lex_min_independent_subset(wall_vecs, fan.dim - 1)
+    tau_part = [wall.ray_indices[i] for i in chosen]
+    off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
+    off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
+    return _relation_for_rays(fan, tau_part + [off_a, off_b])
+
+
+def test_wall_relation_matches_kernel_reference(monkeypatch):
+    solved = []
+    real = mori._relation_for_rays
+
+    def counting(fan, ray_seq):
+        solved.append(ray_seq)
+        return real(fan, ray_seq)
+
+    fans = _wall_class_fans() + [validate_fan(1, [(1,), (-1,)], [[0], [1]])]
+    dual = kernel = 0
+    for f in fans:
+        for w in f.interior_walls:
+            cone_a = f.max_cones[w.cone_indices[0]]
+            simplicial = len(cone_a.ray_indices) == cone_a.dim
+            solved.clear()
+            monkeypatch.setattr(mori, "_relation_for_rays", counting)
+            rel = wall_relation(f, w)
+            monkeypatch.undo()
+            assert rel == reference_wall_relation(f, w)
+            assert all(type(c) is Fraction for c in rel.values())
+            # only a wall whose first cone is not simplicial is eliminated
+            assert len(solved) == (not simplicial)
+            dual += simplicial
+            kernel += not simplicial
+    # 233 and 95 walls at this corpus
+    assert dual >= 200 and kernel >= 80
+
+
+def _pointedness_reference(mc) -> bool:
+    return not mc.cone.generators or lineality_dim(mc.cone) == 0
+
+
+def test_is_pointed_matches_double_description_on_fulton_subdivisions():
+    # Fulton's fan and its stellar subdivisions are not quasi-projective, so
+    # pointedness is decided by the LP on the classes
+    f = corpus.fulton_fan()
+    fans = [f] + [stellar_subdivide(f, k) for k in range(len(f.max_cones))]
+    rng = random.Random(3)
+    for _ in range(5):
+        g = f
+        for _ in range(2):
+            g = stellar_subdivide(g, rng.randrange(len(g.max_cones)))
+        fans.append(g)
+    for g in fans:
+        assert not is_quasi_projective(g)[0]
+        mc = mori_cone(g, pl_basis(g))
+        assert mc.is_pointed is _pointedness_reference(mc) is False
+
+
+def test_is_pointed_lp_branch_matches_double_description(monkeypatch):
+    # with the quasi-projective shortcut withheld, the LP alone must find
+    # the pointed cones of quasi-projective fans pointed
+    monkeypatch.setattr(mori, "is_quasi_projective", lambda fan: (False, None))
+    pointed = 0
+    for f in _wall_class_fans():
+        g = fan_from_json_obj(f.to_json_obj())
+        mc = mori_cone(g, pl_basis(g))
+        assert mc.is_pointed is _pointedness_reference(mc)
+        pointed += mc.is_pointed
+    assert pointed >= 30

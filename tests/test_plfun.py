@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus
+from fanforge import corpus, plfun
 from fanforge.fan import validate_fan
 from fanforge.linalg import solve_linear, vsum
 from fanforge.plfun import (
@@ -259,3 +259,21 @@ def test_pl_json_roundtrip():
     psi = b.combine([1, 2, 3, 4])
     back = pl_from_json_obj(f31, psi.to_json_obj())
     assert back.cone_functionals == psi.cone_functionals
+
+
+@pytest.mark.parametrize("name", ["ex21", "ex31", "fulton"])
+def test_compat_row_off_the_linear_functions_is_rejected(monkeypatch, name):
+    real = plfun._compat_rows
+
+    def skewed(fan):
+        # drop the second cone's half of the first row: a global linear
+        # function no longer solves it
+        rows = real(fan)
+        n, b = fan.dim, fan.interior_walls[0].cone_indices[1]
+        row = list(rows[0])
+        row[b * n:(b + 1) * n] = [0] * n
+        return [tuple(row)] + rows[1:]
+
+    monkeypatch.setattr(plfun, "_compat_rows", skewed)
+    with pytest.raises(RuntimeError, match="must split off M"):
+        pl_basis(corpus.corpus_fan(name))

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from fanforge import corpus
 from fanforge import primcoll
 from fanforge.cones import cone_contains, cones_equal, HCone, VCone
@@ -154,7 +156,15 @@ def test_primitive_relations_match_lp_reference(monkeypatch):
         calls.append(x)
         return cone_contains(c, x)
 
+    ranks = []
+    real_rank = primcoll.rank
+
+    def counting_rank(rows):
+        ranks.append(rows)
+        return real_rank(rows)
+
     monkeypatch.setattr(primcoll, "cone_contains", counting)
+    monkeypatch.setattr(primcoll, "rank", counting_rank)
     rng = random.Random(11)
     fans = [f for _, f in corpus.paper_examples()]
     fans += [corpus.cross_fan(d) for d in (3, 4)] + [corpus.cube_fan(d) for d in (3, 4)]
@@ -167,8 +177,9 @@ def test_primitive_relations_match_lp_reference(monkeypatch):
             assert all(type(v) is Fraction for v in pr.b.values())
             assert all(type(v) is Fraction for v in pr.relation.values())
             fat += len(pr.sigma_min.ray_indices) != pr.sigma_min.dim
-    # the LP runs once for each minimal cone that is not simplicial
-    assert len(calls) == fat > 0
+    # the LP, and the rank check of its support, run once for each minimal
+    # cone that is not simplicial
+    assert len(calls) == len(ranks) == fat > 0
 
 
 def test_antipodal_pair_relation_sums_to_zero():
@@ -292,3 +303,18 @@ def test_classify_type_examples():
     f21 = corpus.split_pyramid_fan()
     for p in enumerate_primitive_collections(f21):
         assert classify_type(p, f21, f21) == TYPE_B
+
+
+def test_lp_branch_rejects_a_dependent_support(monkeypatch):
+    # the ray sum (0, 0, 1) of {0, 2, 4} lies in the square cone on rays
+    # 1-4, where 1/4 on every ray is a nonnegative combination whose
+    # support is dependent, so the LP branch cannot rely on its solver
+    # returning a basic solution
+    f = corpus.square_pyramid_fan()
+    assert primitive_relation(f, (0, 2, 4)).support == (1, 3)
+    quarter = Fraction(1, 4)
+    monkeypatch.setattr(
+        primcoll, "cone_contains", lambda c, x: (True, (quarter,) * len(c.generators))
+    )
+    with pytest.raises(RuntimeError, match="dependent support"):
+        primitive_relation(f, (0, 2, 4))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, lp, theorems
-from fanforge.cones import HCone, cone_contains, cones_equal
+from fanforge import cones, corpus, lp, theorems
+from fanforge.cones import HCone, VCone, cone_contains, cones_equal, h_to_v
 from fanforge.fan import fan_from_json_obj
 from fanforge.linalg import kernel_basis, rank, solve_linear, vsum
 from fanforge.mori import extremal_walls, mori_cone, positively_proportional, relation_dense
@@ -14,6 +14,7 @@ from fanforge.primcoll import primitive_relation, primitive_rows
 from fanforge.refine import simplicial_refinement
 from fanforge.theorems import (
     EVIDENCE,
+    FAILS,
     HOLDS,
     INAPPLICABLE,
     PASSING,
@@ -386,3 +387,93 @@ def test_tampered_lookup_certificate_fails_verification():
         bad = copy.deepcopy(r)
         bad.certificates["memberships"][i]["coeffs"] = coeffs
         assert not verify_certificates(bad)
+
+
+def reference_check_main_theorem(fan, fan_id="fan"):
+    """Both halves of the main theorem, each solved: the nef cones cut out by
+    the wall rows and by the primitive rows, converted by double
+    description, and then the Mori cone against the primitive classes.  The
+    check check_main_theorem ran before it certified the Mori half alone."""
+    basis = pl_basis(fan)
+    qp, _ = is_quasi_projective(fan)
+    d = basis.dim_pic
+    prim_rows = primitive_rows(fan, basis)
+    walls_h = HCone.make(wall_rows(fan, basis), (), d)
+    prim_h = HCone.make(prim_rows, (), d)
+    certs = []
+    bad = theorems._cones_equal_certified(h_to_v(walls_h), h_to_v(prim_h), certs)
+    if bad is None:
+        mc = mori_cone(fan, basis)
+        bad = theorems._cones_equal_certified(mc.cone, VCone.make(prim_rows, d), certs)
+    if bad is not None:
+        return theorems.TheoremReport(
+            "main-cone-equality", fan_id, FAILS,
+            f"cone equality fails at generator {[str(x) for x in bad]}",
+            {"counterexample": [str(x) for x in bad]},
+        )
+    details = "wall and primitive descriptions agree" + (
+        "" if qp else " (fan not quasi-projective: conjecture evidence only)"
+    )
+    return theorems.TheoremReport(
+        "main-cone-equality", fan_id, HOLDS if qp else EVIDENCE, details,
+        {"memberships": certs},
+    )
+
+
+def test_main_theorem_matches_two_half_reference():
+    verdicts = set()
+    for name, f in _lookup_fans():
+        new = check_main_theorem(f, name)
+        ref = reference_check_main_theorem(f, name)
+        assert (new.verdict, new.details) == (ref.verdict, ref.details), name
+        assert verify_certificates(new), name
+        # one proportional entry per interior wall, each tying the wall's
+        # row to its class
+        basis = pl_basis(f)
+        mc = mori_cone(f, basis)
+        bridge = new.certificates["proportional"]
+        assert len(bridge) == len(f.interior_walls) == len(mc.classes)
+        for p, row, cls in zip(bridge, wall_rows(f, basis), mc.classes):
+            assert p["u"] == [str(x) for x in row]
+            assert p["v"] == [str(x) for x in cls]
+        verdicts.add(new.verdict)
+    assert verdicts == {HOLDS, EVIDENCE}
+
+
+@pytest.mark.parametrize("r", [15, 16, 20])
+def test_main_theorem_beyond_the_double_description_guard(monkeypatch, r):
+    # ex22(r) has Picard rank r - 2, above the guard of 12 double
+    # description keeps; the theorem runs none in Picard space
+    f = corpus.polygon_fan(r)
+    dims = []
+    real = cones.double_description
+
+    def counting(equalities, inequalities, dim):
+        dims.append(dim)
+        return real(equalities, inequalities, dim)
+
+    # h_to_v and v_to_h look double_description up in cones
+    monkeypatch.setattr(cones, "double_description", counting)
+    rep = check_main_theorem(f, f"ex22({r})")
+    assert pl_basis(f).dim_pic == r - 2 > cones.MAX_DIM
+    assert rep.verdict == HOLDS and verify_certificates(rep)
+    assert len(rep.certificates["proportional"]) == r
+    assert all(d <= f.dim for d in dims)
+
+
+def _scale_one_u(certs):
+    p = certs["proportional"][0]
+    p["u"] = [str(2 * Fraction(x)) for x in p["u"]]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda certs: certs.pop("proportional"),
+    _scale_one_u,
+    lambda certs: certs["proportional"][0].update(scale="0"),
+], ids=["dropped", "scaled-u", "zero-scale"])
+@pytest.mark.parametrize("fan_id", ["ex21", "fulton"])
+def test_main_theorem_needs_its_wall_class_bridge(tamper, fan_id):
+    r = check_main_theorem(corpus.corpus_fan(fan_id), fan_id)
+    assert r.verdict in (HOLDS, EVIDENCE) and verify_certificates(r)
+    tamper(r.certificates)
+    assert verify_certificates(r) is False
