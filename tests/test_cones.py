@@ -71,8 +71,6 @@ def test_v_to_h_simplicial_cone_facets():
 
 
 def v_to_h_checked(gens):
-    from fanforge.cones import v_to_h
-
     h = v_to_h(VCone.make(gens))
     for g in gens:
         assert h.contains_point(g)
@@ -220,8 +218,6 @@ def _reid_coverage_cases():
 
 
 def test_hcone_covered_by_matches_region_sweep_at_reid_walls():
-    from fanforge.cones import v_to_h
-
     walls = non_pointed = dropped = 0
     for f, big, deltas in _reid_coverage_cases():
         walls += 1
@@ -268,8 +264,6 @@ def _random_pointed_cone(rng, dim):
 def test_double_description_roundtrip_random_pointed():
     # spec-level invariant: h_to_v(v_to_h(C)) reproduces the extreme rays
     rng = random.Random(20240812)
-    from fanforge.cones import v_to_h
-
     for _ in range(50):
         dim = rng.randint(2, 4)
         v = _random_pointed_cone(rng, dim)
@@ -292,8 +286,6 @@ def test_h_to_v_with_equalities():
 
 
 def v_to_h_checked_pub(v):
-    from fanforge.cones import v_to_h
-
     return v_to_h(v)
 
 
