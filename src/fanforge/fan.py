@@ -4,10 +4,12 @@ A fan is given by primitive integer ray vectors plus maximal cones as ray
 index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, cones meeting in common faces, convex
 support) and derives the face lattice, the walls with their incident
-maximal cones, and the simplicial/complete flags, reading each verdict off
-the double descriptions it computes anyway.  That the cones meet in common
-faces and cover a convex set is decided by matching the facets of the
-maximal cones, which needs no cone intersection.  Fans are immutable after
+maximal cones, the support and the simplicial/complete flags, reading each
+verdict off the double descriptions of the cones and their faces.  That the
+cones meet in common faces and cover a convex set is decided by matching
+the facets of the maximal cones in one pass, which needs no cone
+intersection and no description of the cone on all rays; the same pass
+lists the walls and the support.  Fans are immutable after
 validation and all queries are pure, so the invariants that other modules
 derive from a fan (PL basis, quasi-projectivity, Mori cone, extremal walls)
 are computed once and kept on the fan under their names.
@@ -162,28 +164,33 @@ def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo):
     return memo[indices][0]
 
 
-def _facets_match(cones: list[ConeData], rays) -> bool:
+def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], HCone]:
     """The facet-matching test of validate_fan's docstring, on maximal
-    cones that are full-dimensional and pointed with extreme rays."""
-    normals: dict[tuple[int, ...], list[Vec]] = {}
-    for c in cones:
+    cones that are full-dimensional and pointed with extreme rays.
+
+    Each facet of a maximal cone is keyed by its set of rays, with the
+    (cone index, inward normal) of every cone that has it.  Returns the
+    verdict, the facets as walls in key order and the support: the
+    halfspaces of the facets of only one cone."""
+    facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
+    for k, c in enumerate(cones):
         for u in c.facets.inequalities:
             key = tuple(i for i in c.ray_indices if vdot(u, rays[i]) == 0)
-            normals.setdefault(key, []).append(u)
-    unmatched = []
-    for us in normals.values():
-        if len(us) == 1:
-            unmatched.append(us[0])
-        elif len(us) > 2 or us[1] != vneg(us[0]):
-            return False
+            facets.setdefault(key, []).append((k, u))
+    unmatched = {ku[0][1] for ku in facets.values() if len(ku) == 1}
     x0 = vsum([rays[i] for i in cones[0].ray_indices], len(rays[0]))
-    if any(c.contains_point(x0) for c in cones[1:]):
-        return False
-    if unmatched:
-        hull = set(v_to_h(VCone.make(rays)).inequalities)
-        if any(u not in hull for u in unmatched):
-            return False
-    return True
+    matched = (
+        all(
+            len(ku) == 1 or (len(ku) == 2 and ku[1][1] == vneg(ku[0][1]))
+            for ku in facets.values()
+        )
+        and all(vdot(u, r) >= 0 for u in unmatched for r in rays)
+        and not any(c.contains_point(x0) for c in cones[1:])
+    )
+    walls = tuple(
+        Wall(key, tuple(k for k, _ in ku)) for key, ku in sorted(facets.items())
+    )
+    return matched, walls, HCone(tuple(sorted(unmatched)), (), len(rays[0]))
 
 
 def _check_pairwise_faces(cones: list[ConeData], max_face_sets, rays) -> None:
@@ -218,12 +225,13 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     three conditions hold (_facets_match), where C is the cone on all rays:
     (1) keyed by its set of rays, each facet of a maximal cone belongs to at
     most two maximal cones, and to two only with opposite inward normals
-    (it is matched); (2) each facet of only one cone has its normal among
-    C's facet normals, so it lies on the boundary of C; (3) the ray sum x0
-    of cone 0 lies in no other maximal cone.  They are necessary: in a fan
-    with convex support C each facet is an interior wall of two cones or a
-    boundary wall inside a facet of C, and x0 is interior to cone 0.  They
-    are sufficient:
+    (it is matched); (2) every ray lies in the halfspace of every facet of
+    only one cone, so that facet lies on the boundary of C: its hyperplane
+    has all of C on one side and meets C in a set of dimension dim - 1;
+    (3) the ray sum x0 of cone 0 lies in no other maximal cone.  They are
+    necessary: in a fan with convex support C each facet is an interior
+    wall of two cones or a boundary wall inside a facet of C, and x0 is
+    interior to cone 0.  They are sufficient:
 
     (a) Call a point generic if it lies on no face of dimension below
     dim - 1 of any cone and on at most one facet hyperplane, and count the
@@ -250,9 +258,12 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     each other by the above, so they are one face G, and D is inside G,
     which is inside both cones: D = G is a common face.
 
-    When the test fails, the intersection of every pair of maximal cones is
-    computed to name the violated axiom, and each FanError is the one that
-    intersection gives.
+    The walls are the facets keyed as in (1), each with its one or two
+    cones, and the support is cut out by the halfspaces of (2).  When the
+    test fails, the intersection of every pair of maximal cones is computed
+    to name the cones that overlap improperly; if every pair meets in a
+    common face, only (2) can fail, and the first ray outside one of its
+    halfspaces is named.
     """
     if type(dim) is not int or dim < 1:
         raise FanError("BadInput", "ambient dimension must be an integer of at least 1")
@@ -345,39 +356,16 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
             "BadInput", f"rays {sorted(set(range(len(rays_t))) - used)} unused"
         )
 
-    if not _facets_match(cones, rays_t):
+    matched, walls, support = _facets_match(cones, rays_t)
+    if not matched:
         _check_pairwise_faces(cones, max_face_sets, rays_t)
-
-    # walls and their incident maximal cones
-    walls = []
-    for fs in sorted(all_face_sets):
-        if faces[fs].dim != dim - 1:
-            continue
-        incident = tuple(
-            i for i in range(len(cones)) if fs in max_face_sets[i]
-        )
-        if not 1 <= len(incident) <= 2:
-            raise RuntimeError(
-                f"wall {fs} meets {len(incident)} maximal cones, not one or two"
-            )
-        walls.append(Wall(fs, incident))
-
-    # support convexity from boundary-wall halfspaces: a boundary wall is a
-    # facet of its one cone, and the inequality of that facet is its normal
-    boundary_rows = {
-        u
-        for w in walls
-        if not w.is_interior
-        for u in cones[w.cone_indices[0]].facets.inequalities
-        if all(vdot(u, rays_t[i]) == 0 for i in w.ray_indices)
-    }
-    support = HCone(tuple(sorted(boundary_rows)), (), dim)
-    for r in rays_t:
-        if not support.contains_point(r):
-            raise FanError(
-                "SupportNotConvex",
-                f"ray {r} lies outside a boundary-wall halfspace",
-            )
+        for r in rays_t:
+            if not support.contains_point(r):
+                raise FanError(
+                    "SupportNotConvex",
+                    f"ray {r} lies outside a boundary-wall halfspace",
+                )
+        raise RuntimeError("facet matching failed on cones that meet in faces")
 
     return Fan(
         dim,
@@ -385,7 +373,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
         tuple(cones),
         faces,
         tuple(max_face_sets),
-        tuple(walls),
+        walls,
         support,
     )
 

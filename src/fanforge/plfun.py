@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .cones import cones_equal
 from .fan import Fan, Wall, contained_in_single_cone
 from .linalg import (
     Vec,
@@ -276,9 +275,12 @@ def refinement_cone_map(fine: Fan, coarse: Fan) -> list[int]:
     """For each fine maximal cone, the coarse maximal cone containing it.
 
     Raises NotARefinement unless every fine cone fits in a coarse cone and
-    the supports agree (so the fine cones cover the coarse fan exactly)."""
+    the supports agree (so the fine cones cover the coarse fan exactly).
+    A valid fan's support is the cone on all its rays, kept as its sorted
+    primitive facet normals, so on the same rays the supports are equal
+    exactly when those normals are."""
     refinement_ray_map(fine, coarse)
-    if not cones_equal(fine.support, coarse.support):
+    if fine.support != coarse.support:
         raise NotARefinement("supports differ")
     cmap = []
     for c in fine.max_cones:

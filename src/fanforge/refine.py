@@ -4,7 +4,9 @@ Each maximal cone is sliced by the hyperplane <m_sigma, x> = 1, its ray
 points are scaled by weights in (0,1] (weight exactly 1 on a designated ray
 set, so those rays stay on the slice and span a cone of the result), and
 the facets of the convex hull of the scaled points and the origin that miss
-the origin project to a subdivision of the cone.  Generic weights make
+the origin project to a subdivision of the cone.  Those facets are read off
+one double description of the cone over the hull, lifted to height 1 (De
+Loera, Rambau and Santos, Triangulations, 2010).  Generic weights make
 every such facet a simplex; degenerate draws are detected exactly and
 retried.  The quasi-projective variant takes its slice functionals from a
 strictly convex function, which makes the per-cone subdivisions agree on
@@ -20,9 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import pulling_triangulation
+from .cones import VCone, pulling_triangulation, v_to_h
 from .fan import Fan, ConeData, FanError, validate_fan
-from .linalg import Vec, det, kernel_basis, rank, vadd, vdot, vneg, vscale, vsum
+from .linalg import Vec, det, rank, vadd, vdot, vscale, vsum
 from . import lp
 from .plfun import (
     PLFunction,
@@ -97,36 +99,27 @@ def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tupl
     """Subdivide one cone: ray index tuples of the cones over the non-origin
     facets of conv(0, weighted slice points).
 
-    Facets are found by exhausting hyperplanes through affinely independent
-    n-subsets of the points; a supporting hyperplane with more than n points
-    on it means the weights were not generic (Degenerate).
+    The facets are read off one double description of the cone over the
+    lifted points (p_i, 1) and (0, 1): an inequality whose last entry is
+    positive misses the origin, and the points tight at it span a cone of
+    the subdivision.  A facet with more than n points on it means the
+    weights were not generic (Degenerate).
     """
     n = fan.dim
     idx = cone.ray_indices
     if len(idx) == n:
         return [tuple(idx)]
     pts = slice_points(fan, cone, m, weights)
-    facets = set()
-    for sub in itertools.combinations(idx, n):
-        rows = [list(pts[t]) + [-1] for t in sub]
-        ker = kernel_basis(rows, n + 1)
-        if len(ker) != 1:
-            continue  # affinely dependent subset
-        u, c = ker[0][:n], ker[0][n]
-        if c == 0:
-            continue  # hyperplane through the origin
-        if c < 0:
-            u, c = vneg(u), -c
-        vals = {j: vdot(u, pts[j]) for j in idx}
-        if any(v > c for v in vals.values()):
-            continue  # not supporting
-        tight = tuple(sorted(j for j in idx if vals[j] == c))
+    lifted = [pts[i] + (1,) for i in idx] + [(0,) * n + (1,)]
+    out = []
+    for u in v_to_h(VCone.make(lifted)).inequalities:
+        if u[n] <= 0:
+            continue  # a facet through the origin
+        tight = tuple(i for i, p in zip(idx, lifted) if vdot(u, p) == 0)
         if len(tight) > n:
-            raise Degenerate(
-                f"facet with {len(tight)} vertices in cone {idx}"
-            )
-        facets.add(tight)
-    out = sorted(facets)
+            raise Degenerate(f"facet with {len(tight)} vertices in cone {idx}")
+        out.append(tight)
+    out.sort()
     if any(rank([fan.ray(i) for i in f]) != n for f in out):
         raise RuntimeError(f"a subdivision cone of {idx} is not full-dimensional")
     return out

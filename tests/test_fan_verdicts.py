@@ -7,7 +7,9 @@ compare the support's facet normals on non-complete convex fans with the
 kernel of each boundary wall oriented towards its cone, and with the
 orthant inequalities that cut the fan out.  The facet-matching test that
 accepts fans is checked against the pairwise intersection of maximal cones,
-which is kept here as the reference.
+and the walls and support it reads off the facets against a scan of every
+face against every cone and the boundary walls' rows; both are kept here
+as references.
 """
 
 import hashlib
@@ -196,13 +198,73 @@ def matching_inputs():
             yield drop_cone(f, k)
 
 
+def reference_walls_and_support(fan):
+    """Each face of dimension dim - 1 with the maximal cones that have it
+    among their faces, and the support's normals: the inequalities of each
+    boundary wall's one cone that vanish on the wall."""
+    walls = []
+    for fs in sorted(fan.faces):
+        if fan.faces[fs].dim == fan.dim - 1:
+            incident = tuple(
+                k for k, sets in enumerate(fan.max_face_sets) if fs in sets
+            )
+            assert 1 <= len(incident) <= 2
+            walls.append((fs, incident))
+    rows = {
+        u
+        for fs, incident in walls
+        if len(incident) == 1
+        for u in fan.max_cones[incident[0]].facets.inequalities
+        if all(vdot(u, fan.ray(i)) == 0 for i in fs)
+    }
+    return walls, tuple(sorted(rows))
+
+
+def test_walls_and_support_match_face_scan_reference():
+    accepted = 0
+    for args in matching_inputs():
+        try:
+            f = validate_fan(*args)
+        except FanError:
+            continue
+        accepted += 1
+        walls, support = reference_walls_and_support(f)
+        assert [(w.ray_indices, w.cone_indices) for w in f.walls] == walls
+        assert f.support.inequalities == support
+        assert f.support.equalities == ()
+    assert accepted >= 150
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_accepted_non_complete_fans_describe_only_their_faces(monkeypatch, dim):
+    # the support is read off the facets of the maximal cones: validation
+    # describes no cone but the fan's own cones and faces, not even the
+    # cone on all rays
+    described = []
+    real = fanmod.v_to_h
+
+    def recording(c):
+        described.append(c.generators)
+        return real(c)
+
+    monkeypatch.setattr(fanmod, "v_to_h", recording)
+    for bounded in sorted({dim, 1, 2}):
+        described.clear()
+        f = convex_part(dim, bounded)
+        assert not f.is_complete
+        index = {r: i for i, r in enumerate(f.rays)}
+        sets = {tuple(sorted(index[g] for g in gens)) for gens in described}
+        assert sets <= set(f.faces)
+
+
 def test_facet_matching_accepts_only_fans_whose_cones_meet_in_faces(monkeypatch):
     verdicts = []
     real = fanmod._facets_match
 
     def spy(cones, rays):
-        verdicts.append(real(cones, rays))
-        return verdicts[-1]
+        result = real(cones, rays)
+        verdicts.append(result[0])
+        return result
 
     monkeypatch.setattr(fanmod, "_facets_match", spy)
     tested = accepted = 0

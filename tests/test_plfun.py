@@ -232,6 +232,22 @@ def test_coarse_membership_pullback_and_refusal():
     assert not coarse_membership(witness, coarse)
 
 
+def test_coarse_membership_computes_no_double_description(monkeypatch):
+    # on the same rays both supports are the cone on all rays, so comparing
+    # their facet normals needs no generators
+    from fanforge import cones
+    from fanforge.refine import simplicial_refinement
+
+    coarse = corpus.square_pyramid_fan()
+    fine = simplicial_refinement(coarse, (2, 4), seed=0).fine
+    phi = pl_from_ray_values(fine, pl_basis(coarse).combine([1, 2, 3, 4]).ray_values())
+    calls = []
+    real = cones.h_to_v
+    monkeypatch.setattr(cones, "h_to_v", lambda c: calls.append(c) or real(c))
+    assert coarse_membership(phi, coarse)
+    assert calls == []
+
+
 def test_refinement_cone_map_rejects_unrelated():
     with pytest.raises(NotARefinement):
         refinement_cone_map(corpus.polygon_fan(4), corpus.split_pyramid_fan())

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from fanforge import corpus
 from fanforge.cones import HCone, VCone, cones_equal, intersect_hcones, v_to_h
 from fanforge.fan import fans_equal, validate_fan
-from fanforge.linalg import kernel_basis, vec
+from fanforge.linalg import kernel_basis, rank, vdot, vec, vneg
 from fanforge.plfun import is_quasi_projective
 from fanforge.refine import (
     Degenerate,
@@ -17,11 +18,12 @@ from fanforge.refine import (
     interior_dual_point,
     qp_refinement,
     simplicial_refinement,
+    slice_points,
     strictly_convex_relative,
     supported_refinement,
     weighted_subdivision,
 )
-from fanforge.theorems import random_complete_fan
+from fanforge.theorems import random_complete_fan, stellar_subdivide
 
 
 def test_interior_dual_point_first_orthant():
@@ -69,6 +71,78 @@ def test_weighted_subdivision_equal_weights_degenerate():
     m = interior_dual_point(f, fat)
     with pytest.raises(Degenerate):
         weighted_subdivision(f, fat, m, [Fraction(2, 3)] * 5)
+
+
+def reference_weighted_subdivision(fan, cone, m, weights):
+    """The non-origin facets of conv(0, weighted slice points), found by
+    exhausting the hyperplanes through affinely independent n-subsets of
+    the points; more than n points on a supporting hyperplane is
+    Degenerate."""
+    n = fan.dim
+    idx = cone.ray_indices
+    if len(idx) == n:
+        return [tuple(idx)]
+    pts = slice_points(fan, cone, m, weights)
+    facets = set()
+    for sub in itertools.combinations(idx, n):
+        ker = kernel_basis([list(pts[t]) + [-1] for t in sub], n + 1)
+        if len(ker) != 1:
+            continue  # affinely dependent subset
+        u, c = ker[0][:n], ker[0][n]
+        if c == 0:
+            continue  # hyperplane through the origin
+        if c < 0:
+            u, c = vneg(u), -c
+        vals = {j: vdot(u, pts[j]) for j in idx}
+        if any(v > c for v in vals.values()):
+            continue  # not supporting
+        tight = tuple(sorted(j for j in idx if vals[j] == c))
+        if len(tight) > n:
+            raise Degenerate(f"facet with {len(tight)} vertices in cone {idx}")
+        facets.add(tight)
+    out = sorted(facets)
+    assert all(rank([fan.ray(i) for i in f]) == n for f in out)
+    return out
+
+
+def _subdivision_or_degenerate(subdivide, *args):
+    try:
+        return subdivide(*args)
+    except Degenerate:
+        return Degenerate
+
+
+def test_weighted_subdivision_matches_subset_reference():
+    rng = random.Random(5)
+    cube3 = corpus.cube_fan(3)
+    fans = [cube3, corpus.cube_fan(4), corpus.square_pyramid_fan()]
+    fans += [stellar_subdivide(cube3, k) for k in (0, 3)]
+    fans.append(stellar_subdivide(fans[-1], 7))
+    compared = degenerate = 0
+    for f in fans:
+        for cone in f.max_cones:
+            if len(cone.ray_indices) == f.dim:
+                continue
+            m = interior_dual_point(f, cone)
+            draws = [
+                [Fraction(rng.randrange(1, 10**6), 10**6) for _ in f.rays]
+                for _ in range(3)
+            ]
+            draws += [
+                [rng.choice((Fraction(1, 2), Fraction(2, 3), 1)) for _ in f.rays]
+                for _ in range(3)
+            ]
+            for w in draws:
+                got = _subdivision_or_degenerate(weighted_subdivision, f, cone, m, w)
+                want = _subdivision_or_degenerate(
+                    reference_weighted_subdivision, f, cone, m, w
+                )
+                assert got == want
+                compared += 1
+                degenerate += got is Degenerate
+    # 180 comparisons, 37 of them Degenerate: generic draws subdivide and
+    # about two in five coarse ones do not
+    assert compared >= 150 and 20 <= degenerate <= compared // 2
 
 
 def test_refinement_reproduces_split_pyramid():
