@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from fanforge import cli, corpus
+from fanforge import cli, cones, corpus
+from fanforge import fan as fanmod
 from fanforge.fan import fan_from_json_obj, fans_equal
 
 
@@ -200,6 +201,21 @@ def test_validate_dimension_above_guard_is_invalid_fan(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--fan", str(p))
     assert code == 2
     assert "invalid fan: BadInput: ambient dimension 13 exceeds the 12 guard" in err
+
+
+@pytest.mark.parametrize("qp", [False, True], ids=["plain", "qp"])
+def test_refine_at_the_dimension_guard(monkeypatch, capsys, qp):
+    # subdividing a non-simplicial cone lifts its slice points one dimension
+    # up, so a fan at the guard's dimension validates but cannot be refined.
+    # The guard is lowered to 3 here, where ex31 is cheap; at the real guard
+    # of 12 the cheapest such fan takes seconds to validate
+    monkeypatch.setattr(cones, "MAX_DIM", 3)
+    monkeypatch.setattr(fanmod, "MAX_DIM", 3)
+    code, _, _ = run_cli(capsys, "validate", "--fan", "corpus:ex31")
+    assert code == 0
+    code, out, err = run_cli(capsys, "refine", "--fan", "corpus:ex31", *(["--qp"] if qp else []))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "cannot refine: ambient dimension 4 exceeds the 3 guard" in err
 
 
 @pytest.mark.parametrize("fan", ["ex22:15", "ex22:16"])
