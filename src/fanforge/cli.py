@@ -7,8 +7,8 @@ suite, and the built-in corpus.  Fans travel as JSON
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
 failures, 2 invalid fan (also one above the dimension guard of 12, and a
 fan of dimension 12 whose refinement would lift a non-simplicial cone
-above it), 3 parse error, 4 usage (also a FANFORGE_SEED that is not an integer and an output
-path that cannot be written).
+above it), 3 parse error, 4 usage (also a FANFORGE_SEED that is not an
+integer and an output path that cannot be written).
 """
 
 from __future__ import annotations
