@@ -5,10 +5,9 @@ Mori/nef cone reports, quasi-projectivity, refinement, the verification
 suite, and the built-in corpus.  Fans travel as JSON
 {"dim": n, "rays": [[..]], "max_cones": [[..]]} with 0-based ray indices;
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
-failures, 2 invalid fan (also one above the dimension guard of 12, and a
-fan of dimension 12 whose refinement would lift a non-simplicial cone
-above it), 3 parse error, 4 usage (also a FANFORGE_SEED that is not an
-integer and an output path that cannot be written).
+failures, 2 invalid fan (also one above the dimension guard of 12), 3 parse
+error, 4 usage (also a FANFORGE_SEED that is not an integer and an output
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, mori, plfun, primcoll, refine, theorems
-from .cones import DimensionTooLarge, VCone, cone_contains
+from .cones import VCone, cone_contains
 from .fan import Fan, FanError, fan_from_json_obj
 from .linalg import format_rational, primitivize, rref, vneg
 
@@ -329,10 +328,6 @@ def cmd_refine(args) -> int:
     except refine.PNotIndependent as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DimensionTooLarge as e:
-        # weighted_subdivision runs double description one dimension up
-        print(f"error: cannot refine: {e}", file=sys.stderr)
-        return EXIT_INVALID_FAN
     fan_json = json.dumps(r.fine.to_json_obj())
     sidecar = json.dumps({
         "weights": {

@@ -94,7 +94,7 @@ def _check_dim(n: int):
 
 
 def double_description(
-    equalities, inequalities, dim: int
+    equalities, inequalities, dim: int, lifted: bool = False
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Extreme rays and lineality of {x : E x = 0, A x >= 0}.
 
@@ -114,8 +114,12 @@ def double_description(
     set has too few rows to reach that rank is skipped first.  The lines
     always span the kernel of E and the inserted rows, so that kernel has
     rank dim - len(lines).
+
+    With lifted, the last coordinate homogenizes points of dimension
+    dim - 1, and the guard applies to that dimension: a fan at the guard
+    can still lift its slice points one coordinate up.
     """
-    _check_dim(dim)
+    _check_dim(dim - 1 if lifted else dim)
     eq_rows = [e for e in equalities if not is_zero_vec(e)]
     if eq_rows:
         lines = [primitivize(l) for l in kernel_basis(eq_rows, dim)]
@@ -205,10 +209,10 @@ def h_to_v(c: HCone) -> VCone:
     return VCone(tuple(gens), c.ambient_dim)
 
 
-def v_to_h(c: VCone) -> HCone:
-    """Exact facet description via the dual cone's double description."""
-    _check_dim(c.ambient_dim)
-    lines, rays = double_description((), c.generators, c.ambient_dim)
+def v_to_h(c: VCone, lifted: bool = False) -> HCone:
+    """Exact facet description via the dual cone's double description
+    (lifted as in double_description)."""
+    lines, rays = double_description((), c.generators, c.ambient_dim, lifted)
     return HCone(tuple(sorted(rays)), tuple(sorted(lines)), c.ambient_dim)
 
 

@@ -112,7 +112,7 @@ def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tupl
     pts = slice_points(fan, cone, m, weights)
     lifted = [pts[i] + (1,) for i in idx] + [(0,) * n + (1,)]
     out = []
-    for u in v_to_h(VCone.make(lifted)).inequalities:
+    for u in v_to_h(VCone.make(lifted), lifted=True).inequalities:
         if u[n] <= 0:
             continue  # a facet through the origin
         tight = tuple(i for i, p in zip(idx, lifted) if vdot(u, p) == 0)

@@ -203,19 +203,22 @@ def test_validate_dimension_above_guard_is_invalid_fan(tmp_path, capsys):
     assert "invalid fan: BadInput: ambient dimension 13 exceeds the 12 guard" in err
 
 
-@pytest.mark.parametrize("qp", [False, True], ids=["plain", "qp"])
-def test_refine_at_the_dimension_guard(monkeypatch, capsys, qp):
-    # subdividing a non-simplicial cone lifts its slice points one dimension
-    # up, so a fan at the guard's dimension validates but cannot be refined.
-    # The guard is lowered to 3 here, where ex31 is cheap; at the real guard
-    # of 12 the cheapest such fan takes seconds to validate
+@pytest.mark.parametrize("argv", [
+    ("refine",),
+    ("refine", "--qp"),
+    ("verify",),
+    ("verify", "--theorem", "type-a-subspace"),
+], ids=["refine", "refine-qp", "verify", "verify-type-a"])
+def test_fan_at_the_dimension_guard_refines_and_verifies(monkeypatch, capsys, argv):
+    # a refinement lifts each non-simplicial cone's slice points one
+    # coordinate up, and the guard bounds the fan's dimension, not the lift's.
+    # The guard is lowered to the dimension of ex31 here, where this is cheap;
+    # a dimension-12 fan with a non-simplicial cone takes seconds
+    expected = run_cli(capsys, *argv, "--fan", "corpus:ex31")
+    assert expected[0] == 0 and "Traceback" not in expected[2]
     monkeypatch.setattr(cones, "MAX_DIM", 3)
     monkeypatch.setattr(fanmod, "MAX_DIM", 3)
-    code, _, _ = run_cli(capsys, "validate", "--fan", "corpus:ex31")
-    assert code == 0
-    code, out, err = run_cli(capsys, "refine", "--fan", "corpus:ex31", *(["--qp"] if qp else []))
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert "cannot refine: ambient dimension 4 exceeds the 3 guard" in err
+    assert run_cli(capsys, *argv, "--fan", "corpus:ex31") == expected
 
 
 @pytest.mark.parametrize("fan", ["ex22:15", "ex22:16"])

@@ -19,7 +19,7 @@ from fanforge.cones import (
     pulling_triangulation,
     v_to_h,
 )
-from fanforge import corpus
+from fanforge import cones, corpus
 from fanforge.linalg import det, kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.mori import extremal_walls, wall_relation
 from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
@@ -90,6 +90,15 @@ def test_roundtrip_square_cone():
 def test_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         h_to_v(HCone.make([tuple([1] + [0] * 12)]))
+
+
+def test_lifted_description_is_guarded_at_the_points_dimension(monkeypatch):
+    lifted = VCone.make([p + (1,) for p in SQUARE_TOP] + [(0, 0, 0, 1)])
+    expected = v_to_h(lifted)
+    monkeypatch.setattr(cones, "MAX_DIM", 3)
+    with pytest.raises(DimensionTooLarge):
+        v_to_h(lifted)
+    assert v_to_h(lifted, lifted=True) == expected
 
 
 def test_cone_contains_origin():
