@@ -122,11 +122,9 @@ def cmd_validate(args) -> int:
 
 def cmd_prim(args) -> int:
     f = _load_fan(args.fan)
-    rows = []
-    for p in primcoll.enumerate_primitive_collections(f):
-        pr = primcoll.primitive_relation(f, p)
-        rows.append(pr)
-        if not args.json:
+    rows = list(primcoll.primitive_relations(f).values())
+    if not args.json:
+        for pr in rows:
             pstr = ",".join(map(str, pr.collection))
             sstr = ",".join(map(str, pr.sigma_min.ray_indices))
             bstr = ",".join(
@@ -220,11 +218,9 @@ def _nef_report(f: Fan) -> dict:
     from .linalg import kernel_basis
 
     pinned = list(f.max_cones[0].ray_indices)
-    collections = primcoll.enumerate_primitive_collections(f)
-    raw_rows = []
-    for p in collections:
-        pr = primcoll.primitive_relation(f, p)
-        raw_rows.append(mori.relation_dense(f, pr.relation))
+    relations = primcoll.primitive_relations(f)
+    collections = list(relations)
+    raw_rows = [mori.relation_dense(f, pr.relation) for pr in relations.values()]
     # linear conditions cutting the function space inside ray-value space
     # (nontrivial only for non-simplicial fans)
     membership = kernel_basis(plfun.pl_basis(f).ray_values, f.n_rays)

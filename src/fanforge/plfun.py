@@ -18,6 +18,7 @@ from .fan import Fan, Wall, contained_in_single_cone
 from .linalg import (
     Vec,
     kernel_basis,
+    rref,
     vadd,
     vscale,
     vdot,
@@ -214,21 +215,55 @@ def pl_basis(fan: Fan) -> PLBasis:
 def _solve_pl_basis(fan: Fan) -> PLBasis:
     n = fan.dim
     k = len(fan.max_cones)
-    compat = _compat_rows(fan)
     # a global linear functional is one unit vector on every cone; the
     # quotient is pinned by the first cone's functional
     units = [tuple(int(j == d) for j in range(n)) for d in range(n)]
     lin = tuple(PLFunction(fan, (u,) * k) for u in units)
+    if fan.is_simplicial:
+        stacked = _dual_basis_quotient(fan)
+    else:
+        stacked = _stacked_quotient(fan, units)
+    quotient = [_stacked_to_pl(fan, s) for s in stacked]
+    ray_values = tuple(zip(*fan.rays)) + tuple(f.ray_values() for f in quotient)
+    return PLBasis(fan, lin, tuple(quotient), ray_values)
+
+
+def _stacked_quotient(fan: Fan, units) -> list[Vec]:
+    """The kernel of the wall-compatibility rows plus the first-cone pin."""
+    n = fan.dim
+    k = len(fan.max_cones)
+    compat = _compat_rows(fan)
     pin = [u + (0,) * (n * (k - 1)) for u in units]
     # the pin, the identity on global linear functions, splits them off iff
     # every row vanishes on them
     if any(sum(row[d::n]) != 0 for row in compat for d in range(n)):
         raise RuntimeError("first-cone pinning must split off M")
-    quotient = [
-        _stacked_to_pl(fan, s) for s in kernel_basis(compat + pin, k * n)
-    ]
-    ray_values = tuple(zip(*fan.rays)) + tuple(f.ray_values() for f in quotient)
-    return PLBasis(fan, lin, tuple(quotient), ray_values)
+    return kernel_basis(compat + pin, k * n)
+
+
+def _dual_basis_quotient(fan: Fan) -> list[Vec]:
+    """Simplicial fans: the same basis as _stacked_quotient, with no
+    compatibility system.
+
+    For each ray j outside the first cone, the function with value 1 at j
+    and 0 at every other ray is d_j on each cone containing j (its dual
+    basis functional there) and 0 elsewhere; these functions span the
+    kernel.  kernel_basis returns the kernel's reduced basis: one vector
+    per free column f, with 1 at f and 0 at the other free columns.  A
+    column is free exactly when some kernel vector has its last nonzero
+    entry there, so the free columns are the pivots of the spanning rows
+    read right to left, and the reduced row echelon form of the reversed
+    rows, which is unique, is that basis reversed."""
+    n = fan.dim
+    first = set(fan.max_cones[0].ray_indices)
+    width = len(fan.max_cones) * n
+    rows = {j: [0] * width for j in range(fan.n_rays) if j not in first}
+    for k, c in enumerate(fan.max_cones):
+        for j, d in zip(c.ray_indices, c.dual_basis(fan.rays)):
+            if j in rows:
+                rows[j][k * n:(k + 1) * n] = d
+    red, _ = rref([row[::-1] for row in rows.values()])
+    return [row[::-1] for row in reversed(red)]
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:

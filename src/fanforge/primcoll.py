@@ -12,8 +12,10 @@ read off the cone's facet normals; an exact LP finds them otherwise.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cones import HCone, VCone, cone_contains
 from .fan import Fan, ConeData, contained_in_single_cone, generates_cone, minimal_cone_containing
@@ -116,11 +118,19 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     return PrimitiveRelation(p, sigma, support, b, relation)
 
 
+def primitive_relations(fan: Fan) -> Mapping[PrimitiveCollection, PrimitiveRelation]:
+    """Every primitive collection's relation, keyed by the collection in
+    enumerate_primitive_collections order; derived once per fan."""
+    return fan.derived("primitive_relations", lambda: MappingProxyType({
+        p: primitive_relation(fan, p) for p in enumerate_primitive_collections(fan)
+    }))
+
+
 def primitive_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
     """One inequality row per primitive collection over quotient_basis."""
     return [
-        relation_row(fan, primitive_relation(fan, p).relation, basis)
-        for p in enumerate_primitive_collections(fan)
+        relation_row(fan, r.relation, basis)
+        for r in primitive_relations(fan).values()
     ]
 
 

@@ -11,7 +11,10 @@ every such facet a simplex; degenerate draws are detected exactly and
 retried.  The quasi-projective variant takes its slice functionals from a
 strictly convex function, which makes the per-cone subdivisions agree on
 shared faces by construction and yields a function strictly convex relative
-to the coarse fan.
+to the coarse fan.  The pulled-back coarse function plus a small enough
+multiple of that one is strictly convex on the fine fan (the lifting
+argument of the same book), so the refined fan's quasi-projectivity is
+certified by construction and needs no LP.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .linalg import Vec, det, rank, vadd, vdot, vscale, vsum
 from . import lp
 from .plfun import (
     PLFunction,
-    is_quasi_projective,
     is_strictly_convex,
+    pl_from_cone_functionals,
     pl_from_ray_values,
     wall_functional,
 )
@@ -224,10 +227,46 @@ def qp_refinement(
     phi_fine = pl_from_ray_values(fine, vals)
     if not strictly_convex_relative(phi_fine, refinement):
         raise RuntimeError("the fine function must be strictly convex relative to the fan")
-    ok, _ = is_quasi_projective(fine)
-    if not ok:
+    if not is_strictly_convex(_fine_certificate(refinement, shifted, phi_fine)):
         raise RuntimeError("the refined fan must stay quasi-projective")
     return refinement, phi_fine
+
+
+def _fine_certificate(
+    r: Refinement, shifted: PLFunction, phi_fine: PLFunction
+) -> PLFunction:
+    """A strictly convex function on the fine fan, pull + eps * phi_fine.
+
+    pull is shifted pulled back: fine cone j takes the functional of its
+    coarse cone cone_map[j].  Let a_w and b_w be the wall functionals of
+    pull and phi_fine on a fine interior wall w.  Two fine cones in one
+    coarse cone carry the same functional of pull, so a wall inside a coarse
+    cone has a_w = 0, and b_w > 0 because phi_fine is strictly convex
+    relative to the coarse fan.  A wall between two coarse cones lies in a
+    coarse interior wall and spans its hyperplane, and the fine off-wall
+    vector lies strictly on the first coarse cone's side, so a_w > 0 because
+    shifted is strictly convex.  With eps the least a_w / (2 |b_w|) over the
+    walls where b_w < 0 (or 1 if there is none), a_w + eps * b_w is at least
+    a_w / 2 > 0 there and positive elsewhere: the wall functional is linear
+    in the function, so the sum is strictly convex on every fine wall.
+    pl_from_cone_functionals re-checks wall compatibility exactly."""
+    fine = r.fine
+    pull = PLFunction(
+        fine, tuple(shifted.cone_functionals[k] for k in r.cone_map)
+    )
+    ratios = []
+    for w in fine.interior_walls:
+        b = wall_functional(fine, w, phi_fine)
+        if b < 0:
+            ratios.append(Fraction(wall_functional(fine, w, pull), -2 * b))
+    eps = min(ratios, default=Fraction(1))
+    return pl_from_cone_functionals(
+        fine,
+        [
+            vadd(m, vscale(eps, f))
+            for m, f in zip(pull.cone_functionals, phi_fine.cone_functionals)
+        ],
+    )
 
 
 def supported_refinement(fan: Fan, collection, seed: int = 0) -> Refinement:

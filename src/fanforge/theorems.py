@@ -165,7 +165,7 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
                 {"counterexample": list(p)},
                 time.perf_counter() - t0,
             )
-        a_p = relation_dense(fan, primcoll.primitive_relation(fan, p).relation)
+        a_p = relation_dense(fan, primcoll.primitive_relations(fan)[p].relation)
         a_t = relation_dense(fan, rel)
         if not positively_proportional(a_p, a_t):
             return TheoremReport(

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +36,19 @@ def test_validate_summary(capsys):
     code, out, _ = run_cli(capsys, "validate", "--fan", "corpus:ex21")
     assert code == 0
     assert "simplicial=yes" in out and "interior_walls=9" in out
+
+
+def test_module_entry_point_runs_from_a_checkout(capsys):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["validate", "--fan", "corpus:ex21"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanforge", *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_validate_corrupted_fan(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fanforge import corpus, plfun
 from fanforge.fan import validate_fan
-from fanforge.linalg import solve_linear, vsum
+from fanforge.linalg import kernel_basis, solve_linear, vdot, vsum
 from fanforge.plfun import (
     NonSimplicialFan,
     NotARefinement,
@@ -21,7 +21,7 @@ from fanforge.plfun import (
     refinement_cone_map,
     wall_functional,
 )
-from fanforge.refine import qp_refinement
+from fanforge.refine import qp_refinement, simplicial_refinement
 from fanforge.theorems import random_complete_fan
 
 
@@ -291,5 +291,76 @@ def test_compat_row_off_the_linear_functions_is_rejected(monkeypatch, name):
         return [tuple(row)] + rows[1:]
 
     monkeypatch.setattr(plfun, "_compat_rows", skewed)
+    fan = corpus.corpus_fan(name)
+    # simplicial fans read their basis off dual bases; force the stacked
+    # system, which is what non-simplicial fans solve
+    monkeypatch.setattr(fan, "is_simplicial", False)
     with pytest.raises(RuntimeError, match="must split off M"):
-        pl_basis(corpus.corpus_fan(name))
+        pl_basis(fan)
+
+
+def reference_pl_basis(fan):
+    """The quotient basis as the kernel of the stacked wall-compatibility
+    system plus the first-cone pin, by one elimination: (quotient cone
+    functionals, basis ray-value table, Picard rank)."""
+    n, k = fan.dim, len(fan.max_cones)
+    rows = []
+    for w in fan.interior_walls:
+        a, b = w.cone_indices
+        for i in w.ray_indices:
+            row = [0] * (k * n)
+            row[a * n:(a + 1) * n] = fan.ray(i)
+            row[b * n:(b + 1) * n] = [-x for x in fan.ray(i)]
+            rows.append(row)
+    rows += [[int(c == d) for c in range(k * n)] for d in range(n)]
+    quotient = [
+        tuple(tuple(s[j * n:(j + 1) * n]) for j in range(k))
+        for s in kernel_basis(rows, k * n)
+    ]
+    ray_values = tuple(zip(*fan.rays)) + tuple(
+        tuple(vdot(ms[fan.ray_cone[i]], fan.ray(i)) for i in range(fan.n_rays))
+        for ms in quotient
+    )
+    return quotient, ray_values, len(quotient)
+
+
+def _simplicial_basis_corpus():
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cross_fan(d) for d in (2, 3, 4)] + [corpus.cube_fan(2)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    refined = []
+    for k, f in enumerate(fans):
+        refined.append(simplicial_refinement(f, (), seed=k).fine)
+        ok, witness = is_quasi_projective(f)
+        if ok:
+            refined.append(qp_refinement(f, (), witness, seed=k)[0].fine)
+    return [f for f in fans + refined if f.is_simplicial]
+
+
+def test_simplicial_pl_basis_matches_stacked_reference():
+    fans = _simplicial_basis_corpus()
+    for f in fans:
+        b = pl_basis(f)
+        quotient, ray_values, dim_pic = reference_pl_basis(f)
+        assert [q.cone_functionals for q in b.quotient_basis] == quotient
+        assert all(
+            type(x) is Fraction for q in b.quotient_basis
+            for m in q.cone_functionals for x in m
+        )
+        assert b.ray_values == ray_values
+        assert b.dim_pic == dim_pic
+    assert len(fans) >= 60
+
+
+def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):
+    calls = []
+    real = plfun.kernel_basis
+    monkeypatch.setattr(
+        plfun, "kernel_basis", lambda *a: calls.append(a) or real(*a)
+    )
+    for f in (corpus.split_pyramid_fan(), corpus.fulton_fan(), corpus.cross_fan(4)):
+        pl_basis(f)
+    assert calls == []
+    pl_basis(corpus.cube_fan(3))
+    assert len(calls) == 1

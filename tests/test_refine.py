@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus
+from fanforge import corpus, lp, refine
 from fanforge.cones import HCone, VCone, cones_equal, intersect_hcones, v_to_h
 from fanforge.fan import fans_equal, validate_fan
 from fanforge.linalg import kernel_basis, rank, vdot, vec, vneg
-from fanforge.plfun import is_quasi_projective
+from fanforge.plfun import is_quasi_projective, is_strictly_convex, pl_from_cone_functionals
 from fanforge.refine import (
     Degenerate,
     NotStrictlyConvex,
@@ -199,6 +199,52 @@ def test_qp_refinement_on_nonsimplicial_fan():
     assert strictly_convex_relative(phi, r)
     ok_fine, _ = is_quasi_projective(r.fine)
     assert ok_fine
+
+
+def _qp_nonsimplicial_corpus():
+    """The quasi-projective non-simplicial fans of the paper examples, the
+    dimension-3 cube fan, its stellar subdivisions at one cone and 20
+    seed-11 random fans, each with its witness."""
+    rng = random.Random(11)
+    cube3 = corpus.cube_fan(3)
+    fans = [f for _, f in corpus.paper_examples()] + [cube3]
+    fans += [stellar_subdivide(cube3, k) for k in range(6)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    out = []
+    for f in fans:
+        if not f.is_simplicial:
+            ok, witness = is_quasi_projective(f)
+            if ok:
+                out.append((f, witness))
+    return out
+
+
+def test_qp_refinement_certifies_the_fine_fan_without_a_second_lp(monkeypatch):
+    calls, certs = [], []
+    solve, certify = lp.strict_feasible, refine._fine_certificate
+    monkeypatch.setattr(
+        lp, "strict_feasible", lambda *a: calls.append(a) or solve(*a)
+    )
+    monkeypatch.setattr(
+        refine, "_fine_certificate", lambda *a: certs.append(certify(*a)) or certs[-1]
+    )
+    refined = 0
+    for f, witness in _qp_nonsimplicial_corpus():
+        for seed in range(3):
+            calls.clear()
+            r, _ = qp_refinement(f, (), witness, seed=seed)
+            # the lift of the witness is the only LP
+            assert len(calls) == 1
+            cert = certs[-1]
+            assert cert.fan is r.fine
+            pl_from_cone_functionals(r.fine, cert.cone_functionals)
+            assert is_strictly_convex(cert)
+            # the certificate is not kept: the oracle still solves its LP
+            calls.clear()
+            assert is_quasi_projective(r.fine)[0]
+            assert len(calls) == 1
+            refined += 1
+    assert refined == 39
 
 
 def test_qp_refinement_identity_on_simplicial():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import cones, corpus, lp, theorems
+from fanforge import cones, corpus, lp, primcoll, theorems
 from fanforge.cones import HCone, VCone, cone_contains, cones_equal, h_to_v
 from fanforge.fan import fan_from_json_obj
 from fanforge.linalg import kernel_basis, rank, solve_linear, vsum
@@ -126,6 +126,32 @@ def test_reid_all_walls_derives_fan_invariants_once(monkeypatch):
         mori_cone(f, pl_basis(g))
     with pytest.raises(ValueError):
         extremal_walls(f, pl_basis(g))
+
+
+def test_extremal_primitive_looks_up_the_fans_relations(monkeypatch):
+    rng = random.Random(7)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [random_complete_fan(rng)[1] for _ in range(10)]
+    calls = []
+    solve = primcoll.primitive_relation
+    monkeypatch.setattr(
+        primcoll, "primitive_relation", lambda *a: calls.append(a) or solve(*a)
+    )
+    looked_up = 0
+    for f in fans:
+        calls.clear()
+        check_main_theorem(f)
+        relations = primcoll.primitive_relations(f)
+        # one relation per collection, in enumeration order, each solved once
+        assert list(relations) == primcoll.enumerate_primitive_collections(f)
+        assert [a[1] for a in calls] == list(relations)
+        assert all(relations[p] == solve(f, p) for p in relations)
+        calls.clear()
+        r = check_extremal_primitive(f)
+        assert r.verdict in PASSING and verify_certificates(r)
+        assert calls == []
+        looked_up += len(r.certificates.get("proportional", []))
+    assert looked_up > 20
 
 
 def test_type_a_description_square_pyramid():
