@@ -5,18 +5,21 @@ index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, cones meeting in common faces, convex
 support) and derives the face lattice, the walls with their incident
 maximal cones, the support and the simplicial/complete flags, reading each
-verdict off the double descriptions of the cones and their faces.  That the
-cones meet in common faces and cover a convex set is decided by matching
-the facets of the maximal cones in one pass, which needs no cone
-intersection and no description of the cone on all rays; the same pass
-lists the walls and the support.  Fans are immutable after
-validation and all queries are pure, so the invariants that other modules
-derive from a fan (PL basis, quasi-projectivity, Mori cone, extremal walls)
-are computed once and kept on the fan under their names.
+verdict off one double description per maximal cone.  The faces of a
+simplicial cone are the subsets of its rays, described by the cone's own
+facet normals; only the faces of a non-simplicial cone take a double
+description each.  That the cones meet in common faces and cover a convex
+set is decided by matching the facets of the maximal cones in one pass,
+which needs no cone intersection and no description of the cone on all
+rays; the same pass lists the walls and the support.  Fans are immutable
+after validation and all queries are pure, so the invariants that other
+modules derive from a fan (PL basis, quasi-projectivity, Mori cone,
+extremal walls) are computed once and kept on the fan under their names.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from collections.abc import Mapping
@@ -45,7 +48,10 @@ class OutsideSupport(Exception):
 @dataclass(frozen=True)
 class ConeData:
     """A cone of the fan: its extreme rays (as indices), dimension, and exact
-    facet description (inequalities plus span equalities)."""
+    facet description (inequalities plus span equalities).  A maximal cone
+    and a face of a non-simplicial cone have v_to_h's reduced description;
+    a face of a simplicial cone has that cone's own facet normals, with the
+    normals of the facets containing the face among its equalities."""
 
     ray_indices: tuple[int, ...]
     dim: int
@@ -151,17 +157,53 @@ def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo):
     """All faces of the cone on the indexed rays as ray index sets, the cone
     itself included.  hrep is the cone's facet description; memo maps each
     face met so far to its own faces and its facet description, so each
-    face's description is derived once."""
-    if indices not in memo:
-        result = {indices}
-        for u in hrep.inequalities:
-            tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
-            face_hrep = memo[tight][1] if tight in memo else v_to_h(
-                VCone.make([rays[i] for i in tight], hrep.ambient_dim)
-            )
-            result |= _cone_faces(tight, face_hrep, rays, memo)
-        memo[indices] = (result, hrep)
-    return memo[indices][0]
+    face's description is derived once, and a face met again keeps the
+    description it was first given.
+
+    A simplicial cone's faces are all subsets of its rays, described by the
+    cone's own normals (_simplicial_faces).  Any other cone's facets are
+    read off its normals, each facet described by a double description of
+    its rays, and their faces are found the same way."""
+    if indices in memo:
+        return memo[indices][0]
+    if len(indices) == hrep.ambient_dim - len(hrep.equalities):
+        _simplicial_faces(indices, hrep, rays, memo)
+        return memo[indices][0]
+    result = {indices}
+    for u in hrep.inequalities:
+        tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
+        face_hrep = memo[tight][1] if tight in memo else v_to_h(
+            VCone.make([rays[i] for i in tight], hrep.ambient_dim)
+        )
+        result |= _cone_faces(tight, face_hrep, rays, memo)
+    memo[indices] = (result, hrep)
+    return result
+
+
+def _simplicial_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None:
+    """The memo entries of _cone_faces for every subset S of the rays of a
+    simplicial cone, smallest first.  Each facet normal u_i of the cone
+    vanishes on every ray but one, i; S is the face cut out by u_j = 0 for
+    the rays j outside S, so its description keeps the u_i of S as
+    inequalities and adds the other u_j to the cone's equalities.  Then
+    dim - len(equalities) = |S|, and u_i is still the one inequality that
+    does not vanish on ray i, as ConeData.dual_basis reads it."""
+    normal = {}
+    for u in hrep.inequalities:
+        (i,) = (i for i in indices if vdot(u, rays[i]) != 0)
+        normal[i] = u
+    for size in range(len(indices) + 1):
+        for s in itertools.combinations(indices, size):
+            if s in memo:
+                continue
+            faces = {s}.union(*(
+                memo[s[:k] + s[k + 1:]][0] for k in range(size)
+            ))
+            memo[s] = (faces, HCone(
+                tuple(normal[i] for i in s),
+                hrep.equalities + tuple(normal[j] for j in indices if j not in s),
+                hrep.ambient_dim,
+            ))
 
 
 def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], HCone]:

@@ -132,9 +132,13 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form over Q.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form over Q.  Returns (nonzero rows, pivot
+    columns); every zero entry is the shared ZERO."""
     T, pivots, d, _ = _eliminate(rows)
-    return [tuple(Fraction(x, d) for x in row) for row in T[: len(pivots)]], pivots
+    return [
+        tuple(Fraction(x, d) if x else ZERO for x in row)
+        for row in T[: len(pivots)]
+    ], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -27,10 +27,16 @@ PrimitiveCollection = tuple[int, ...]
 
 
 def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
-    """All primitive collections, sorted; search runs over subset sizes
-    2..n+1 (larger collections would contain a dependent proper subset).  A
-    candidate containing a smaller collection has a one-smaller subset in no
-    cone, so the subset test rejects it."""
+    """All primitive collections, sorted, found level by level (Agrawal and
+    Srikant's candidate generation, VLDB 1994).  Level k holds the k-sets
+    of rays that lie in a cone, starting from the single rays.  A size-k
+    candidate joins two sets of level k-1 that share their first k-2 rays,
+    and is kept only if every one of its (k-1)-subsets is on level k-1; it
+    goes to level k if it lies in a cone and is primitive otherwise.  Every
+    set whose (k-1)-subsets all lie in cones is the join of the two that
+    drop one of its last two rays, so no primitive collection is missed.
+    The search stops at size n+1: larger collections would contain a
+    dependent proper subset."""
     cofaces = [set(c.ray_indices) for c in fan.max_cones]
 
     def in_cone(s: tuple[int, ...]) -> bool:
@@ -38,12 +44,23 @@ def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
         return any(ss <= c for c in cofaces)
 
     found: list[PrimitiveCollection] = []
+    # validate_fan rejects unused rays, so every ray lies in a cone
+    level = [(i,) for i in range(fan.n_rays)]
     for size in range(2, fan.dim + 2):
-        for cand in itertools.combinations(range(fan.n_rays), size):
-            if in_cone(cand):
-                continue
-            if all(in_cone(sub) for sub in itertools.combinations(cand, size - 1)):
-                found.append(cand)
+        passed = set(level)
+        next_level = []
+        for k, a in enumerate(level):
+            for b in level[k + 1:]:
+                if b[:-1] != a[:-1]:
+                    break
+                cand = a + b[-1:]
+                if not all(
+                    sub in passed
+                    for sub in itertools.combinations(cand, size - 1)
+                ):
+                    continue
+                (next_level if in_cone(cand) else found).append(cand)
+        level = next_level
     return sorted(found)
 
 

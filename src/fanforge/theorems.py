@@ -158,14 +158,15 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     for w in extremal_walls(fan, basis):
         rel = mc.relations[mc.walls.index(w)]
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
-        if not primcoll._is_primitive(fan, p):
+        relations = primcoll.primitive_relations(fan)
+        if p not in relations:
             return TheoremReport(
                 "extremal-positive-support", fan_id, FAILS,
                 f"positive support {p} of wall {w.ray_indices} is not primitive",
                 {"counterexample": list(p)},
                 time.perf_counter() - t0,
             )
-        a_p = relation_dense(fan, primcoll.primitive_relations(fan)[p].relation)
+        a_p = relation_dense(fan, relations[p].relation)
         a_t = relation_dense(fan, rel)
         if not positively_proportional(a_p, a_t):
             return TheoremReport(

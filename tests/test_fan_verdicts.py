@@ -9,7 +9,8 @@ orthant inequalities that cut the fan out.  The facet-matching test that
 accepts fans is checked against the pairwise intersection of maximal cones,
 and the walls and support it reads off the facets against a scan of every
 face against every cone and the boundary walls' rows; both are kept here
-as references.
+as references.  The face lattice, whose simplicial faces are read off their
+cone's normals, is checked against a double description of every face.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 
 from fanforge import corpus
 from fanforge import fan as fanmod
-from fanforge.cones import h_to_v, intersect_hcones
+from fanforge.cones import VCone, h_to_v, intersect_hcones, v_to_h
 from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.theorems import random_complete_fan, stellar_subdivide
@@ -339,3 +340,78 @@ def test_overlaps_passing_part_of_facet_matching_rejected(name):
     with pytest.raises(FanError) as e:
         validate_fan(2, rays, cones)
     assert e.value.code == "ConesOverlapImproperly"
+
+
+def reference_cone_faces(indices, hrep, rays, memo):
+    """The face lattice with every face described by a double description
+    of its own rays, simplicial cones included: each facet of a cone is cut
+    out by one of its normals, and the facets' faces are found the same
+    way.  memo maps each face to its faces and its description."""
+    if indices not in memo:
+        result = {indices}
+        for u in hrep.inequalities:
+            tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
+            face_hrep = memo[tight][1] if tight in memo else v_to_h(
+                VCone.make([rays[i] for i in tight], hrep.ambient_dim)
+            )
+            result |= reference_cone_faces(tight, face_hrep, rays, memo)
+        memo[indices] = (result, hrep)
+    return memo[indices][0]
+
+
+def subdivided(base, steps, seed):
+    """base and its first `steps` seeded stellar subdivisions."""
+    rng = random.Random(seed)
+    fans = [base]
+    for _ in range(steps):
+        fans.append(stellar_subdivide(fans[-1], rng.randrange(len(fans[-1].max_cones))))
+    return fans
+
+
+def test_faces_match_double_description_reference():
+    fans = []
+    for args in verdict_inputs():
+        try:
+            fans.append(validate_fan(*args))
+        except FanError:
+            pass
+    fans += subdivided(corpus.cross_fan(4), 2, 3) + subdivided(corpus.cube_fan(4), 2, 3)
+    simplicial_faces = 0
+    for f in fans:
+        memo = {}
+        max_face_sets = tuple(
+            frozenset(reference_cone_faces(c.ray_indices, c.facets, f.rays, memo))
+            for c in f.max_cones
+        )
+        assert f.max_face_sets == max_face_sets
+        assert set(f.faces) == set(memo)
+        for key, (_, hrep) in memo.items():
+            face = f.faces[key]
+            # the same dimension, and the same cone: the fan's rays in it
+            # are the face's own under either description
+            assert face.dim == f.dim - len(hrep.equalities)
+            on = [i for i, r in enumerate(f.rays) if face.contains_point(r)]
+            assert on == [i for i, r in enumerate(f.rays) if hrep.contains_point(r)]
+            assert on == list(key)
+            simplicial_faces += face.facets != hrep
+    # 101 fans, 5 of them not simplicial; 1,661 faces are described by the
+    # normals of a simplicial cone rather than by their own description
+    assert len(fans) >= 100 and sum(not f.is_simplicial for f in fans) >= 5
+    assert simplicial_faces >= 1500
+
+
+def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
+    # a simplicial cone's faces are read off its own facet normals
+    fans = subdivided(corpus.cross_fan(4), 2, 5)
+    calls = []
+    real = fanmod.v_to_h
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(fanmod, "v_to_h", counting)
+    for f in fans:
+        calls.clear()
+        validate_fan(*fan_args(f))
+        assert len(calls) == len(f.max_cones)

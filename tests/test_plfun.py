@@ -5,7 +5,7 @@ import pytest
 
 from fanforge import corpus, plfun
 from fanforge.fan import validate_fan
-from fanforge.linalg import kernel_basis, solve_linear, vdot, vsum
+from fanforge.linalg import ZERO, kernel_basis, solve_linear, vdot, vsum
 from fanforge.plfun import (
     NonSimplicialFan,
     NotARefinement,
@@ -348,6 +348,22 @@ def test_simplicial_pl_basis_matches_stacked_reference():
         assert b.ray_values == ray_values
         assert b.dim_pic == dim_pic
     assert len(fans) == 95
+
+
+def test_simplicial_pl_basis_shares_one_zero():
+    # the basis functions of a simplicial fan vanish on most cones; every
+    # zero entry is the ZERO that rref shares, not a Fraction of its own
+    rng = random.Random(3)
+    fans = [corpus.fulton_fan(), corpus.cross_fan(4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(5)]
+    fans = [f for f in fans if f.is_simplicial]
+    assert len(fans) == 6
+    for f in fans:
+        zeros = [
+            x for q in pl_basis(f).quotient_basis
+            for m in q.cone_functionals for x in m if x == 0
+        ]
+        assert zeros and all(x is ZERO for x in zeros)
 
 
 def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):

@@ -22,7 +22,7 @@ from fanforge.primcoll import (
     primitive_inequality_cone,
     primitive_relation,
 )
-from fanforge.theorems import random_complete_fan
+from fanforge.theorems import random_complete_fan, stellar_subdivide
 
 FULTON_EXPECTED = {
     (1, 3): ((6,), {6: 1}),
@@ -91,6 +91,74 @@ def test_enumeration_matches_naive_oracle():
     for f in fans:
         assert f.n_rays <= 9
         assert enumerate_primitive_collections(f) == naive_primitive_collections(f)
+
+
+def reference_enumerate_primitive_collections(fan):
+    """Every ray subset of size 2..n+1 tested against every maximal cone:
+    in no cone, while every subset one ray smaller is in one."""
+    cofaces = [set(c.ray_indices) for c in fan.max_cones]
+
+    def in_cone(s):
+        return any(set(s) <= c for c in cofaces)
+
+    found = []
+    for size in range(2, fan.dim + 2):
+        for cand in itertools.combinations(range(fan.n_rays), size):
+            if not in_cone(cand) and all(
+                in_cone(sub) for sub in itertools.combinations(cand, size - 1)
+            ):
+                found.append(cand)
+    return sorted(found)
+
+
+def uncapped_level_search(fan):
+    """A level-wise search with no size cap: level k holds the k-sets in a
+    cone, each extended by every larger ray; an extension whose k-subsets
+    are all on level k is primitive if it lies in no cone, and the search
+    stops at the first empty level."""
+    cofaces = [set(c.ray_indices) for c in fan.max_cones]
+    level = {(i,) for i in range(fan.n_rays)}
+    found = []
+    while level:
+        cands = {
+            c for c in (a + (r,) for a in level for r in range(a[-1] + 1, fan.n_rays))
+            if all(sub in level for sub in itertools.combinations(c, len(c) - 1))
+        }
+        level = {c for c in cands if any(set(c) <= k for k in cofaces)}
+        found += cands - level
+    return sorted(found)
+
+
+def _stellar_chain(base, steps, seed):
+    rng = random.Random(seed)
+    fans = [base]
+    for _ in range(steps):
+        fans.append(stellar_subdivide(fans[-1], rng.randrange(len(fans[-1].max_cones))))
+    return fans
+
+
+def test_level_search_matches_subset_scan():
+    rng = random.Random(11)
+    fans = [random_complete_fan(rng)[1] for _ in range(20)]
+    fans += _stellar_chain(corpus.cube_fan(3), 3, 1)[1:]
+    fans += [corpus.cross_fan(4), corpus.cube_fan(4)]
+    fans += _stellar_chain(corpus.cube_fan(4), 2, 1)[1:]
+    for f in fans:
+        assert enumerate_primitive_collections(f) == (
+            reference_enumerate_primitive_collections(f)
+        )
+
+
+def test_size_cap_loses_no_collection_on_non_simplicial_fans():
+    # a primitive collection has at most n+1 rays; on the dimension-4 fans
+    # with non-simplicial cones the search past that size finds nothing more
+    fans = [corpus.cube_fan(4)]
+    for seed in range(3):
+        fans += _stellar_chain(corpus.cube_fan(4), 3, seed)[1:]
+    fans = [f for f in fans if not f.is_simplicial]
+    assert len(fans) == 10
+    for f in fans:
+        assert enumerate_primitive_collections(f) == uncapped_level_search(f)
 
 
 def test_primitivity_predicate_matches_enumeration():
