@@ -22,7 +22,8 @@ from fanforge.primcoll import (
     primitive_inequality_cone,
     primitive_relation,
 )
-from fanforge.theorems import random_complete_fan, stellar_subdivide
+from fanforge.theorems import random_complete_fan
+from test_fan_verdicts import subdivided
 
 FULTON_EXPECTED = {
     (1, 3): ((6,), {6: 1}),
@@ -129,20 +130,12 @@ def uncapped_level_search(fan):
     return sorted(found)
 
 
-def _stellar_chain(base, steps, seed):
-    rng = random.Random(seed)
-    fans = [base]
-    for _ in range(steps):
-        fans.append(stellar_subdivide(fans[-1], rng.randrange(len(fans[-1].max_cones))))
-    return fans
-
-
 def test_level_search_matches_subset_scan():
     rng = random.Random(11)
     fans = [random_complete_fan(rng)[1] for _ in range(20)]
-    fans += _stellar_chain(corpus.cube_fan(3), 3, 1)[1:]
+    fans += subdivided(corpus.cube_fan(3), 3, 1)[1:]
     fans += [corpus.cross_fan(4), corpus.cube_fan(4)]
-    fans += _stellar_chain(corpus.cube_fan(4), 2, 1)[1:]
+    fans += subdivided(corpus.cube_fan(4), 2, 1)[1:]
     for f in fans:
         assert enumerate_primitive_collections(f) == (
             reference_enumerate_primitive_collections(f)
@@ -154,7 +147,7 @@ def test_size_cap_loses_no_collection_on_non_simplicial_fans():
     # with non-simplicial cones the search past that size finds nothing more
     fans = [corpus.cube_fan(4)]
     for seed in range(3):
-        fans += _stellar_chain(corpus.cube_fan(4), 3, seed)[1:]
+        fans += subdivided(corpus.cube_fan(4), 3, seed)[1:]
     fans = [f for f in fans if not f.is_simplicial]
     assert len(fans) == 10
     for f in fans:
