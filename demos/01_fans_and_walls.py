@@ -7,7 +7,7 @@ ray indices; validation derives the face lattice, the walls, and the
 simplicial/complete flags.
 """
 
-from fanforge import validate_fan, minimal_cone_containing, interior_walls
+from fanforge import validate_fan, minimal_cone_containing
 from fanforge import corpus
 
 # the complete simplicial fan over a split square pyramid: five rays,
@@ -17,7 +17,8 @@ print(fan)
 print("rays:", fan.rays)
 
 # every codimension-one face knows the maximal cones on both sides
-for wall, left, right in interior_walls(fan):
+for wall in fan.interior_walls:
+    left, right = (fan.max_cones[k] for k in wall.cone_indices)
     print("wall", wall.ray_indices, "between", left.ray_indices, "and", right.ray_indices)
 
 # any point of the support lies in a unique minimal face

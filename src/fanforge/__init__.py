@@ -21,7 +21,6 @@ from .fan import (
     contained_in_single_cone,
     fan_from_json,
     fan_to_json,
-    interior_walls,
     minimal_cone_containing,
     validate_fan,
 )

@@ -14,7 +14,8 @@ which needs no cone intersection and no description of the cone on all
 rays; the same pass lists the walls and the support.  Fans are immutable
 after validation and all queries are pure, so the invariants that other
 modules derive from a fan (PL basis, quasi-projectivity, Mori cone,
-extremal walls) are computed once and kept on the fan under their names.
+extremal walls) are computed once and kept on the fan under their names,
+as plain values that do not refer back to it.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ class Fan:
 
     def derived(self, name: str, compute):
         """The invariant `name` of this fan, computed by compute() on first
-        use and kept; one value per name."""
+        use and kept; one value per name.  No stored value may refer to its
+        fan: without a reference cycle, a fan and its invariants are freed
+        by reference counting when the last reference goes, so peak memory
+        tracks the live data, not the cyclic collector's timing."""
         if name not in self._derived:
             self._derived[name] = compute()
         return self._derived[name]
@@ -441,14 +445,6 @@ def minimal_cone_containing(fan: Fan, x) -> ConeData:
         i for i in cone.ray_indices if all(vdot(u, fan.rays[i]) == 0 for u in on)
     )
     return fan.faces[face]
-
-
-def interior_walls(fan: Fan) -> list[tuple[Wall, ConeData, ConeData]]:
-    """Each interior wall with its two incident maximal cones."""
-    return [
-        (w, fan.max_cones[w.cone_indices[0]], fan.max_cones[w.cone_indices[1]])
-        for w in fan.interior_walls
-    ]
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

@@ -156,7 +156,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Basis of {x : A x = 0} over Q."""
+    """Basis of {x : A x = 0} over Q; every zero entry is the shared ZERO."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -165,7 +165,8 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
         x = [ZERO] * ncols
         x[f] = ONE
         for row, p in zip(red, pivots):
-            x[p] = -row[f]
+            if row[f]:
+                x[p] = -row[f]
         basis.append(tuple(x))
     return basis
 

@@ -89,8 +89,8 @@ def relation_dense(fan: Fan, rel: RelationVector) -> Vec:
 
 
 def relation_row(fan: Fan, rel: RelationVector, basis: PLBasis) -> Vec:
-    """The relation as a linear functional over quotient_basis: entry j is
-    sum_i rel[i] * phi_j(ray_i).  A global linear function pairs to 0 with
+    """The relation as a linear functional over the quotient functions: entry
+    j is sum_i rel[i] * phi_j(ray_i).  A global linear function pairs to 0 with
     every relation, so the linear part has no entries."""
     return tuple(
         sum((c * values[i] for i, c in rel.items()), ZERO)

@@ -25,7 +25,6 @@ from .linalg import (
     vec,
     vsub,
     vsum,
-    vzero,
     format_rational,
     parse_rational,
 )
@@ -142,42 +141,43 @@ def is_strictly_convex(phi: PLFunction) -> bool:
 
 @dataclass(frozen=True)
 class PLBasis:
-    """A basis of the space of piecewise-linear functions on a fan, split as
-    the global linear functionals plus representatives of the quotient
-    Pic(X)_R (pinned to vanish on the first maximal cone); rows and classes
-    are over quotient_basis.  ray_values is aligned with basis_functions."""
+    """A basis of the space of piecewise-linear functions on a fan, as plain
+    values that do not refer to the fan.  The basis is the n global
+    coordinate functionals followed by representatives of the quotient
+    Pic(X)_R, pinned to vanish on the first maximal cone.  Only the
+    quotient functions are stored: quotient_functionals holds one tuple per
+    quotient function, with one functional per maximal cone.  ray_values
+    holds one row of ray values per basis function, in basis order; rows and
+    classes are over the quotient functions."""
 
-    fan: Fan
-    lin_part: tuple[PLFunction, ...]
-    quotient_basis: tuple[PLFunction, ...]
+    quotient_functionals: tuple[tuple[Vec, ...], ...]
     ray_values: tuple[Vec, ...]
 
     @property
-    def basis_functions(self) -> tuple[PLFunction, ...]:
-        return self.lin_part + self.quotient_basis
-
-    @property
     def dim_pl(self) -> int:
-        return len(self.lin_part) + len(self.quotient_basis)
+        return len(self.ray_values)
 
     @property
     def dim_pic(self) -> int:
-        return len(self.quotient_basis)
+        return len(self.quotient_functionals)
 
-    def combine(self, coeffs) -> PLFunction:
-        fns = self.basis_functions
+    def combine(self, fan: Fan, coeffs) -> PLFunction:
+        """The combination of the basis functions on fan, whose pl_basis this
+        is: the first n coefficients are the coordinates of a global linear
+        functional, and a zero quotient coefficient adds nothing."""
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != len(fns):
-            raise ValueError(f"need {len(fns)} coefficients, got {len(coeffs)}")
-        n = self.fan.dim
+        if len(coeffs) != self.dim_pl:
+            raise ValueError(f"need {self.dim_pl} coefficients, got {len(coeffs)}")
+        lin, quotient = coeffs[:fan.dim], coeffs[fan.dim:]
         ms = []
-        for k in range(len(self.fan.max_cones)):
-            m = list(vzero(n))
-            for c, f in zip(coeffs, fns):
-                for d in range(n):
-                    m[d] += c * f.cone_functionals[k][d]
+        for k in range(len(fan.max_cones)):
+            m = list(lin)
+            for c, q in zip(quotient, self.quotient_functionals):
+                if c:
+                    for d in range(fan.dim):
+                        m[d] += c * q[k][d]
             ms.append(tuple(m))
-        return PLFunction(self.fan, tuple(ms))
+        return PLFunction(fan, tuple(ms))
 
 
 def _compat_rows(fan: Fan) -> list[Vec]:
@@ -197,15 +197,6 @@ def _compat_rows(fan: Fan) -> list[Vec]:
     return rows
 
 
-def _stacked_to_pl(fan: Fan, stacked: Vec) -> PLFunction:
-    n = fan.dim
-    ms = tuple(
-        tuple(stacked[k * n + d] for d in range(n))
-        for k in range(len(fan.max_cones))
-    )
-    return PLFunction(fan, ms)
-
-
 def pl_basis(fan: Fan) -> PLBasis:
     """Solve the wall-compatibility system for the whole function space,
     once per fan."""
@@ -214,28 +205,29 @@ def pl_basis(fan: Fan) -> PLBasis:
 
 def _solve_pl_basis(fan: Fan) -> PLBasis:
     n = fan.dim
-    k = len(fan.max_cones)
-    # a global linear functional is one unit vector on every cone; the
-    # quotient is pinned by the first cone's functional
-    units = [tuple(int(j == d) for j in range(n)) for d in range(n)]
-    lin = tuple(PLFunction(fan, (u,) * k) for u in units)
     if fan.is_simplicial:
         stacked = _dual_basis_quotient(fan)
     else:
-        stacked = _stacked_quotient(fan, units)
-    quotient = [_stacked_to_pl(fan, s) for s in stacked]
-    ray_values = tuple(zip(*fan.rays)) + tuple(f.ray_values() for f in quotient)
-    return PLBasis(fan, lin, tuple(quotient), ray_values)
+        stacked = _stacked_quotient(fan)
+    quotient = tuple(
+        tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))
+        for s in stacked
+    )
+    ray_values = tuple(zip(*fan.rays)) + tuple(
+        PLFunction(fan, ms).ray_values() for ms in quotient
+    )
+    return PLBasis(quotient, ray_values)
 
 
-def _stacked_quotient(fan: Fan, units) -> list[Vec]:
+def _stacked_quotient(fan: Fan) -> list[Vec]:
     """The kernel of the wall-compatibility rows plus the first-cone pin."""
     n = fan.dim
     k = len(fan.max_cones)
     compat = _compat_rows(fan)
-    pin = [u + (0,) * (n * (k - 1)) for u in units]
-    # the pin, the identity on global linear functions, splits them off iff
-    # every row vanishes on them
+    # pin the first cone's functional; the pin is the identity on the global
+    # linear functionals (one unit vector on every cone), so it splits them
+    # off iff every row vanishes on them
+    pin = [tuple(int(j == d) for j in range(k * n)) for d in range(n)]
     if any(sum(row[d::n]) != 0 for row in compat for d in range(n)):
         raise RuntimeError("first-cone pinning must split off M")
     return kernel_basis(compat + pin, k * n)
@@ -267,32 +259,39 @@ def _dual_basis_quotient(fan: Fan) -> list[Vec]:
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
-    """Interior-wall functionals as inequality rows over quotient_basis, in
-    fan.interior_walls order; derived once per fan in its own pl_basis."""
+    """Interior-wall functionals as inequality rows over the quotient
+    functions, in fan.interior_walls order; derived once per fan in its own
+    pl_basis."""
     if basis is not pl_basis(fan):
         raise ValueError("the basis must be the fan's own pl_basis")
-    return list(fan.derived("wall_rows", lambda: tuple(
-        tuple(wall_functional(fan, w, f) for f in basis.quotient_basis)
-        for w in fan.interior_walls
-    )))
+    return list(fan.derived("wall_rows", lambda: _wall_rows(fan, basis)))
+
+
+def _wall_rows(fan: Fan, basis: PLBasis) -> tuple[Vec, ...]:
+    fns = [PLFunction(fan, ms) for ms in basis.quotient_functionals]
+    return tuple(
+        tuple(wall_functional(fan, w, f) for f in fns) for w in fan.interior_walls
+    )
 
 
 def is_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:
     """Existence of a strictly convex function, decided by exact LP over the
     function-space basis, once per fan; the witness is returned and
-    re-verified."""
-    return fan.derived("is_quasi_projective", lambda: _solve_quasi_projective(fan))
+    re-verified.  The fan keeps the witness's cone functionals, and each
+    call wraps them in a new PLFunction."""
+    ms = fan.derived("is_quasi_projective", lambda: _solve_quasi_projective(fan))
+    return (False, None) if ms is None else (True, PLFunction(fan, ms))
 
 
-def _solve_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:
+def _solve_quasi_projective(fan: Fan) -> tuple[Vec, ...] | None:
     basis = pl_basis(fan)
     witness, _ = lp.strict_feasible(wall_rows(fan, basis), [], [], basis.dim_pic)
     if witness is None:
-        return False, None
-    phi = basis.combine((0,) * fan.dim + witness)
+        return None
+    phi = basis.combine(fan, (0,) * fan.dim + witness)
     if not is_strictly_convex(phi):
         raise RuntimeError("LP witness is not strictly convex on every wall")
-    return True, phi
+    return phi.cone_functionals
 
 
 def refinement_ray_map(fine: Fan, coarse: Fan) -> list[int]:

@@ -144,7 +144,7 @@ def primitive_relations(fan: Fan) -> Mapping[PrimitiveCollection, PrimitiveRelat
 
 
 def primitive_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
-    """One inequality row per primitive collection over quotient_basis."""
+    """One inequality row per primitive collection over the quotient functions."""
     return [
         relation_row(fan, r.relation, basis)
         for r in primitive_relations(fan).values()

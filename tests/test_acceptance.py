@@ -19,7 +19,7 @@ from fanforge.mori import (
     relation_dense,
     wall_relation,
 )
-from fanforge.plfun import is_convex, is_quasi_projective, pl_basis, wall_rows
+from fanforge.plfun import PLFunction, is_convex, is_quasi_projective, pl_basis, wall_rows
 from fanforge.primcoll import (
     TYPE_A,
     TYPE_B,
@@ -186,7 +186,7 @@ def test_criterion_4_fulton_fan():
     def functional_row(coeffs: dict):
         return vec(
             sum((c * fn.ray_value(i) for i, c in coeffs.items()), Fraction(0))
-            for fn in basis.quotient_basis
+            for fn in (PLFunction(f, ms) for ms in basis.quotient_functionals)
         )
 
     prim_h = HCone.make(
@@ -358,6 +358,7 @@ def test_criterion_7_oracle_cross_checks():
         ]
         for trial in range(8):
             phi = basis.combine(
+                f,
                 [Fraction(rng.randint(-3, 3)) for _ in range(basis.dim_pl)]
             )
             sampled_convex = all(

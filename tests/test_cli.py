@@ -126,6 +126,19 @@ def test_qp_reports(capsys):
     assert json.loads(out) == {"quasi_projective": False}
 
 
+def test_qp_json_at_picard_rank_zero(tmp_path, capsys):
+    p = tmp_path / "orthant.json"
+    p.write_text(json.dumps(
+        {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "max_cones": [[0, 1, 2]]}
+    ))
+    code, out, _ = run_cli(capsys, "qp", "--fan", str(p), "--json")
+    assert code == 0
+    assert out == (
+        '{"quasi_projective": true, '
+        '"witness": {"ray_values": {"0": "0", "1": "0", "2": "0"}}}\n'
+    )
+
+
 def test_refine_stdout_and_files(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "refine", "--fan", "corpus:ex31", "--support", "2,4", "--seed", "1"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from fanforge import corpus
 from fanforge.cones import HCone, h_to_v, v_to_h, VCone
 from fanforge.mori import extremal_walls, mori_cone, wall_relation
-from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
+from fanforge.plfun import PLFunction, is_quasi_projective, pl_basis, wall_rows
 from fanforge.primcoll import enumerate_primitive_collections, primitive_relation
 from fanforge.refine import covers_coarse_exactly, qp_refinement, simplicial_refinement
 from fanforge.theorems import random_complete_fan, run_paper_suite
@@ -75,7 +75,11 @@ def test_query_outputs_are_exact():
             assert_lattice(face.facets.inequalities + face.facets.equalities, fan_id)
         assert_lattice(h_to_v(f.max_cones[0].facets).generators, fan_id)
         basis = pl_basis(f)
-        assert_functions_exact(basis.basis_functions, f"{fan_id} basis")
+        assert_functions_exact(
+            [PLFunction(f, ms) for ms in basis.quotient_functionals], f"{fan_id} basis"
+        )
+        for row in basis.ray_values:
+            assert_exact(row, f"{fan_id} basis ray values")
         for row in wall_rows(f, basis):
             assert_exact(row, f"{fan_id} wall row")
         ok, witness = is_quasi_projective(f)

@@ -13,7 +13,6 @@ from fanforge.fan import (
     fan_to_json,
     fans_equal,
     generates_cone,
-    interior_walls,
     minimal_cone_containing,
     validate_fan,
 )
@@ -139,9 +138,9 @@ def test_generates_cone_vs_containment():
 
 def test_interior_walls_listing():
     f = corpus.split_pyramid_fan()
-    triples = interior_walls(f)
-    assert len(triples) == 9
-    for w, left, right in triples:
+    assert len(f.interior_walls) == 9
+    for w in f.interior_walls:
+        left, right = (f.max_cones[k] for k in w.cone_indices)
         assert set(w.ray_indices) <= set(left.ray_indices)
         assert set(w.ray_indices) <= set(right.ray_indices)
         assert left.ray_indices != right.ray_indices

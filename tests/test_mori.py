@@ -119,7 +119,7 @@ def test_convex_functions_pair_nonnegatively_with_classes():
             rel = wall_relation(f, w)
             val = sum(c * witness.ray_value(i) for i, c in rel.items())
             assert val > 0
-        zero_phi = pl_basis(f).combine([0] * pl_basis(f).dim_pl)
+        zero_phi = pl_basis(f).combine(f, [0] * pl_basis(f).dim_pl)
         for w in f.interior_walls:
             rel = wall_relation(f, w)
             assert sum(c * zero_phi.ray_value(i) for i, c in rel.items()) == 0
@@ -127,7 +127,7 @@ def test_convex_functions_pair_nonnegatively_with_classes():
 
 def test_global_linear_functions_have_no_pic_coordinates():
     # why wall rows, relation rows and curve classes carry only the
-    # quotient_basis coordinates: a global linear function has one
+    # quotient coordinates: a global linear function has one
     # functional on both sides of every wall, and a relation's rays sum to 0
     rng = random.Random(11)
     fans = [f for _, f in corpus.paper_examples()]
@@ -135,12 +135,16 @@ def test_global_linear_functions_have_no_pic_coordinates():
     fans += [random_complete_fan(rng)[1] for _ in range(12)]
     for f in fans:
         basis = pl_basis(f)
-        assert basis.ray_values == tuple(fn.ray_values() for fn in basis.basis_functions)
+        fns = [
+            basis.combine(f, [int(j == i) for j in range(basis.dim_pl)])
+            for i in range(basis.dim_pl)
+        ]
+        assert basis.ray_values == tuple(fn.ray_values() for fn in fns)
         rels = [wall_relation(f, w) for w in f.interior_walls] + [
             primitive_relation(f, p).relation for p in enumerate_primitive_collections(f)
         ]
-        assert len(basis.lin_part) == f.dim
-        for fn in basis.lin_part:
+        assert basis.dim_pl - basis.dim_pic == f.dim
+        for fn in fns[:f.dim]:
             assert all(wall_functional(f, w, fn) == 0 for w in f.interior_walls)
             for rel in rels:
                 assert sum(c * fn.ray_value(i) for i, c in rel.items()) == 0

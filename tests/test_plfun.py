@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fanforge import corpus, plfun
 from fanforge.fan import validate_fan
 from fanforge.linalg import ZERO, kernel_basis, solve_linear, vdot, vsum
+from fanforge.mori import extremal_walls, mori_cone
 from fanforge.plfun import (
     NonSimplicialFan,
     NotARefinement,
@@ -20,7 +23,9 @@ from fanforge.plfun import (
     pl_from_ray_values,
     refinement_cone_map,
     wall_functional,
+    wall_rows,
 )
+from fanforge.primcoll import primitive_relations
 from fanforge.refine import qp_refinement, simplicial_refinement
 from fanforge.theorems import random_complete_fan
 
@@ -139,13 +144,21 @@ def test_pl_dim_equals_ray_count_on_simplicial():
         assert pl_basis(f).dim_pl == f.n_rays
 
 
+def _basis_functions(f, b):
+    """The basis functions: the global coordinate functionals, then the
+    quotient functions."""
+    return [
+        b.combine(f, [int(j == i) for j in range(b.dim_pl)]) for i in range(b.dim_pl)
+    ]
+
+
 def test_basis_functions_are_valid_and_independent():
     from fanforge.linalg import rank
 
     f = corpus.square_pyramid_fan()
     b = pl_basis(f)
     stacked = []
-    for fn in b.basis_functions:
+    for fn in _basis_functions(f, b):
         pl_from_cone_functionals(f, fn.cone_functionals)  # revalidates
         stacked.append([x for m in fn.cone_functionals for x in m])
     assert rank(stacked) == b.dim_pl
@@ -154,7 +167,7 @@ def test_basis_functions_are_valid_and_independent():
 def test_evaluate_well_defined_on_shared_faces():
     f = corpus.square_pyramid_fan()
     b = pl_basis(f)
-    for fn in b.basis_functions:
+    for fn in _basis_functions(f, b):
         for w in f.interior_walls:
             a, c = w.cone_indices
             for i in w.ray_indices:
@@ -207,7 +220,7 @@ def test_convexity_agrees_with_pairwise_oracle():
         ray_pairs = [(rays[i], rays[j]) for i in range(len(rays)) for j in range(i, len(rays))]
         near = _near_wall_pairs(f)
         for _ in range(12):
-            phi = b.combine([Fraction(rng.randint(-3, 3)) for _ in range(b.dim_pl)])
+            phi = b.combine(f, [Fraction(rng.randint(-3, 3)) for _ in range(b.dim_pl)])
             violation = _pairwise_convexity_violation(phi, ray_pairs + near)
             assert is_convex(phi) == (violation is None)
 
@@ -218,7 +231,7 @@ def test_coarse_membership_pullback_and_refusal():
     fine = r.fine
     # pullback of a coarse function descends
     b = pl_basis(coarse)
-    phi_coarse = b.combine([1] * b.dim_pl)
+    phi_coarse = b.combine(coarse, [1] * b.dim_pl)
     phi_fine = pl_from_ray_values(fine, phi_coarse.ray_values())
     assert coarse_membership(phi_fine, coarse)
     # a function breaking the additivity equality does not
@@ -237,7 +250,7 @@ def test_coarse_membership_computes_no_double_description(monkeypatch):
 
     coarse = corpus.square_pyramid_fan()
     fine = simplicial_refinement(coarse, (2, 4), seed=0).fine
-    phi = pl_from_ray_values(fine, pl_basis(coarse).combine([1, 2, 3, 4]).ray_values())
+    phi = pl_from_ray_values(fine, pl_basis(coarse).combine(coarse, [1, 2, 3, 4]).ray_values())
     calls = []
     real = cones.h_to_v
     monkeypatch.setattr(cones, "h_to_v", lambda c: calls.append(c) or real(c))
@@ -255,9 +268,9 @@ def test_refinement_cone_map_rejects_unrelated():
 def test_wall_functional_scaling():
     f = corpus.split_pyramid_fan()
     b = pl_basis(f)
-    phi = b.combine([1] * b.dim_pl)
+    phi = b.combine(f, [1] * b.dim_pl)
     for w in f.interior_walls:
-        two = wall_functional(f, w, b.combine([2] * b.dim_pl))
+        two = wall_functional(f, w, b.combine(f, [2] * b.dim_pl))
         one = wall_functional(f, w, phi)
         assert two == 2 * one
 
@@ -269,7 +282,7 @@ def test_pl_json_roundtrip():
     assert back.ray_values() == phi.ray_values()
     f31 = corpus.square_pyramid_fan()
     b = pl_basis(f31)
-    psi = b.combine([1, 2, 3, 4])
+    psi = b.combine(f31, [1, 2, 3, 4])
     back = pl_from_json_obj(f31, psi.to_json_obj())
     assert back.cone_functionals == psi.cone_functionals
 
@@ -340,10 +353,10 @@ def test_simplicial_pl_basis_matches_stacked_reference():
     for f in fans:
         b = pl_basis(f)
         quotient, ray_values, dim_pic = reference_pl_basis(f)
-        assert [q.cone_functionals for q in b.quotient_basis] == quotient
+        assert list(b.quotient_functionals) == quotient
         assert all(
-            type(x) is Fraction for q in b.quotient_basis
-            for m in q.cone_functionals for x in m
+            type(x) is Fraction for ms in b.quotient_functionals
+            for m in ms for x in m
         )
         assert b.ray_values == ray_values
         assert b.dim_pic == dim_pic
@@ -351,17 +364,17 @@ def test_simplicial_pl_basis_matches_stacked_reference():
 
 
 def test_simplicial_pl_basis_shares_one_zero():
-    # the basis functions of a simplicial fan vanish on most cones; every
-    # zero entry is the ZERO that rref shares, not a Fraction of its own
+    # the basis functions vanish on most cones; every zero entry is the ZERO
+    # that rref (simplicial fans) or kernel_basis (the stacked system of a
+    # non-simplicial fan) shares, not a Fraction of its own
     rng = random.Random(3)
-    fans = [corpus.fulton_fan(), corpus.cross_fan(4)]
+    fans = [corpus.fulton_fan(), corpus.cross_fan(4), corpus.cube_fan(3)]
     fans += [random_complete_fan(rng)[1] for _ in range(5)]
-    fans = [f for f in fans if f.is_simplicial]
-    assert len(fans) == 6
+    assert sum(not f.is_simplicial for f in fans) == 2
     for f in fans:
         zeros = [
-            x for q in pl_basis(f).quotient_basis
-            for m in q.cone_functionals for x in m if x == 0
+            x for ms in pl_basis(f).quotient_functionals
+            for m in ms for x in m if x == 0
         ]
         assert zeros and all(x is ZERO for x in zeros)
 
@@ -377,3 +390,45 @@ def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):
     assert calls == []
     pl_basis(corpus.cube_fan(3))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [
+    corpus.split_pyramid_fan,
+    corpus.square_pyramid_fan,
+    corpus.fulton_fan,
+    lambda: corpus.cross_fan(3),
+], ids=["ex21", "ex31", "fulton", "cross3"])
+def test_derived_invariants_free_their_fan_without_the_collector(make):
+    # no value kept on Fan.derived refers back to the fan, so with the
+    # cyclic collector off the fan is still freed when its last reference
+    # goes
+    gc.disable()
+    try:
+        fan = make()
+        basis = pl_basis(fan)
+        wall_rows(fan, basis)
+        is_quasi_projective(fan)
+        mc = mori_cone(fan, basis)
+        primitive_relations(fan)
+        if mc.is_pointed:
+            extremal_walls(fan, basis)
+        assert set(fan._derived) >= {
+            "pl_basis", "wall_rows", "is_quasi_projective", "mori_cone",
+            "primitive_relations",
+        }
+        ref = weakref.ref(fan)
+        del fan, basis, mc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_witness_at_picard_rank_zero():
+    # one simplicial cone: no interior wall, an empty quotient, and the
+    # witness is the zero functional on the one maximal cone
+    f = validate_fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
+    assert pl_basis(f).dim_pic == 0
+    ok, witness = is_quasi_projective(f)
+    assert ok
+    assert witness.cone_functionals == ((0, 0, 0),)
+    assert is_strictly_convex(witness)

@@ -285,6 +285,7 @@ def test_functional_identity_on_random_functions():
         prs = [primitive_relation(f, p) for p in enumerate_primitive_collections(f)]
         for _ in range(20):
             phi = basis.combine(
+                f,
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(basis.dim_pl)]
             )
             for pr in prs:

@@ -258,7 +258,7 @@ def test_qp_refinement_requires_strict_witness():
     f31 = corpus.square_pyramid_fan()
     from fanforge.plfun import pl_basis
 
-    zero = pl_basis(f31).combine([0] * pl_basis(f31).dim_pl)
+    zero = pl_basis(f31).combine(f31, [0] * pl_basis(f31).dim_pl)
     with pytest.raises(NotStrictlyConvex):
         qp_refinement(f31, (), zero, seed=0)
 
