@@ -6,8 +6,8 @@ suite, and the built-in corpus.  Fans travel as JSON
 {"dim": n, "rays": [[..]], "max_cones": [[..]]} with 0-based ray indices;
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
 failures, 2 invalid fan (also one above the dimension guard of 12), 3 parse
-error, 4 usage (also a FANFORGE_SEED that is not an integer and an output
-path that cannot be written).
+error, 4 usage (also a FANFORGE_SEED that is not an integer, a negative
+--random-fans and an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -357,6 +357,9 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random_fans < 0:
+        print("error: --random-fans must not be negative", file=sys.stderr)
+        return EXIT_USAGE
     seed = args.seed if args.seed is not None else _default_seed()
     checks = {
         "main-cone-equality": theorems.check_main_theorem,
@@ -385,7 +388,7 @@ def cmd_verify(args) -> int:
     certified = all(theorems.verify_certificates(r) for r in reports)
     if args.json:
         print(json.dumps({
-            "reports": [r.to_json_obj() for r in reports],
+            "reports": [r.to_json_obj(with_timing=args.timing) for r in reports],
             "all_passing": ok,
             "certificates_verified": certified,
         }))
@@ -433,6 +436,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--random-fans", type=int, default=8)
     sp.add_argument("--json", action="store_true")
+    sp.add_argument("--timing", action="store_true", help="seconds per report in --json")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("corpus", help="print a built-in fan as JSON")

@@ -124,7 +124,7 @@ def cube_fan(dim: int) -> Fan:
     return validate_fan(dim, corners, cones)
 
 
-_EX22 = re.compile(r"^ex22[(:](\d+)\)?$")
+_EX22 = re.compile(r"ex22(?:\(([0-9]+)\)|:([0-9]+))")
 
 
 def corpus_obj(name: str) -> dict | None:
@@ -136,9 +136,9 @@ def corpus_obj(name: str) -> dict | None:
         return EX31_OBJ
     if name == "fulton":
         return FULTON_OBJ
-    m = _EX22.match(name)
+    m = _EX22.fullmatch(name)
     if m:
-        r = int(m.group(1))
+        r = int(m.group(1) or m.group(2))
         if r >= 4:
             return polygon_obj(r)
     return None

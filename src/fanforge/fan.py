@@ -24,8 +24,9 @@ import itertools
 import json
 import logging
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
@@ -48,33 +49,35 @@ class OutsideSupport(Exception):
 
 @dataclass(frozen=True)
 class ConeData:
-    """A cone of the fan: its extreme rays (as indices), dimension, and exact
-    facet description (inequalities plus span equalities).  A maximal cone
-    and a face of a non-simplicial cone have v_to_h's reduced description;
-    a face of a simplicial cone has that cone's own facet normals, with the
-    normals of the facets containing the face among its equalities."""
+    """A cone of the fan: its extreme rays (as indices into rays), dimension,
+    and exact facet description (inequalities plus span equalities).  A
+    maximal cone and a face of a non-simplicial cone have v_to_h's reduced
+    description; a face of a simplicial cone has that cone's own facet
+    normals, with the normals of the facets containing the face among its
+    equalities."""
 
     ray_indices: tuple[int, ...]
     dim: int
     facets: HCone
+    rays: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def contains_point(self, x) -> bool:
         return self.facets.contains_point(x)
 
-    def dual_basis(self, rays) -> tuple[Vec, ...]:
-        """For a simplicial cone, the functionals d_i, one per ray v_i in
-        ray_indices order, with <d_i, v_j> = 1 if i = j and 0 otherwise:
-        d_i = u_i / <u_i, v_i>, where u_i is the one facet inequality that
-        does not vanish on v_i.  A point x of the cone's span is
-        sum_i <d_i, x> v_i.  rays holds the fan's rays."""
+    @cached_property
+    def frame(self) -> tuple[tuple[Vec, int], ...]:
+        """A simplicial cone's integer frame, found on first use: for each
+        ray v_i, in ray_indices order, the one facet inequality u_i that does
+        not vanish on v_i, and s_i = <u_i, v_i> > 0; empty otherwise.  A
+        point x of the span is sum_i (<u_i, x> / s_i) v_i."""
         if len(self.ray_indices) != self.dim:
-            raise ValueError(f"cone {self.ray_indices} is not simplicial")
-        basis = []
-        for i in self.ray_indices:
-            (u,) = (u for u in self.facets.inequalities if vdot(u, rays[i]) != 0)
-            s = vdot(u, rays[i])
-            basis.append(tuple(Fraction(x, s) for x in u))
-        return tuple(basis)
+            return ()
+        rays = self.rays
+        normal = {
+            next(i for i in self.ray_indices if vdot(u, rays[i])): u
+            for u in self.facets.inequalities
+        }
+        return tuple((normal[i], vdot(normal[i], rays[i])) for i in self.ray_indices)
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def _simplicial_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None
     the rays j outside S, so its description keeps the u_i of S as
     inequalities and adds the other u_j to the cone's equalities.  Then
     dim - len(equalities) = |S|, and u_i is still the one inequality that
-    does not vanish on ray i, as ConeData.dual_basis reads it."""
+    does not vanish on ray i, as ConeData.frame reads it."""
     normal = {}
     for u in hrep.inequalities:
         (i,) = (i for i in indices if vdot(u, rays[i]) != 0)
@@ -381,7 +384,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
                     f"maximal cone {k} lists a generator that is not an "
                     "extreme ray",
                 )
-        cones.append(ConeData(idx, dim, hrep))
+        cones.append(ConeData(idx, dim, hrep, rays_t))
 
     # face lattice, shared across cones and closed under taking faces
     memo: dict[tuple[int, ...], tuple[set, HCone]] = {}
@@ -394,7 +397,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     faces: dict[tuple[int, ...], ConeData] = {}
     for fs in all_face_sets:
         _, hrep = memo[fs]
-        faces[fs] = ConeData(fs, dim - len(hrep.equalities), hrep)
+        faces[fs] = ConeData(fs, dim - len(hrep.equalities), hrep, rays_t)
 
     used = set().union(*(c.ray_indices for c in cones))
     if used != set(range(len(rays_t))):

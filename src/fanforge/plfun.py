@@ -1,33 +1,27 @@
-"""Piecewise-linear functions on a fan.
+"""Piecewise-linear functions on a fan, and the relations of its walls.
 
 A PLFunction stores one linear functional per maximal cone, compatible
 across interior walls (the difference of the two functionals vanishes on the
 wall).  Ray values are the divisor coefficients; with this sign convention a
-function is convex exactly when every interior-wall functional is
-nonnegative, and strictly convex when all are positive.  Quasi-projectivity
-of the fan is decided by an exact LP over a basis of the function space.
+function is convex exactly when its bend across every interior wall is
+nonnegative, and strictly convex when all are positive.  Each bend is a
+fixed positive multiple of the wall relation paired with the ray values, so
+convexity is read off integer pairings.  Quasi-projectivity of the fan is
+decided by an exact LP over a basis of the function space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .fan import Fan, Wall, contained_in_single_cone
-from .linalg import (
-    Vec,
-    kernel_basis,
-    rref,
-    vadd,
-    vscale,
-    vdot,
-    vec,
-    vsub,
-    vsum,
-    format_rational,
-    parse_rational,
-)
+from .linalg import ONE, Vec, _integer_row, kernel_basis, rref
+from .linalg import format_rational, parse_rational, vadd, vdot, vec, vscale, vsub, vsum
+
+RelationVector = dict[int, Fraction]
 
 
 class WallIncompatible(Exception):
@@ -41,6 +35,10 @@ class NonSimplicialFan(Exception):
 
 
 class NotARefinement(Exception):
+    pass
+
+
+class DegenerateWall(Exception):
     pass
 
 
@@ -58,6 +56,15 @@ class PLFunction:
 
     def ray_values(self) -> Vec:
         return tuple(self.ray_value(i) for i in range(self.fan.n_rays))
+
+    def integer_ray_values(self) -> tuple[tuple[int, ...], int]:
+        """The ray values times the lcm d of their functionals' denominators, and d."""
+        fan = self.fan
+        cones = {k: _integer_row(self.cone_functionals[k]) for k in set(fan.ray_cone)}
+        d = lcm(*(s for _, s in cones.values()))
+        return tuple(
+            vdot(cones[k][0], v) * (d // cones[k][1]) for k, v in zip(fan.ray_cone, fan.rays)
+        ), d
 
     def to_json_obj(self) -> dict:
         if self.fan.is_simplicial:
@@ -88,8 +95,8 @@ def pl_from_cone_functionals(fan: Fan, functionals) -> PLFunction:
 
 def pl_from_ray_values(fan: Fan, values) -> PLFunction:
     """Simplicial fans only: each maximal cone's functional is the sum of
-    its dual basis weighted by the prescribed ray values; wall compatibility
-    then holds automatically."""
+    its dual basis u_i / s_i (ConeData.frame) weighted by the prescribed ray
+    values; wall compatibility then holds automatically."""
     if not fan.is_simplicial:
         raise NonSimplicialFan("ray values underdetermine a non-simplicial fan")
     if isinstance(values, dict):
@@ -97,8 +104,7 @@ def pl_from_ray_values(fan: Fan, values) -> PLFunction:
     vals = [Fraction(v) for v in values]
     ms = []
     for c in fan.max_cones:
-        duals = c.dual_basis(fan.rays)
-        terms = [vscale(vals[i], d) for i, d in zip(c.ray_indices, duals)]
+        terms = [vscale(Fraction(vals[i], s), u) for i, (u, s) in zip(c.ray_indices, c.frame)]
         ms.append(vsum(terms, fan.dim))
     return PLFunction(fan, tuple(ms))
 
@@ -113,30 +119,102 @@ def pl_from_json_obj(fan: Fan, obj) -> PLFunction:
     raise ValueError("expected ray_values or cone_functionals")
 
 
-def _off_wall_vector(fan: Fan, wall: Wall) -> Vec:
-    """Sum of the generators of the first incident cone not in the wall;
-    always lies in that cone but outside the wall's span."""
-    cone = fan.max_cones[wall.cone_indices[0]]
-    outside = [fan.ray(i) for i in cone.ray_indices if i not in wall.ray_indices]
-    return vsum(outside, fan.dim)
+def _relation_for_rays(fan: Fan, ray_seq: list[int]) -> RelationVector:
+    """The relation among the listed rays with coefficient 1 on the last
+    one, supported on it and on the lexicographically smallest independent
+    subset of the others: the pivot columns of one elimination, which must
+    span the last ray."""
+    red, pivots = rref([[fan.ray(i)[d] for i in ray_seq] for d in range(fan.dim)])
+    if pivots and pivots[-1] == len(ray_seq) - 1:
+        raise DegenerateWall(f"the last of the rays {ray_seq} is independent of the others")
+    return {ray_seq[p]: -row[-1] for p, row in zip(pivots, red) if row[-1]} | {ray_seq[-1]: ONE}
 
 
-def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> int | Fraction:
-    """Evaluate the wall's curve functional on phi: <m_first - m_second, v>
-    for a fixed v in the first cone off the wall.  Nonnegative for convex phi
-    and positive for strictly convex phi, up to one fixed positive scale per
-    wall."""
+def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
+    """Canonical wall relation: lexicographically smallest independent
+    (n-1)-subset of the wall rays, smallest-index off-wall rays, coefficient
+    1 on the second cone's off-wall ray.  The coefficient on the first
+    cone's off-wall ray is checked positive (the two lie on opposite
+    sides).  If the first cone is simplicial, the wall is a facet of it and
+    v_off_b = sum_i <d_i, v_off_b> v_i over its rays gives the relation
+    with no elimination."""
+    if not wall.is_interior:
+        raise ValueError("wall relations need an interior wall")
     a, b = wall.cone_indices
-    diff = vsub(phi.cone_functionals[a], phi.cone_functionals[b])
-    return vdot(diff, _off_wall_vector(fan, wall))
+    cone_a = fan.max_cones[a]
+    off_a = min(set(cone_a.ray_indices) - set(wall.ray_indices))
+    off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
+    if cone_a.frame:
+        x = fan.ray(off_b)
+        frame = zip(cone_a.ray_indices, cone_a.frame)
+        rel = {i: Fraction(-c, s) for i, (u, s) in frame if (c := vdot(u, x))} | {off_b: ONE}
+    else:
+        rel = _relation_for_rays(fan, [*wall.ray_indices, off_a, off_b])
+    if rel.get(off_a, 0) <= 0:
+        raise RuntimeError("off-wall rays must have positive coefficients")
+    return rel
+
+
+def _wall_table(fan: Fan) -> tuple[tuple, ...]:
+    """One (rays, coeffs, denominator, scale) per interior wall, in
+    fan.interior_walls order, derived once per fan: the canonical relation
+    rel[rays[k]] = coeffs[k] / denominator, and the scale s > 0 for which
+    the bend of any PL function phi across the wall is s sum_i rel[i] phi(v_i).
+
+    The bend is <m_a - m_b, v_off>, for phi's functionals m_a and m_b on the
+    wall's cones a and b and the sum v_off of cone a's off-wall rays.  Let
+    v_a be cone a's smallest off-wall ray, c_a > 0 its coefficient in rel
+    and u cone a's inward normal on the wall; then s = <u, v_off> / (c_a
+    <u, v_a>), which is 1 / c_a when v_a is the only off-wall ray.  Proof:
+    every ray of rel but v_a lies in cone b, so phi(v_i) = <m_b, v_i> there,
+    and as rel vanishes, sum_i rel[i] phi(v_i) = c_a <m_a - m_b, v_a>.  As
+    m_a - m_b vanishes on the wall, which spans the hyperplane u = 0, it is
+    t u for a number t, and the bend t <u, v_off> is the pairing times s;
+    s > 0 as u is positive on cone a's off-wall rays."""
+    return fan.derived("wall_table", lambda: tuple(
+        _wall_entry(fan, w) for w in fan.interior_walls
+    ))
+
+
+def _wall_entry(fan: Fan, wall: Wall) -> tuple:
+    rel = wall_relation(fan, wall)
+    cone_a = fan.max_cones[wall.cone_indices[0]]
+    off = [i for i in cone_a.ray_indices if i not in wall.ray_indices]
+    scale = 1 / rel[off[0]]
+    if len(off) > 1:
+        (u,) = (u for u in cone_a.facets.inequalities if not any(
+            vdot(u, fan.ray(i)) for i in wall.ray_indices))
+        v_off = vsum([fan.ray(i) for i in off], fan.dim)
+        scale *= Fraction(vdot(u, v_off), vdot(u, fan.ray(off[0])))
+    coeffs, denominator = _integer_row(list(rel.values()))
+    return tuple(rel), tuple(coeffs), denominator, scale
+
+
+def _pairings(phi: PLFunction) -> tuple[list[int], int]:
+    """Each wall's integer relation paired with phi's integer ray values
+    over d, and d: a positive multiple of each bend (_wall_table)."""
+    values, d = phi.integer_ray_values()
+    return [
+        sum(c * values[i] for i, c in zip(rays, coeffs))
+        for rays, coeffs, _, _ in _wall_table(phi.fan)
+    ], d
+
+
+def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:
+    """The bend of phi across an interior wall, <m_first - m_second, v> for
+    the sum v of the first cone's off-wall rays, read off _wall_table."""
+    rays, coeffs, denominator, scale = _wall_table(fan)[fan.interior_walls.index(wall)]
+    return scale / denominator * sum(c * phi.ray_value(i) for i, c in zip(rays, coeffs))
 
 
 def is_convex(phi: PLFunction) -> bool:
-    return all(wall_functional(phi.fan, w, phi) >= 0 for w in phi.fan.interior_walls)
+    return all(p >= 0 for p in _pairings(phi)[0])
 
 
 def is_strictly_convex(phi: PLFunction) -> bool:
-    return all(wall_functional(phi.fan, w, phi) > 0 for w in phi.fan.interior_walls)
+    """Is every bend of phi positive?  Decided by the sign of each wall
+    relation paired with phi's ray values, in integers."""
+    return all(p > 0 for p in _pairings(phi)[0])
 
 
 @dataclass(frozen=True)
@@ -146,20 +224,35 @@ class PLBasis:
     coordinate functionals followed by representatives of the quotient
     Pic(X)_R, pinned to vanish on the first maximal cone.  Only the
     quotient functions are stored: quotient_functionals holds one tuple per
-    quotient function, with one functional per maximal cone.  ray_values
-    holds one row of ray values per basis function, in basis order; rows and
-    classes are over the quotient functions."""
+    quotient function, with one functional per maximal cone.  Each basis
+    function's ray values are kept once, in basis order, in value_rows as
+    an integer row over a positive denominator; rows and classes are over
+    the quotient functions."""
 
     quotient_functionals: tuple[tuple[Vec, ...], ...]
-    ray_values: tuple[Vec, ...]
+    value_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def dim_pl(self) -> int:
-        return len(self.ray_values)
+        return len(self.value_rows)
 
     @property
     def dim_pic(self) -> int:
         return len(self.quotient_functionals)
+
+    @property
+    def ray_values(self) -> tuple[Vec, ...]:
+        """One row of ray values per basis function, in basis order."""
+        return tuple(tuple(Fraction(x, d) for x in row) for row, d in self.value_rows)
+
+    def relation_row(self, rays, coeffs, denominator: int) -> Vec:
+        """The relation coeffs / denominator on rays paired with each quotient
+        function, an integer dot product with its value row."""
+        terms = list(zip(rays, coeffs))
+        return tuple(
+            Fraction(sum(c * row[i] for i, c in terms), denominator * d)
+            for row, d in self.value_rows[self.dim_pl - self.dim_pic:]
+        )
 
     def combine(self, fan: Fan, coeffs) -> PLFunction:
         """The combination of the basis functions on fan, whose pl_basis this
@@ -213,10 +306,10 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
         tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))
         for s in stacked
     )
-    ray_values = tuple(zip(*fan.rays)) + tuple(
-        PLFunction(fan, ms).ray_values() for ms in quotient
-    )
-    return PLBasis(quotient, ray_values)
+    rows = [(values, 1) for values in zip(*fan.rays)] + [
+        PLFunction(fan, ms).integer_ray_values() for ms in quotient
+    ]
+    return PLBasis(quotient, tuple(rows))
 
 
 def _stacked_quotient(fan: Fan) -> list[Vec]:
@@ -251,27 +344,28 @@ def _dual_basis_quotient(fan: Fan) -> list[Vec]:
     width = len(fan.max_cones) * n
     rows = {j: [0] * width for j in range(fan.n_rays) if j not in first}
     for k, c in enumerate(fan.max_cones):
-        for j, d in zip(c.ray_indices, c.dual_basis(fan.rays)):
+        for j, (u, s) in zip(c.ray_indices, c.frame):
             if j in rows:
-                rows[j][k * n:(k + 1) * n] = d
+                rows[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
     red, _ = rref([row[::-1] for row in rows.values()])
     return [row[::-1] for row in reversed(red)]
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
     """Interior-wall functionals as inequality rows over the quotient
-    functions, in fan.interior_walls order; derived once per fan in its own
-    pl_basis."""
+    functions, in fan.interior_walls order: entry j of row k is the bend of
+    quotient function j across wall k, the wall's scale times its class."""
     if basis is not pl_basis(fan):
         raise ValueError("the basis must be the fan's own pl_basis")
-    return list(fan.derived("wall_rows", lambda: _wall_rows(fan, basis)))
+    return [vscale(w[3], c) for w, c in zip(_wall_table(fan), _wall_classes(fan, basis))]
 
 
-def _wall_rows(fan: Fan, basis: PLBasis) -> tuple[Vec, ...]:
-    fns = [PLFunction(fan, ms) for ms in basis.quotient_functionals]
-    return tuple(
-        tuple(wall_functional(fan, w, f) for f in fns) for w in fan.interior_walls
-    )
+def _wall_classes(fan: Fan, basis: PLBasis) -> tuple[Vec, ...]:
+    """Each interior wall's relation paired with the quotient functions of
+    the fan's own pl_basis, derived once per fan."""
+    return fan.derived("wall_classes", lambda: tuple(
+        basis.relation_row(*w[:3]) for w in _wall_table(fan)
+    ))
 
 
 def is_quasi_projective(fan: Fan) -> tuple[bool, PLFunction | None]:

@@ -106,7 +106,7 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     simplicial = len(sigma.ray_indices) == sigma.dim
     if simplicial:
         # the coordinates over independent rays are unique
-        coeffs = tuple(vdot(d, total) for d in sigma.dual_basis(fan.rays))
+        coeffs = tuple(Fraction(vdot(u, total), s) for u, s in sigma.frame)
         inside = all(c >= 0 for c in coeffs)
     else:
         gens = tuple(fan.ray(i) for i in sigma.ray_indices)

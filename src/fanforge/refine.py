@@ -29,13 +29,8 @@ from .cones import VCone, pulling_triangulation, v_to_h
 from .fan import Fan, ConeData, FanError, validate_fan
 from .linalg import Vec, det, rank, vadd, vdot, vscale, vsum
 from . import lp
-from .plfun import (
-    PLFunction,
-    is_strictly_convex,
-    pl_from_cone_functionals,
-    pl_from_ray_values,
-    wall_functional,
-)
+from .plfun import PLFunction, _pairings, is_strictly_convex
+from .plfun import pl_from_cone_functionals, pl_from_ray_values
 from .primcoll import _is_primitive
 
 log = logging.getLogger(__name__)
@@ -238,28 +233,28 @@ def _fine_certificate(
     """A strictly convex function on the fine fan, pull + eps * phi_fine.
 
     pull is shifted pulled back: fine cone j takes the functional of its
-    coarse cone cone_map[j].  Let a_w and b_w be the wall functionals of
-    pull and phi_fine on a fine interior wall w.  Two fine cones in one
-    coarse cone carry the same functional of pull, so a wall inside a coarse
-    cone has a_w = 0, and b_w > 0 because phi_fine is strictly convex
-    relative to the coarse fan.  A wall between two coarse cones lies in a
-    coarse interior wall and spans its hyperplane, and the fine off-wall
-    vector lies strictly on the first coarse cone's side, so a_w > 0 because
+    coarse cone cone_map[j].  Let a_w and b_w be the bends of pull and
+    phi_fine across a fine interior wall w.  Two fine cones in one coarse
+    cone carry the same functional of pull, so a wall inside a coarse cone
+    has a_w = 0, and b_w > 0 because phi_fine is strictly convex relative
+    to the coarse fan.  A wall between two coarse cones lies in a coarse
+    interior wall and spans its hyperplane, and the fine off-wall vector
+    lies strictly on the first coarse cone's side, so a_w > 0 because
     shifted is strictly convex.  With eps the least a_w / (2 |b_w|) over the
     walls where b_w < 0 (or 1 if there is none), a_w + eps * b_w is at least
-    a_w / 2 > 0 there and positive elsewhere: the wall functional is linear
-    in the function, so the sum is strictly convex on every fine wall.
+    a_w / 2 > 0 there and positive elsewhere: the bend is linear in the
+    function, so the sum is strictly convex on every fine wall.  a_w / b_w
+    is the ratio of the pairings with the wall relation (plfun._pairings).
     pl_from_cone_functionals re-checks wall compatibility exactly."""
     fine = r.fine
     pull = PLFunction(
         fine, tuple(shifted.cone_functionals[k] for k in r.cone_map)
     )
-    ratios = []
-    for w in fine.interior_walls:
-        b = wall_functional(fine, w, phi_fine)
-        if b < 0:
-            ratios.append(Fraction(wall_functional(fine, w, pull), -2 * b))
-    eps = min(ratios, default=Fraction(1))
+    (a_all, da), (b_all, db) = _pairings(pull), _pairings(phi_fine)
+    eps = min(
+        (Fraction(a * db, -2 * b * da) for a, b in zip(a_all, b_all) if b < 0),
+        default=Fraction(1),
+    )
     return pl_from_cone_functionals(
         fine,
         [
@@ -282,14 +277,14 @@ def supported_refinement(fan: Fan, collection, seed: int = 0) -> Refinement:
 
 def strictly_convex_relative(phi_fine: PLFunction, r: Refinement) -> bool:
     """Strict across every fine interior wall between two fine cones of the
-    same coarse cone; walls inside coarse walls carry no condition."""
-    fine = r.fine
-    for w in fine.interior_walls:
-        a, b = w.cone_indices
-        if r.cone_map[a] == r.cone_map[b]:
-            if wall_functional(fine, w, phi_fine) <= 0:
-                return False
-    return True
+    same coarse cone, by the sign of phi_fine's pairing with the wall
+    relation; walls inside coarse walls carry no condition."""
+    pairings, _ = _pairings(phi_fine)
+    return all(
+        p > 0
+        for w, p in zip(r.fine.interior_walls, pairings)
+        if r.cone_map[w.cone_indices[0]] == r.cone_map[w.cone_indices[1]]
+    )
 
 
 def induced_wall_subdivisions_agree(r: Refinement) -> bool:

@@ -101,13 +101,10 @@ def _proportional_certificate(u: Vec, v: Vec) -> dict:
 def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     """The convex-function cone cut by the wall rows W equals the cone cut
     by the primitive rows P, which are the primitive classes.  By Farkas,
-    {x : Wx >= 0} = {x : Px >= 0} iff cone(W) = cone(P).  A wall's class
-    pairs with (m_sigma) as rel[off_a] <m_a - m_b, v_off_a> (subtract m_b
-    applied to the relation), and its row is <m_a - m_b, s> for the sum s
-    of the first cone's off-wall rays, all on v_off_a's side; so each row
-    is a positive multiple of its class and cone(W) is the Mori cone.
-    Certified: memberships both ways between the Mori and primitive
-    classes, and one proportional entry per wall, row over class."""
+    {x : Wx >= 0} = {x : Px >= 0} iff cone(W) = cone(P).  Each row is its
+    wall's class times the wall's positive scale (plfun._wall_table), so
+    cone(W) is the Mori cone.  Certified: memberships both ways between the
+    Mori and primitive classes, and one proportional entry per wall."""
     t0 = time.perf_counter()
     basis = pl_basis(fan)
     qp, _ = is_quasi_projective(fan)

@@ -32,6 +32,23 @@ def test_corpus_unknown_name(capsys):
     assert code == 4 and "unknown corpus" in err
 
 
+@pytest.mark.parametrize("name", ["ex22(5)", "ex22:5"])
+def test_ex22_takes_its_ray_count_in_two_spellings(capsys, name):
+    code, out, _ = run_cli(capsys, "corpus", name)
+    assert code == 0
+    assert fans_equal(fan_from_json_obj(json.loads(out)), corpus.polygon_fan(5))
+
+
+@pytest.mark.parametrize("name", [
+    "ex22(5", "ex22:5)", "ex22(5):", "ex22[5]", "ex22()", "ex22:", "ex22:5\n",
+    "ex22:\u0665", "ex22(3)",
+])
+def test_ex22_rejects_other_spellings(capsys, name):
+    code, out, err = run_cli(capsys, "corpus", name)
+    assert code == 4 and out == ""
+    assert err == f"error: unknown corpus name {name!r}\n"
+
+
 def test_validate_summary(capsys):
     code, out, _ = run_cli(capsys, "validate", "--fan", "corpus:ex21")
     assert code == 0
@@ -296,6 +313,29 @@ def test_non_integer_seed_variable_is_usage_error(capsys, monkeypatch, argv):
     # an explicit --seed does not read the variable
     code, _, _ = run_cli(capsys, *argv, "--seed", "1")
     assert code == 0
+
+
+def test_negative_random_fans_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--random-fans", "-3", "--json")
+    assert code == 4 and out == ""
+    assert err == "error: --random-fans must not be negative\n"
+    code, out, _ = run_cli(capsys, "verify", "--all", "--random-fans", "0", "--json")
+    assert code == 0 and len(json.loads(out)["reports"]) == 40
+
+
+def test_verify_timing_adds_only_seconds(capsys):
+    argv = ("verify", "--fan", "corpus:ex21", "--seed", "0", "--json")
+    _, plain, _ = run_cli(capsys, *argv)
+    # the bytes without --timing are those of the parent release
+    digest = "68790bfc8f4397ec96ab96ed0ad1847f2d25d6d3dc0d26ec4471d7a44aabcfd7"
+    assert hashlib.sha256(plain.encode()).hexdigest() == digest
+    code, timed, _ = run_cli(capsys, *argv, "--timing")
+    assert code == 0
+    plain_obj, timed_obj = json.loads(plain), json.loads(timed)
+    assert all("seconds" not in r for r in plain_obj["reports"])
+    for r in timed_obj["reports"]:
+        assert type(r.pop("seconds")) is float
+    assert timed_obj == plain_obj
 
 
 @pytest.mark.parametrize("flag", ["--out", "--sidecar"])

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, mori
+from fanforge import corpus, mori, plfun
 from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone, VCone
 from fanforge.fan import fan_from_json_obj, validate_fan
-from fanforge.linalg import lex_min_independent_subset, primitivize, rank, vec
+from fanforge.linalg import kernel_basis, lex_min_independent_subset, primitivize, rank, vec
 from fanforge.mori import (
     MoriConeNotPointed,
-    _relation_for_rays,
     curve_class,
     extremal_walls,
     mori_cone,
@@ -23,6 +22,14 @@ from fanforge.plfun import is_quasi_projective, pl_basis, wall_functional, wall_
 from fanforge.primcoll import enumerate_primitive_collections, primitive_relation
 from fanforge.theorems import random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
+
+
+def kernel_relation(fan, ray_seq):
+    """The unique relation among the listed rays, all but the last
+    independent, as the kernel of their matrix scaled to 1 on the last."""
+    rows = [[fan.ray(i)[d] for i in ray_seq] for d in range(fan.dim)]
+    (k,) = kernel_basis(rows, len(ray_seq))
+    return {i: c / k[-1] for i, c in zip(ray_seq, k) if c != 0}
 
 
 def wall_by_rays(fan, rays):
@@ -40,7 +47,7 @@ def wall_relation_choices(fan, wall):
             continue
         for off_a in set(fan.max_cones[a].ray_indices) - set(wall_idx):
             for off_b in set(fan.max_cones[b].ray_indices) - set(wall_idx):
-                yield _relation_for_rays(fan, list(subset) + [off_a, off_b])
+                yield kernel_relation(fan, list(subset) + [off_a, off_b])
 
 
 def test_wall_relation_top_diagonal():
@@ -312,12 +319,12 @@ def reference_wall_relation(fan, wall):
     tau_part = [wall.ray_indices[i] for i in chosen]
     off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
     off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
-    return _relation_for_rays(fan, tau_part + [off_a, off_b])
+    return kernel_relation(fan, tau_part + [off_a, off_b])
 
 
 def test_wall_relation_matches_kernel_reference(monkeypatch):
     solved = []
-    real = mori._relation_for_rays
+    real = plfun._relation_for_rays
 
     def counting(fan, ray_seq):
         solved.append(ray_seq)
@@ -330,7 +337,7 @@ def test_wall_relation_matches_kernel_reference(monkeypatch):
             cone_a = f.max_cones[w.cone_indices[0]]
             simplicial = len(cone_a.ray_indices) == cone_a.dim
             solved.clear()
-            monkeypatch.setattr(mori, "_relation_for_rays", counting)
+            monkeypatch.setattr(plfun, "_relation_for_rays", counting)
             rel = wall_relation(f, w)
             monkeypatch.undo()
             assert rel == reference_wall_relation(f, w)

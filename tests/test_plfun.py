@@ -413,7 +413,7 @@ def test_derived_invariants_free_their_fan_without_the_collector(make):
         if mc.is_pointed:
             extremal_walls(fan, basis)
         assert set(fan._derived) >= {
-            "pl_basis", "wall_rows", "is_quasi_projective", "mori_cone",
+            "pl_basis", "wall_table", "wall_classes", "is_quasi_projective", "mori_cone",
             "primitive_relations",
         }
         ref = weakref.ref(fan)
