@@ -5,9 +5,9 @@ a positive scale (plfun._wall_table), and every simplicial coordinate off a
 cone's integer frame.  The references here are the older, independent
 routes: the bend <m_a - m_b, v_off> over the sum v_off of the first cone's
 off-wall rays, Mori classes as Fraction sums over the basis's ray values,
-and dual bases found by scanning every facet of the cone.  Each test also
-compares a bend read off the table with the off-wall-vector bend, so a wrong
-sign of any wall's scale fails every test.
+and dual bases found by scanning every facet of the cone.  Each comparison
+also checks a bend read off the table against the off-wall-vector bend, so
+a wrong sign of any wall's scale fails every one of them.
 """
 
 import random
