@@ -5,7 +5,8 @@ Mori/nef cone reports, quasi-projectivity, refinement, the verification
 suite, and the built-in corpus.  Fans travel as JSON
 {"dim": n, "rays": [[..]], "max_cones": [[..]]} with 0-based ray indices;
 rationals print as lowest-terms "p/q".  Exit codes: 0 ok, 1 verification
-failures, 2 invalid fan (also one above the dimension guard of 12), 3 parse
+failures, 2 invalid fan (also one above the dimension guard of 12, and a
+valid fan that is not quasi-projective given to refine --qp), 3 parse
 error, 4 usage (also a FANFORGE_SEED that is not an integer, a negative
 --random-fans and an output path that cannot be written).
 """
@@ -424,7 +425,8 @@ def build_parser() -> _Parser:
     sp = add("refine", cmd_refine, "generic-weight simplicial refinement")
     sp.add_argument("--support", help="comma-separated ray indices kept at weight 1")
     sp.add_argument("--qp", action="store_true",
-                    help="quasi-projectivity-preserving variant")
+                    help="quasi-projectivity-preserving variant (exit 2 if the "
+                    "fan is not quasi-projective)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", help="write the fine fan JSON here")
     sp.add_argument("--sidecar", help="write weights and cone map here")

@@ -19,7 +19,7 @@ from math import lcm
 from . import lp
 from .fan import Fan, Wall, contained_in_single_cone
 from .linalg import ONE, Vec, _integer_row, kernel_basis, rref
-from .linalg import format_rational, parse_rational, vadd, vdot, vec, vscale, vsub, vsum
+from .linalg import format_rational, parse_rational, vadd, vdot, vec, vscale, vsum
 
 RelationVector = dict[int, Fraction]
 
@@ -81,14 +81,16 @@ class PLFunction:
 
 
 def pl_from_cone_functionals(fan: Fan, functionals) -> PLFunction:
-    """Canonical constructor: validates wall compatibility exactly."""
+    """Canonical constructor: validates wall compatibility exactly, each
+    functional made integer once (m_k = A_k / s_k) and each ray v of the
+    wall of cones a and b checked by <A_a, v> s_b = <A_b, v> s_a."""
     ms = [vec(m) for m in functionals]
     if len(ms) != len(fan.max_cones):
         raise ValueError("need one functional per maximal cone")
+    ints = [_integer_row(m) for m in ms]
     for w in fan.interior_walls:
-        a, b = w.cone_indices
-        diff = vsub(ms[a], ms[b])
-        if any(vdot(diff, fan.ray(i)) != 0 for i in w.ray_indices):
+        (ia, sa), (ib, sb) = (ints[k] for k in w.cone_indices)
+        if any(vdot(ia, fan.ray(i)) * sb != vdot(ib, fan.ray(i)) * sa for i in w.ray_indices):
             raise WallIncompatible(w)
     return PLFunction(fan, tuple(ms))
 
@@ -96,16 +98,18 @@ def pl_from_cone_functionals(fan: Fan, functionals) -> PLFunction:
 def pl_from_ray_values(fan: Fan, values) -> PLFunction:
     """Simplicial fans only: each maximal cone's functional is the sum of
     its dual basis u_i / s_i (ConeData.frame) weighted by the prescribed ray
-    values; wall compatibility then holds automatically."""
+    values; wall compatibility then holds automatically.  Each sum runs in
+    integers over one denominator, with one Fraction made per entry."""
     if not fan.is_simplicial:
         raise NonSimplicialFan("ray values underdetermine a non-simplicial fan")
     if isinstance(values, dict):
         values = [values[i] for i in range(fan.n_rays)]
-    vals = [Fraction(v) for v in values]
+    vals, d = _integer_row([Fraction(v) for v in values])
     ms = []
     for c in fan.max_cones:
-        terms = [vscale(Fraction(vals[i], s), u) for i, (u, s) in zip(c.ray_indices, c.frame)]
-        ms.append(vsum(terms, fan.dim))
+        s = lcm(*(s_i for _, s_i in c.frame))
+        terms = [vscale(vals[i] * (s // s_i), u) for i, (u, s_i) in zip(c.ray_indices, c.frame)]
+        ms.append(tuple(Fraction(x, d * s) for x in vsum(terms, fan.dim)))
     return PLFunction(fan, tuple(ms))
 
 
@@ -190,10 +194,11 @@ def _wall_entry(fan: Fan, wall: Wall) -> tuple:
     return tuple(rel), tuple(coeffs), denominator, scale
 
 
-def _pairings(phi: PLFunction) -> tuple[list[int], int]:
+def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:
     """Each wall's integer relation paired with phi's integer ray values
-    over d, and d: a positive multiple of each bend (_wall_table)."""
-    values, d = phi.integer_ray_values()
+    over d, and d: a positive multiple of each bend (_wall_table).  The
+    pair (values, d) of phi.integer_ray_values() may be passed in."""
+    values, d = ray_values or phi.integer_ray_values()
     return [
         sum(c * values[i] for i, c in zip(rays, coeffs))
         for rays, coeffs, _, _ in _wall_table(phi.fan)

@@ -6,9 +6,12 @@ set, so those rays stay on the slice and span a cone of the result), and
 the facets of the convex hull of the scaled points and the origin that miss
 the origin project to a subdivision of the cone.  Those facets are read off
 one double description of the cone over the hull, lifted to height 1 (De
-Loera, Rambau and Santos, Triangulations, 2010).  Generic weights make
-every such facet a simplex; degenerate draws are detected exactly and
-retried.  The quasi-projective variant takes its slice functionals from a
+Loera, Rambau and Santos, Triangulations, 2010), with each lifted point
+taken as a primitive integer vector.  Generic weights make every such facet
+a simplex; degenerate draws are detected exactly and retried.  A simplicial
+cone stays whole, so a simplicial fan is its own refinement: it is returned
+as is, with its weights drawn as for any other fan, and not validated
+again.  The quasi-projective variant takes its slice functionals from a
 strictly convex function, which makes the per-cone subdivisions agree on
 shared faces by construction and yields a function strictly convex relative
 to the coarse fan.  The pulled-back coarse function plus a small enough
@@ -82,33 +85,32 @@ def interior_dual_point(fan: Fan, cone: ConeData) -> Vec:
     return m
 
 
-def slice_points(fan: Fan, cone: ConeData, m: Vec, weights) -> dict[int, Vec]:
-    """w_i * ray_i / <m, ray_i>: the weighted slice points of the cone."""
-    pts = {}
-    for i in cone.ray_indices:
-        d = vdot(m, fan.ray(i))
-        if d <= 0:
-            raise ValueError(f"the slice functional is not positive on ray {i}")
-        pts[i] = vscale(Fraction(weights[i], d), fan.ray(i))
-    return pts
-
-
 def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tuple[int, ...]]:
     """Subdivide one cone: ray index tuples of the cones over the non-origin
-    facets of conv(0, weighted slice points).
+    facets of conv(0, weighted slice points p_i = c_i ray_i, c_i = w_i /
+    <m, ray_i>).
 
     The facets are read off one double description of the cone over the
     lifted points (p_i, 1) and (0, 1): an inequality whose last entry is
     positive misses the origin, and the points tight at it span a cone of
     the subdivision.  A facet with more than n points on it means the
-    weights were not generic (Degenerate).
+    weights were not generic (Degenerate).  (p_i, 1) is lifted as the
+    primitive integer vector (a ray_i, b) on its ray, for c_i = a / b in
+    lowest terms: the rows of a double description are primitivized anyway,
+    and scaling keeps the tight sets, which integer dot products give.
     """
     n = fan.dim
     idx = cone.ray_indices
     if len(idx) == n:
         return [tuple(idx)]
-    pts = slice_points(fan, cone, m, weights)
-    lifted = [pts[i] + (1,) for i in idx] + [(0,) * n + (1,)]
+    lifted = []
+    for i in idx:
+        d = vdot(m, fan.ray(i))
+        if d <= 0:
+            raise ValueError(f"the slice functional is not positive on ray {i}")
+        c = Fraction(weights[i], d)
+        lifted.append(tuple(c.numerator * x for x in fan.ray(i)) + (c.denominator,))
+    lifted.append((0,) * n + (1,))
     out = []
     for u in v_to_h(VCone.make(lifted), lifted=True).inequalities:
         if u[n] <= 0:
@@ -159,7 +161,8 @@ def _build(fan: Fan, support, dual_points, seed) -> Refinement:
                 for sub in weighted_subdivision(fan, cone, dual_points[k], weights.w):
                     fine_cones.append(list(sub))
                     cone_map.append(k)
-            fine = validate_fan(fan.dim, [list(r) for r in fan.rays], fine_cones)
+            # a simplicial fan's cones stay whole: it is its own refinement
+            fine = fan if fan.is_simplicial else validate_fan(fan.dim, fan.rays, fine_cones)
         except (Degenerate, FanError) as e:
             log.info("refinement retry %d: %s", attempt + 1, e)
             continue
@@ -209,16 +212,14 @@ def qp_refinement(
         fan,
         tuple(vadd(shift_m, vscale(mu, mk)) for mk in phi.cone_functionals),
     )
-    if any(shifted.ray_value(i) <= 0 for i in range(fan.n_rays)):
+    values, d = ray_values = shifted.integer_ray_values()
+    if min(values) <= 0:
         raise RuntimeError("the shifted function must be positive on every ray")
-    if not is_strictly_convex(shifted):
+    if not all(p > 0 for p in _pairings(shifted, ray_values)[0]):
         raise RuntimeError("a linear shift must keep the function strictly convex")
     refinement = _build(fan, s, list(shifted.cone_functionals), seed)
     fine = refinement.fine
-    vals = [
-        Fraction(shifted.ray_value(i), refinement.weights.w[i])
-        for i in range(fan.n_rays)
-    ]
+    vals = [Fraction(v, d * w) for v, w in zip(values, refinement.weights.w)]
     phi_fine = pl_from_ray_values(fine, vals)
     if not strictly_convex_relative(phi_fine, refinement):
         raise RuntimeError("the fine function must be strictly convex relative to the fan")

@@ -216,6 +216,13 @@ def test_refine_bad_support_is_usage_error(capsys, support):
     assert "--support" in err
 
 
+def test_refine_qp_on_a_fan_that_is_not_quasi_projective_is_exit_2(capsys):
+    # Fulton's fan is valid but has no strictly convex function
+    code, out, err = run_cli(capsys, "refine", "--qp", "--fan", "corpus:fulton")
+    assert code == 2 and out == ""
+    assert err == "error: fan is not quasi-projective\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"dim": 2, "rays": 5, "max_cones": [[0]]},
     {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [0]},

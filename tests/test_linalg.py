@@ -8,7 +8,6 @@ from fanforge.linalg import (
     det,
     format_rational,
     kernel_basis,
-    lex_min_independent_subset,
     parse_rational,
     primitivize,
     rank,
@@ -70,16 +69,25 @@ def test_primitivize():
         primitivize((0, 0))
 
 
+def pivot_independent_subset(vectors, size):
+    """The pivot columns of one elimination of the vectors as columns, cut
+    to size, as plfun._relation_for_rays reads a wall's independent rays."""
+    dim = len(vectors[0]) if vectors else 0
+    pivots = rref([[v[d] for v in vectors] for d in range(dim)])[1]
+    return pivots[:size] if len(pivots) >= size else None
+
+
 def test_lex_min_independent_subset():
-    vecs = [(1, 0), (2, 0), (0, 1)]
-    assert lex_min_independent_subset(vecs, 2) == [0, 2]
-    assert lex_min_independent_subset([(1, 0), (2, 0)], 2) is None
-    vecs = [(0, 0), (1, 1), (2, 2), (0, 1)]
-    assert lex_min_independent_subset(vecs, 2) == [1, 3]
-    assert lex_min_independent_subset(vecs, 1) == [1]
-    assert lex_min_independent_subset(vecs, 3) is None
-    assert lex_min_independent_subset([], 0) == []
-    assert lex_min_independent_subset([], 1) is None
+    for choose in (pivot_independent_subset, reference_lex_min_independent_subset):
+        vecs = [(1, 0), (2, 0), (0, 1)]
+        assert choose(vecs, 2) == [0, 2]
+        assert choose([(1, 0), (2, 0)], 2) is None
+        vecs = [(0, 0), (1, 1), (2, 2), (0, 1)]
+        assert choose(vecs, 2) == [1, 3]
+        assert choose(vecs, 1) == [1]
+        assert choose(vecs, 3) is None
+        assert choose([], 0) == []
+        assert choose([], 1) is None
 
 
 def test_format_parse_rational():
@@ -225,9 +233,9 @@ def test_elimination_of_empty_matrix():
 
 
 def reference_lex_min_independent_subset(vectors, size):
-    """The greedy loop, one rank per candidate, that
-    lex_min_independent_subset ran before it read the pivot columns of one
-    elimination, kept as an oracle."""
+    """Indices of the lexicographically smallest linearly independent
+    subset of the given size, or None: the greedy loop, one rank per
+    candidate, optimal for matroid independence."""
     chosen = []
     for i, v in enumerate(vectors):
         if len(chosen) == size:
@@ -242,7 +250,7 @@ def reference_lex_min_independent_subset(vectors, size):
 def test_lex_min_independent_subset_matches_greedy_reference(vectors, size):
     # the rows are the vectors: zero and dependent ones mixed in, possibly
     # none, and size may exceed both their number and their rank
-    got = lex_min_independent_subset(vectors, size)
+    got = pivot_independent_subset(vectors, size)
     assert got == reference_lex_min_independent_subset(vectors, size)
     assert (got is None) == (size > rank(vectors))
 

@@ -7,7 +7,7 @@ import pytest
 from fanforge import corpus, mori, plfun
 from fanforge.cones import cone_contains, cones_equal, dual_cone, HCone, VCone
 from fanforge.fan import fan_from_json_obj, validate_fan
-from fanforge.linalg import kernel_basis, lex_min_independent_subset, primitivize, rank, vec
+from fanforge.linalg import kernel_basis, primitivize, rank, vec
 from fanforge.mori import (
     MoriConeNotPointed,
     curve_class,
@@ -22,6 +22,7 @@ from fanforge.plfun import is_quasi_projective, pl_basis, wall_functional, wall_
 from fanforge.primcoll import enumerate_primitive_collections, primitive_relation
 from fanforge.theorems import random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
+from test_linalg import reference_lex_min_independent_subset
 
 
 def kernel_relation(fan, ray_seq):
@@ -315,7 +316,7 @@ def reference_wall_relation(fan, wall):
     the wall rays and the two smallest off-wall rays."""
     a, b = wall.cone_indices
     wall_vecs = [fan.ray(i) for i in wall.ray_indices]
-    chosen = lex_min_independent_subset(wall_vecs, fan.dim - 1)
+    chosen = reference_lex_min_independent_subset(wall_vecs, fan.dim - 1)
     tau_part = [wall.ray_indices[i] for i in chosen]
     off_a = min(set(fan.max_cones[a].ray_indices) - set(wall.ray_indices))
     off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))

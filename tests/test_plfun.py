@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, plfun
+from fanforge import corpus, plfun, refine
 from fanforge.fan import validate_fan
-from fanforge.linalg import ZERO, kernel_basis, solve_linear, vdot, vsum
+from fanforge.linalg import ZERO, kernel_basis, solve_linear, vdot, vec, vscale, vsub, vsum
 from fanforge.mori import extremal_walls, mori_cone
 from fanforge.plfun import (
     NonSimplicialFan,
     NotARefinement,
+    PLFunction,
     WallIncompatible,
     coarse_membership,
     is_convex,
@@ -103,6 +104,84 @@ def test_cone_functionals_wall_incompatible():
     ms = [(0, 0, 0)] * 4 + [(0, 0, 1)]
     with pytest.raises(WallIncompatible):
         pl_from_cone_functionals(f, ms)
+
+
+def reference_pl_from_cone_functionals(fan, functionals):
+    """pl_from_cone_functionals in Fraction arithmetic, subtracting the
+    two functionals of each interior wall, kept as an oracle."""
+    ms = [vec(m) for m in functionals]
+    if len(ms) != len(fan.max_cones):
+        raise ValueError("need one functional per maximal cone")
+    for w in fan.interior_walls:
+        a, b = w.cone_indices
+        diff = vsub(ms[a], ms[b])
+        if any(vdot(diff, fan.ray(i)) != 0 for i in w.ray_indices):
+            raise WallIncompatible(w)
+    return PLFunction(fan, tuple(ms))
+
+
+def reference_pl_from_ray_values(fan, values):
+    """pl_from_ray_values in Fraction arithmetic, one Fraction product per
+    frame entry, kept as an oracle."""
+    if not fan.is_simplicial:
+        raise NonSimplicialFan("ray values underdetermine a non-simplicial fan")
+    vals = [Fraction(v) for v in values]
+    ms = []
+    for c in fan.max_cones:
+        terms = [vscale(Fraction(vals[i], s), u) for i, (u, s) in zip(c.ray_indices, c.frame)]
+        ms.append(vsum(terms, fan.dim))
+    return PLFunction(fan, tuple(ms))
+
+
+def test_pl_constructors_match_the_fraction_oracles(monkeypatch):
+    # the paper examples, the 3-cube, the 4-cross and 20 seed-11 random
+    # fans, with the fine fans of the quasi-projective refinements of the
+    # non-simplicial ones and every set of functionals that the refinement
+    # passes to pl_from_cone_functionals
+    rng = random.Random(11)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cube_fan(3), corpus.cross_fan(4)]
+    fans += [random_complete_fan(rng)[1] for _ in range(20)]
+    passed = []
+    monkeypatch.setattr(
+        refine, "pl_from_cone_functionals",
+        lambda f, ms: passed.append((f, ms)) or pl_from_cone_functionals(f, ms),
+    )
+    values = []
+    for k, f in enumerate(fans):
+        ok, witness = is_quasi_projective(f)
+        if ok:
+            passed.append((f, witness.cone_functionals))
+        if ok and not f.is_simplicial:
+            r, phi = qp_refinement(f, (), witness, seed=k)
+            values.append((r.fine, phi.ray_values()))
+            passed.append((r.fine, phi.cone_functionals))
+    for f in fans + [fine for fine, _ in values]:
+        b = pl_basis(f)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(b.dim_pl)]
+        passed.append((f, b.combine(f, coeffs).cone_functionals))
+        if f.is_simplicial:
+            values.append((f, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in f.rays]))
+    for f, ms in passed:
+        assert pl_from_cone_functionals(f, ms) == reference_pl_from_cone_functionals(f, ms)
+        # one entry moved: the same wall is named as incompatible
+        k, j = rng.randrange(len(ms)), rng.randrange(f.dim)
+        bad = [list(m) for m in ms]
+        bad[k][j] += Fraction(1, 7)
+        with pytest.raises(WallIncompatible) as got:
+            pl_from_cone_functionals(f, bad)
+        with pytest.raises(WallIncompatible) as want:
+            reference_pl_from_cone_functionals(f, bad)
+        assert got.value.wall == want.value.wall
+    for f, vals in values:
+        phi = pl_from_ray_values(f, vals)
+        assert phi == reference_pl_from_ray_values(f, vals)
+        assert all(type(x) is Fraction for m in phi.cone_functionals for x in m)
+    # 31 witnesses (Fulton's fan has none), 7 refinements of non-simplicial
+    # fans with the fine function and the certificate of each, and 39 basis
+    # combinations; ray values on the 32 simplicial fans and the 7 refined
+    # functions
+    assert len(passed) == 84 and len(values) == 39
 
 
 def test_all_ones_on_split_pyramid_convex_not_strict():

@@ -6,11 +6,12 @@ import pytest
 
 from fanforge import corpus, lp, refine
 from fanforge.cones import HCone, VCone, cones_equal, intersect_hcones, v_to_h
-from fanforge.fan import fans_equal, validate_fan
-from fanforge.linalg import kernel_basis, rank, vdot, vec, vneg
+from fanforge.fan import FanError, fans_equal, validate_fan
+from fanforge.linalg import kernel_basis, rank, vdot, vec, vneg, vscale
 from fanforge.plfun import is_quasi_projective, is_strictly_convex, pl_from_cone_functionals
 from fanforge.refine import (
     Degenerate,
+    GenericityExhausted,
     NotStrictlyConvex,
     PNotIndependent,
     covers_coarse_exactly,
@@ -18,7 +19,6 @@ from fanforge.refine import (
     interior_dual_point,
     qp_refinement,
     simplicial_refinement,
-    slice_points,
     strictly_convex_relative,
     supported_refinement,
     weighted_subdivision,
@@ -73,6 +73,14 @@ def test_weighted_subdivision_equal_weights_degenerate():
         weighted_subdivision(f, fat, m, [Fraction(2, 3)] * 5)
 
 
+def slice_points(fan, cone, m, weights):
+    """w_i * ray_i / <m, ray_i>: the weighted slice points of the cone."""
+    return {
+        i: vscale(Fraction(weights[i], vdot(m, fan.ray(i))), fan.ray(i))
+        for i in cone.ray_indices
+    }
+
+
 def reference_weighted_subdivision(fan, cone, m, weights):
     """The non-origin facets of conv(0, weighted slice points), found by
     exhausting the hyperplanes through affinely independent n-subsets of
@@ -112,18 +120,38 @@ def _subdivision_or_degenerate(subdivide, *args):
         return Degenerate
 
 
-def test_weighted_subdivision_matches_subset_reference():
+def _qp_slice_functionals(monkeypatch, fan):
+    """The shifted cone functionals that qp_refinement slices the fan's
+    cones with."""
+    seen = []
+    build = refine._build
+    monkeypatch.setattr(
+        refine, "_build", lambda f, s, dual_points, seed: seen.append(dual_points)
+        or build(f, s, dual_points, seed)
+    )
+    qp_refinement(fan, (), is_quasi_projective(fan)[1], seed=0)
+    monkeypatch.setattr(refine, "_build", build)
+    return seen[0]
+
+
+def test_weighted_subdivision_matches_subset_reference(monkeypatch):
     rng = random.Random(5)
     cube3 = corpus.cube_fan(3)
     fans = [cube3, corpus.cube_fan(4), corpus.square_pyramid_fan()]
     fans += [stellar_subdivide(cube3, k) for k in (0, 3)]
     fans.append(stellar_subdivide(fans[-1], 7))
-    compared = degenerate = 0
-    for f in fans:
-        for cone in f.max_cones:
+    # the integer interior dual points, then the Fraction functionals of
+    # the quasi-projective variant on the 3-cube, its stellar subdivisions
+    # and the square pyramid
+    slices = [(f, [interior_dual_point(f, c) for c in f.max_cones]) for f in fans]
+    qp_fans = [f for f in fans if f.dim == 3]
+    qp_fans += [stellar_subdivide(cube3, k) for k in (1, 2, 4, 5)]
+    slices += [(f, _qp_slice_functionals(monkeypatch, f)) for f in qp_fans]
+    compared = degenerate = qp = qp_degenerate = non_integer = 0
+    for f, ms in slices:
+        for cone, m in zip(f.max_cones, ms):
             if len(cone.ray_indices) == f.dim:
                 continue
-            m = interior_dual_point(f, cone)
             draws = [
                 [Fraction(rng.randrange(1, 10**6), 10**6) for _ in f.rays]
                 for _ in range(3)
@@ -140,9 +168,16 @@ def test_weighted_subdivision_matches_subset_reference():
                 assert got == want
                 compared += 1
                 degenerate += got is Degenerate
-    # 180 comparisons, 37 of them Degenerate: generic draws subdivide and
-    # about two in five coarse ones do not
-    assert compared >= 150 and 20 <= degenerate <= compared // 2
+                if isinstance(m[0], Fraction):
+                    qp += 1
+                    qp_degenerate += got is Degenerate
+                    non_integer += any(x.denominator != 1 for x in m)
+    # 432 comparisons, 56 of them Degenerate: generic draws subdivide and
+    # many coarse ones do not.  252 slice at the Fraction functionals of
+    # the quasi-projective variant, 54 of them with a non-integer entry,
+    # and 19 of those 252 are Degenerate
+    assert compared >= 400 and 40 <= degenerate <= compared // 2
+    assert qp >= 200 and non_integer >= 50 and 10 <= qp_degenerate <= qp // 2
 
 
 def test_refinement_reproduces_split_pyramid():
@@ -245,6 +280,62 @@ def test_qp_refinement_certifies_the_fine_fan_without_a_second_lp(monkeypatch):
             assert len(calls) == 1
             refined += 1
     assert refined == 39
+
+
+def reference_build(fan, support, dual_points, seed):
+    """refine._build with every attempt's cones glued and validated, also
+    on a simplicial fan: (fine fan, cone map, weights, retries)."""
+    rng = random.Random(seed)
+    for attempt in range(refine.MAX_RETRIES):
+        weights = refine._draw_weights(fan, support, rng, seed)
+        fine_cones, cone_map = [], []
+        try:
+            for k, cone in enumerate(fan.max_cones):
+                for sub in weighted_subdivision(fan, cone, dual_points[k], weights.w):
+                    fine_cones.append(list(sub))
+                    cone_map.append(k)
+            fine = validate_fan(fan.dim, [list(r) for r in fan.rays], fine_cones)
+        except (Degenerate, FanError):
+            continue
+        return fine, tuple(cone_map), weights, attempt
+    raise GenericityExhausted
+
+
+def test_simplicial_fan_is_its_own_refinement(monkeypatch):
+    validated = []
+    real = refine.validate_fan
+    monkeypatch.setattr(
+        refine, "validate_fan", lambda *a: validated.append(a) or real(*a)
+    )
+    rng = random.Random(7)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [random_complete_fan(rng)[1] for _ in range(25)]
+    fans += [corpus.cross_fan(4), corpus.square_pyramid_fan(), corpus.cube_fan(3)]
+    simplicial = qp = 0
+    for k, f in enumerate(fans):
+        support = (0, 1) if k % 2 else ()
+        dual_points = [interior_dual_point(f, c) for c in f.max_cones]
+        validated.clear()
+        r = simplicial_refinement(f, support, seed=k)
+        fine, cone_map, weights, retries = reference_build(
+            f, support, dual_points, k
+        )
+        assert fans_equal(r.fine, fine)
+        assert (r.cone_map, r.weights, r.retries) == (cone_map, weights, retries)
+        if f.is_simplicial:
+            assert r.fine is f and validated == []
+            simplicial += 1
+            ok, witness = is_quasi_projective(f)
+            if ok:
+                rq, phi = qp_refinement(f, support, witness, seed=k)
+                assert rq.fine is f and phi.fan is f and validated == []
+                assert strictly_convex_relative(phi, rq)
+                qp += 1
+        else:
+            # ex31 and the 3-cube still validate once per attempt
+            assert len(validated) == r.retries + 1
+    # the 26 simplicial fans of the verification suite and the 4-cross
+    assert simplicial == 27 and qp == 26
 
 
 def test_qp_refinement_identity_on_simplicial():
