@@ -224,9 +224,7 @@ def cone_contains(c: VCone, x) -> tuple[bool, Vec | None]:
     if not c.generators:
         return False, None
     coeffs = lp.solve_nonneg(c.generators, x)
-    if coeffs is None:
-        return False, None
-    return True, coeffs
+    return coeffs is not None, coeffs
 
 
 def cone_includes(outer: HCone | VCone, inner: HCone | VCone) -> bool:

@@ -80,18 +80,18 @@ def primitivize(a: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _pivot(T: list[list[int]], r: int, c: int, d: int) -> int:
+def _pivot(T: list[list[int]], r: int, col: Sequence[int], d: int) -> int:
     """One fraction-free Gauss-Jordan step on an integer tableau over the
-    common denominator d: clear column c outside row r and return the new
-    denominator, the pivot p = T[r][c].  From an integer matrix with d = 1,
-    every entry stays a minor of that matrix up to sign, so each division is
-    exact (Bareiss 1968)."""
-    p = T[r][c]
+    common denominator d: clear the column col (given, so T need not store
+    it) outside row r and return the new denominator, the pivot col[r].
+    From an integer matrix with d = 1, every entry stays a minor of that
+    matrix up to sign, so each division is exact (Bareiss 1968)."""
+    p = col[r]
     pivot_row = T[r]
     for i, row in enumerate(T):
         if i == r:
             continue
-        f = row[c]
+        f = col[i]
         if f:
             T[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
         elif p != d:
@@ -126,7 +126,7 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
         if k != r:
             T[r], T[k] = T[k], T[r]
             scale = -scale
-        d = _pivot(T, r, c, d)
+        d = _pivot(T, r, [row[c] for row in T], d)
         pivots.append(c)
     return T, pivots, d, scale
 

@@ -269,16 +269,18 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
     fine = refinement.fine
     if not fine.is_simplicial:
         raise ValueError("the type-A check needs a simplicial refinement")
-    # a type-A pair is primitive for the refinement: its additivity
-    # equality is its primitive relation
-    rows = [
-        relation_dense(fine, primcoll.primitive_relation(fine, p).relation)
-        for p in type_a_pairs(fine, coarse)
-    ]
-    cut_basis = kernel_basis(rows, fine.n_rays)
-    pull_basis = pl_basis(coarse).ray_values
-    ra, rb = rank(cut_basis), rank(pull_basis)
-    rab = rank(list(cut_basis) + list(pull_basis))
+    if fine is coarse:
+        # the fan refines itself: no type-A pair, both spaces all of Q^rays
+        ra = rb = rab = fine.n_rays
+    else:
+        # a type-A pair is primitive for the refinement: its additivity
+        # equality is its primitive relation
+        rows = [relation_dense(fine, primcoll.primitive_relation(fine, p).relation)
+                for p in type_a_pairs(fine, coarse)]
+        cut_basis = kernel_basis(rows, fine.n_rays)
+        pull_basis = pl_basis(coarse).ray_values
+        ra, rb = rank(cut_basis), rank(pull_basis)
+        rab = rank(list(cut_basis) + list(pull_basis))
     ok = ra == rb == rab
     return TheoremReport(
         "type-a-subspace", fan_id,

@@ -2,10 +2,14 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanforge import lp
+from fanforge import corpus, lp
 from fanforge.linalg import vdot
+from fanforge.plfun import is_quasi_projective
+from fanforge.refine import qp_refinement
+from fanforge.theorems import run_paper_suite
 
 
 def test_simplex_basic_max():
@@ -175,3 +179,179 @@ def test_seeded_lps_match_pinned_digest(monkeypatch):
     # Bland pivots are positive; only driving an artificial out of the basis
     # can pivot on a negative entry, which the tableau must absorb
     assert any(p < 0 for p in pivots)
+
+
+def reference_strict_feasible(strict, weak, eqs, dim):
+    """The full-width slack LP that strict_feasible stores at half width:
+    each free coordinate split as u - v and one explicit slack per strict,
+    weak and cap row, solved by simplex_max."""
+    if not strict:
+        return tuple(Fraction(0) for _ in range(dim)), {}
+    ns, nw = len(strict), len(weak)
+    nvars = 2 * dim + 1 + ns + nw + 1
+    t_col = 2 * dim
+    rows, rhs = [], []
+    for k, r in enumerate(list(strict) + list(weak) + list(eqs)):
+        row = [0] * nvars
+        for d in range(dim):
+            row[d] = r[d]
+            row[dim + d] = -r[d]
+        if k < ns:
+            row[t_col] = -1
+        if k < ns + nw:
+            row[t_col + 1 + k] = -1
+        rows.append(row)
+        rhs.append(0)
+    cap = [0] * nvars
+    cap[t_col] = 1
+    cap[-1] = 1
+    rows.append(cap)
+    rhs.append(1)
+    cost = [0] * nvars
+    cost[t_col] = 1
+    res = lp.simplex_max(rows, rhs, cost)
+    assert res.status == lp.OPTIMAL
+    if res.objective > 0:
+        return tuple(res.x[d] - res.x[dim + d] for d in range(dim)), {}
+    y = res.dual
+    return None, {
+        "strict": tuple(-y[i] for i in range(ns)),
+        "weak": tuple(-y[ns + j] for j in range(nw)),
+        "eqs": tuple(-y[ns + nw + k] for k in range(len(eqs))),
+    }
+
+
+def seeded_strict_systems(count=400, seed=2025):
+    """Small strict systems with Fraction entries, weak rows and equalities;
+    a strict row's negation is sometimes appended, which makes the system
+    infeasible."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = rng.choice([0, 0, 1, -1, 2, -2, 3])
+        return Fraction(v, rng.choice([1, 1, 2, 3])) if v else 0
+
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+
+        def rows(k):
+            return [tuple(entry() for _ in range(dim)) for _ in range(k)]
+
+        strict, weak, eqs = rows(rng.randint(1, 4)), rows(rng.randint(0, 3)), rows(rng.randint(0, 2))
+        if rng.random() < 0.2:
+            strict.append(tuple(-x for x in rng.choice(strict)))
+        out.append((strict, weak, eqs, dim))
+    return out
+
+
+# SHA-256 of (witness, certificate) over seeded_strict_systems(), as the
+# full-width slack LP computed them.
+SEEDED_STRICT_DIGEST = "4de6400cb66722e839d53931a9542ad474b592ae1acbd037de58725811851170"
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call a function and list the pivot elements it takes through
+    lp._pivot, in order."""
+    pivots = []
+    real_pivot = lp._pivot
+
+    def counting(T, r, c, d):
+        p = real_pivot(T, r, c, d)
+        pivots.append(p)
+        return p
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+
+    def run(fn, *args):
+        pivots.clear()
+        out = fn(*args)
+        return out, list(pivots)
+
+    return run
+
+
+def assert_same_as_reference(counted, systems):
+    for system in systems:
+        got, got_pivots = counted(lp.strict_feasible, *system)
+        want, want_pivots = counted(reference_strict_feasible, *system)
+        # the same witness, certificate and entry types after as many
+        # pivots, on the same pivot elements
+        assert repr(got) == repr(want) and got_pivots == want_pivots
+
+
+def test_seeded_strict_systems_match_pinned_digest():
+    h = hashlib.sha256()
+    infeasible = 0
+    for system in seeded_strict_systems():
+        witness, cert = lp.strict_feasible(*system)
+        infeasible += witness is None
+        h.update(repr((witness, cert)).encode())
+    assert h.hexdigest() == SEEDED_STRICT_DIGEST
+    assert 0 < infeasible < len(seeded_strict_systems())
+
+
+def test_half_width_strict_feasible_takes_the_reference_pivots(counted):
+    assert_same_as_reference(counted, seeded_strict_systems())
+
+
+def test_strict_feasible_workload_calls_take_the_reference_pivots(monkeypatch, counted):
+    calls = []
+    solve = lp.strict_feasible
+    monkeypatch.setattr(lp, "strict_feasible", lambda *a: calls.append(a) or solve(*a))
+    run_paper_suite(seed=7, random_fans=25)
+    cube = corpus.cube_fan(3)
+    qp_refinement(cube, (), is_quasi_projective(cube)[1], seed=7)
+    monkeypatch.setattr(lp, "strict_feasible", solve)
+    assert len(calls) >= 30
+    assert_same_as_reference(counted, calls)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("row", [(1, 0, 5), (1,)])
+def test_strict_feasible_rejects_rows_of_the_wrong_length(slot, row):
+    system = [[(1, 0)], [(0, 1)], [(1, -1)]]
+    system[slot].append(row)
+    # a longer row is not cut to dim entries, nor a shorter one padded
+    with pytest.raises(ValueError):
+        lp.strict_feasible(*system, 2)
+
+
+def seeded_memberships(count=400, seed=2026):
+    """Cone-membership systems as seeded_lps draws them: half with a target
+    inside the cone, some with a redundant coordinate (minus the first)."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = rng.choice([0, 0, 1, -1, 2, -2, 3])
+        return Fraction(v, rng.choice([1, 1, 2, 3])) if v else Fraction(0)
+
+    out = []
+    for _ in range(count):
+        dim, k = rng.randint(1, 4), rng.randint(1, 6)
+        gens = [[entry() for _ in range(dim)] for _ in range(k)]
+        if dim > 1 and rng.random() < 0.3:
+            for g in gens:
+                g[-1] = -g[0]
+        if rng.random() < 0.5:
+            coeffs = [rng.choice([0, 0, 1, Fraction(1, 2)]) for _ in range(k)]
+            target = [sum(c * g[d] for c, g in zip(coeffs, gens)) for d in range(dim)]
+        else:
+            target = [entry() for _ in range(dim)]
+        out.append((gens, target))
+    return out
+
+
+def test_solve_nonneg_is_the_zero_cost_simplex():
+    statuses = set()
+    for gens, target in seeded_memberships():
+        x = lp.solve_nonneg(gens, target)
+        A = [[g[d] for g in gens] for d in range(len(target))]
+        res = lp.simplex_max(A, target, [0] * len(gens))
+        statuses.add(res.status)
+        if res.status == lp.INFEASIBLE:
+            assert x is None
+        else:
+            assert x == res.x and list(map(type, x)) == list(map(type, res.x))
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}

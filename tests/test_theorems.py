@@ -184,6 +184,23 @@ def test_type_a_description_random_nonsimplicial():
         assert rep.verdict == HOLDS
 
 
+def test_type_a_description_of_a_simplicial_fan_matches_the_eliminations():
+    rng = random.Random(7)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [random_complete_fan(rng)[1] for _ in range(25)] + [corpus.cross_fan(4)]
+    simplicial = [f for f in fans if f.is_simplicial]
+    assert len(simplicial) == 27
+    for f in simplicial:
+        r = simplicial_refinement(f, (), seed=7)
+        assert r.fine is f and not type_a_pairs(f, f)
+        # the eliminations the check skips when the fan is its own refinement
+        cut = kernel_basis([], f.n_rays)
+        pull = pl_basis(f).ray_values
+        dims = [rank(cut), rank(pull), rank(list(cut) + list(pull))]
+        assert dims == [f.n_rays] * 3
+        assert check_type_a_description(f, r).certificates["dims"] == dims
+
+
 def reference_type_a_rows(fine, coarse):
     """The additivity equality of each type-A pair (i, j), solved by hand:
     e_i + e_j minus the coordinates of ray_i + ray_j over the rays of the
