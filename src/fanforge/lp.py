@@ -210,7 +210,7 @@ def strict_feasible(
     if any(row[-1] > 0 for row in t_rows):
         x = _basic_values(T, basis, t, d)
         return tuple(x[j] - x[dim + j] for j in range(dim)), {}
-    # the dual is c_B B^{-1}: L times t's row under the artificials, over d
+    # the multipliers are -c_B B^{-1}: -L times t's row under the artificials, over d
     y = [Fraction(-scale * sum(row[art + i] for row in t_rows), d) for i in range(m - 1)]
     return None, {"strict": tuple(y[:ns]), "weak": tuple(y[ns:ns + nw]),
                   "eqs": tuple(y[ns + nw:])}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanforge import corpus, lp
-from fanforge.linalg import vdot
+from fanforge.linalg import vdot, vzero
 from fanforge.plfun import is_quasi_projective
 from fanforge.refine import qp_refinement
 from fanforge.theorems import run_paper_suite
@@ -182,24 +182,40 @@ def test_seeded_lps_match_pinned_digest(monkeypatch):
 
 
 def reference_strict_feasible(strict, weak, eqs, dim):
-    """The full-width slack LP that strict_feasible stores at half width:
-    each free coordinate split as u - v and one explicit slack per strict,
-    weak and cap row, solved by simplex_max."""
+    """strict_feasible as it was before it stored half the columns: each
+    free coordinate split as u - v and one explicit slack per strict, weak
+    and cap row, solved by simplex_max at full width."""
     if not strict:
-        return tuple(Fraction(0) for _ in range(dim)), {}
+        return vzero(dim), {}
     ns, nw = len(strict), len(weak)
+    # variables: u (dim), v (dim), t, slacks for strict rows, slacks for weak
+    # rows, slack for the cap t <= 1
     nvars = 2 * dim + 1 + ns + nw + 1
     t_col = 2 * dim
-    rows, rhs = [], []
-    for k, r in enumerate(list(strict) + list(weak) + list(eqs)):
+    rows = []
+    rhs = []
+    for i, s in enumerate(strict):
         row = [0] * nvars
         for d in range(dim):
-            row[d] = r[d]
-            row[dim + d] = -r[d]
-        if k < ns:
-            row[t_col] = -1
-        if k < ns + nw:
-            row[t_col + 1 + k] = -1
+            row[d] = s[d]
+            row[dim + d] = -s[d]
+        row[t_col] = -1
+        row[t_col + 1 + i] = -1
+        rows.append(row)
+        rhs.append(0)
+    for j, w in enumerate(weak):
+        row = [0] * nvars
+        for d in range(dim):
+            row[d] = w[d]
+            row[dim + d] = -w[d]
+        row[t_col + 1 + ns + j] = -1
+        rows.append(row)
+        rhs.append(0)
+    for e in eqs:
+        row = [0] * nvars
+        for d in range(dim):
+            row[d] = e[d]
+            row[dim + d] = -e[d]
         rows.append(row)
         rhs.append(0)
     cap = [0] * nvars
@@ -210,15 +226,18 @@ def reference_strict_feasible(strict, weak, eqs, dim):
     cost = [0] * nvars
     cost[t_col] = 1
     res = lp.simplex_max(rows, rhs, cost)
-    assert res.status == lp.OPTIMAL
+    if res.status != lp.OPTIMAL:
+        raise RuntimeError(f"the slack LP is {res.status}, not optimal")
     if res.objective > 0:
-        return tuple(res.x[d] - res.x[dim + d] for d in range(dim)), {}
+        x = tuple(res.x[d] - res.x[dim + d] for d in range(dim))
+        return x, {}
     y = res.dual
-    return None, {
+    cert = {
         "strict": tuple(-y[i] for i in range(ns)),
         "weak": tuple(-y[ns + j] for j in range(nw)),
         "eqs": tuple(-y[ns + nw + k] for k in range(len(eqs))),
     }
+    return None, cert
 
 
 def seeded_strict_systems(count=400, seed=2025):
@@ -283,13 +302,14 @@ def assert_same_as_reference(counted, systems):
 
 def test_seeded_strict_systems_match_pinned_digest():
     h = hashlib.sha256()
+    systems = seeded_strict_systems()
     infeasible = 0
-    for system in seeded_strict_systems():
+    for system in systems:
         witness, cert = lp.strict_feasible(*system)
         infeasible += witness is None
         h.update(repr((witness, cert)).encode())
     assert h.hexdigest() == SEEDED_STRICT_DIGEST
-    assert 0 < infeasible < len(seeded_strict_systems())
+    assert 0 < infeasible < len(systems)
 
 
 def test_half_width_strict_feasible_takes_the_reference_pivots(counted):
