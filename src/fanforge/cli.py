@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import corpus, mori, plfun, primcoll, refine, theorems
 from .cones import VCone, cone_contains
 from .fan import Fan, FanError, fan_from_json_obj
-from .linalg import format_rational, primitivize, rref, vneg
+from .linalg import format_rational, kernel_basis, primitivize, rref, vneg
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,20 +104,17 @@ def _relation_string(fan: Fan, rel: primcoll.PrimitiveRelation) -> str:
 
 def cmd_validate(args) -> int:
     f = _load_fan(args.fan)
+    summary = {
+        "dim": f.dim, "rays": f.n_rays, "max_cones": len(f.max_cones),
+        "simplicial": f.is_simplicial, "complete": f.is_complete,
+        "interior_walls": len(f.interior_walls),
+    }
     if args.json:
-        print(json.dumps({
-            "dim": f.dim, "rays": f.n_rays, "max_cones": len(f.max_cones),
-            "simplicial": f.is_simplicial, "complete": f.is_complete,
-            "interior_walls": len(f.interior_walls),
-        }))
+        print(json.dumps(summary))
     else:
-        print(
-            f"valid fan: dim={f.dim} rays={f.n_rays} "
-            f"max_cones={len(f.max_cones)} "
-            f"simplicial={'yes' if f.is_simplicial else 'no'} "
-            f"complete={'yes' if f.is_complete else 'no'} "
-            f"interior_walls={len(f.interior_walls)}"
-        )
+        print("valid fan:", *(
+            f"{k}={('no', 'yes')[v] if isinstance(v, bool) else v}" for k, v in summary.items()
+        ))
     return EXIT_OK
 
 
@@ -216,8 +213,6 @@ def cmd_mori(args) -> int:
 
 
 def _nef_report(f: Fan) -> dict:
-    from .linalg import kernel_basis
-
     pinned = list(f.max_cones[0].ray_indices)
     relations = primcoll.primitive_relations(f)
     collections = list(relations)
@@ -245,18 +240,17 @@ def _nef_report(f: Fan) -> dict:
         neg = vneg(row)
         if cone is not None and cone_contains(cone, neg)[0]:
             eq_idx.append(k)
-    eq_rows, _ = rref(pinned_membership + [pinned_rows[k] for k in eq_idx])
+    eq_rows, eq_pivots = rref(pinned_membership + [pinned_rows[k] for k in eq_idx])
     # reduce the inequality rows modulo the equalities
     red_seen = []
     for k, row in enumerate(pinned_rows):
         if k in eq_idx or all(x == 0 for x in row):
             continue
         r = list(row)
-        for erow in eq_rows:
-            piv = next(i for i, x in enumerate(erow) if x != 0)
-            if r[piv] != 0:
-                fctr = Fraction(r[piv], erow[piv])
-                r = [a - fctr * b for a, b in zip(r, erow)]
+        for erow, piv in zip(eq_rows, eq_pivots):
+            c = r[piv]
+            if c:
+                r = [a - c * b for a, b in zip(r, erow)]
         if any(x != 0 for x in r):
             p = primitivize(r)
             if p not in red_seen:
@@ -362,24 +356,15 @@ def cmd_verify(args) -> int:
         print("error: --random-fans must not be negative", file=sys.stderr)
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else _default_seed()
-    checks = {
-        "main-cone-equality": theorems.check_main_theorem,
-        "extremal-positive-support": theorems.check_extremal_primitive,
-        "reid-conditions": theorems.check_reid_all_walls,
-    }
     if args.theorem:
         if not args.fan:
             print("error: --theorem needs --fan", file=sys.stderr)
             return EXIT_USAGE
         f = _load_fan(args.fan)
-        if args.theorem == "type-a-subspace":
-            r = refine.simplicial_refinement(f, (), seed)
-            reports = [theorems.check_type_a_description(f, r, args.fan)]
-        elif args.theorem in checks:
-            reports = [checks[args.theorem](f, args.fan)]
-        else:
+        if args.theorem not in theorems.CHECKS:
             print(f"error: unknown theorem {args.theorem!r}", file=sys.stderr)
             return EXIT_USAGE
+        reports = [theorems.run_check(args.theorem, f, args.fan, seed)]
     elif args.fan:
         f = _load_fan(args.fan)
         reports = theorems.run_paper_suite(fans=[(args.fan, f)], seed=seed)

@@ -95,12 +95,11 @@ class Wall:
 class Fan:
     """Validated fan; construct via validate_fan or fan_from_json."""
 
-    def __init__(self, dim, rays, max_cones, faces, max_face_sets, walls, support):
+    def __init__(self, dim, rays, max_cones, faces, walls, support):
         self.dim: int = dim
         self.rays: tuple[tuple[int, ...], ...] = rays
         self.max_cones: tuple[ConeData, ...] = max_cones
         self.faces: Mapping[tuple[int, ...], ConeData] = MappingProxyType(faces)
-        self.max_face_sets: tuple[frozenset, ...] = max_face_sets
         self.walls: tuple[Wall, ...] = walls
         self.interior_walls: tuple[Wall, ...] = tuple(
             w for w in walls if w.is_interior
@@ -160,57 +159,50 @@ class Fan:
         )
 
 
-def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo):
-    """All faces of the cone on the indexed rays as ray index sets, the cone
-    itself included.  hrep is the cone's facet description; memo maps each
-    face met so far to its own faces and its facet description, so each
-    face's description is derived once, and a face met again keeps the
-    description it was first given.
+def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None:
+    """Enter every face of the cone on the indexed rays, the cone itself
+    included, into memo, which maps each face (a ray index set) to its facet
+    description.  hrep is the cone's description; a face met again keeps the
+    description it was first given, so each is derived once.
 
     A simplicial cone's faces are all subsets of its rays, described by the
     cone's own normals (_simplicial_faces).  Any other cone's facets are
     read off its normals, each facet described by a double description of
     its rays, and their faces are found the same way."""
     if indices in memo:
-        return memo[indices][0]
+        return
     if len(indices) == hrep.ambient_dim - len(hrep.equalities):
         _simplicial_faces(indices, hrep, rays, memo)
-        return memo[indices][0]
-    result = {indices}
+        return
     for u in hrep.inequalities:
         tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
-        face_hrep = memo[tight][1] if tight in memo else v_to_h(
+        face_hrep = memo[tight] if tight in memo else v_to_h(
             VCone.make([rays[i] for i in tight], hrep.ambient_dim)
         )
-        result |= _cone_faces(tight, face_hrep, rays, memo)
-    memo[indices] = (result, hrep)
-    return result
+        _cone_faces(tight, face_hrep, rays, memo)
+    memo[indices] = hrep
 
 
 def _simplicial_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None:
     """The memo entries of _cone_faces for every subset S of the rays of a
-    simplicial cone, smallest first.  Each facet normal u_i of the cone
-    vanishes on every ray but one, i; S is the face cut out by u_j = 0 for
-    the rays j outside S, so its description keeps the u_i of S as
-    inequalities and adds the other u_j to the cone's equalities.  Then
-    dim - len(equalities) = |S|, and u_i is still the one inequality that
-    does not vanish on ray i, as ConeData.frame reads it."""
+    simplicial cone.  Each facet normal u_i of the cone vanishes on every
+    ray but one, i; S is the face cut out by u_j = 0 for the rays j outside
+    S, so its description keeps the u_i of S as inequalities and adds the
+    other u_j to the cone's equalities.  Then dim - len(equalities) = |S|,
+    and u_i is still the one inequality that does not vanish on ray i, as
+    ConeData.frame reads it."""
     normal = {}
     for u in hrep.inequalities:
         (i,) = (i for i in indices if vdot(u, rays[i]) != 0)
         normal[i] = u
     for size in range(len(indices) + 1):
         for s in itertools.combinations(indices, size):
-            if s in memo:
-                continue
-            faces = {s}.union(*(
-                memo[s[:k] + s[k + 1:]][0] for k in range(size)
-            ))
-            memo[s] = (faces, HCone(
-                tuple(normal[i] for i in s),
-                hrep.equalities + tuple(normal[j] for j in indices if j not in s),
-                hrep.ambient_dim,
-            ))
+            if s not in memo:
+                memo[s] = HCone(
+                    tuple(normal[i] for i in s),
+                    hrep.equalities + tuple(normal[j] for j in indices if j not in s),
+                    hrep.ambient_dim,
+                )
 
 
 def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], HCone]:
@@ -242,7 +234,14 @@ def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], 
     return matched, walls, HCone(tuple(sorted(unmatched)), (), len(rays[0]))
 
 
-def _check_pairwise_faces(cones: list[ConeData], max_face_sets, rays) -> None:
+def _is_face(cone: ConeData, t: tuple[int, ...], rays) -> bool:
+    """Is the sorted ray index set t a face of the cone?  t must be the rays
+    of the cone that lie on every facet of the cone containing t."""
+    on = [u for u in cone.facets.inequalities if all(vdot(u, rays[i]) == 0 for i in t)]
+    return t == tuple(i for i in cone.ray_indices if all(vdot(u, rays[i]) == 0 for u in on))
+
+
+def _check_pairwise_faces(cones: list[ConeData], rays) -> None:
     """Raise the FanError of the first pair of maximal cones whose
     intersection is not a common face."""
     ray_lookup = {r: i for i, r in enumerate(rays)}
@@ -260,7 +259,7 @@ def _check_pairwise_faces(cones: list[ConeData], max_face_sets, rays) -> None:
                     )
                 got.append(gi)
             t = tuple(sorted(set(got)))
-            if t not in max_face_sets[a] or t not in max_face_sets[b]:
+            if not (_is_face(cones[a], t, rays) and _is_face(cones[b], t, rays)):
                 raise FanError(
                     "ConesOverlapImproperly",
                     f"intersection of cones {a} and {b} is not a common face",
@@ -387,17 +386,10 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
         cones.append(ConeData(idx, dim, hrep, rays_t))
 
     # face lattice, shared across cones and closed under taking faces
-    memo: dict[tuple[int, ...], tuple[set, HCone]] = {}
-    max_face_sets = []
+    memo: dict[tuple[int, ...], HCone] = {}
     for c in cones:
-        max_face_sets.append(
-            frozenset(_cone_faces(c.ray_indices, c.facets, rays_t, memo))
-        )
-    all_face_sets: set[tuple[int, ...]] = set().union(*max_face_sets)
-    faces: dict[tuple[int, ...], ConeData] = {}
-    for fs in all_face_sets:
-        _, hrep = memo[fs]
-        faces[fs] = ConeData(fs, dim - len(hrep.equalities), hrep, rays_t)
+        _cone_faces(c.ray_indices, c.facets, rays_t, memo)
+    faces = {fs: ConeData(fs, dim - len(h.equalities), h, rays_t) for fs, h in memo.items()}
 
     used = set().union(*(c.ray_indices for c in cones))
     if used != set(range(len(rays_t))):
@@ -407,7 +399,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
 
     matched, walls, support = _facets_match(cones, rays_t)
     if not matched:
-        _check_pairwise_faces(cones, max_face_sets, rays_t)
+        _check_pairwise_faces(cones, rays_t)
         for r in rays_t:
             if not support.contains_point(r):
                 raise FanError(
@@ -416,15 +408,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
                 )
         raise RuntimeError("facet matching failed on cones that meet in faces")
 
-    return Fan(
-        dim,
-        rays_t,
-        tuple(cones),
-        faces,
-        tuple(max_face_sets),
-        walls,
-        support,
-    )
+    return Fan(dim, rays_t, tuple(cones), faces, walls, support)
 
 
 def contained_in_single_cone(fan: Fan, ray_set) -> bool:

@@ -192,11 +192,9 @@ def strict_feasible(
     if not strict:
         return vzero(dim), {}
     ns, nw, m, art, t = len(strict), len(weak), len(rows) + 1, dim + 1, 2 * dim
-    flat, scale = _integer_row([x for r in rows for x in r])
-    T = [flat[i * dim:(i + 1) * dim] + [-scale if i < ns else 0] + [0] * (m + 1)
-         for i in range(m - 1)] + [[0] * dim + [scale] + [0] * m + [scale]]
-    for i, row in enumerate(T):
-        row[art + i] = 1
+    # stored columns [x | t]: <s_i,x> - t >= 0 on the strict rows, t <= 1 on the cap
+    A = [[*r, -1 if i < ns else 0] for i, r in enumerate(rows)] + [[0] * dim + [1]]
+    T, scale, _, _ = _standard_form(A, [0] * (m - 1) + [1], art)
     # the LP's columns: u, v, t, the row slacks, the cap slack, artificials
     cols = [(j, 1) for j in range(dim)] + [(j, -1) for j in range(dim)] + [(dim, 1)]
     cols += [(art + i, -scale) for i in range(ns + nw)] + [(art + m - 1, scale)]

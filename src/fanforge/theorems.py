@@ -5,7 +5,8 @@ verdict ships machine-checkable certificates (nonnegative-combination
 coefficients, proportionality scales) that verify_certificates re-checks
 with nothing but arithmetic.  Fans that are not quasi-projective are run in
 evidence mode: the cone identities are still tested, but a passing result
-is reported as "evidence", never "holds".
+is reported as "evidence", never "holds".  CHECKS lists the suite's checks
+by id, and run_check runs one of them and times it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class TheoremReport:
     details: str = ""
     certificates: dict = field(default_factory=dict)
     seconds: float = 0.0
+    """Set by run_check around the check's whole run; 0.0 from a direct call."""
 
     def to_json_obj(self, with_timing=False) -> dict:
         obj = {
@@ -105,7 +107,6 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     wall's class times the wall's positive scale (plfun._wall_table), so
     cone(W) is the Mori cone.  Certified: memberships both ways between the
     Mori and primitive classes, and one proportional entry per wall."""
-    t0 = time.perf_counter()
     basis = pl_basis(fan)
     qp, _ = is_quasi_projective(fan)
     mc = mori_cone(fan, basis)
@@ -114,15 +115,11 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     prim_v = VCone.make(primcoll.primitive_rows(fan, basis), basis.dim_pic)
     certs: list = []
     bad = _cones_equal_certified(mc.cone, prim_v, certs)
-    elapsed = time.perf_counter() - t0
     if bad is not None:
         return TheoremReport(
-            "main-cone-equality",
-            fan_id,
-            FAILS,
+            "main-cone-equality", fan_id, FAILS,
             f"cone equality fails at generator {[str(x) for x in bad]}",
             {"counterexample": [str(x) for x in bad]},
-            elapsed,
         )
     verdict = HOLDS if qp else EVIDENCE
     details = "wall and primitive descriptions agree" + (
@@ -130,7 +127,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     )
     return TheoremReport(
         "main-cone-equality", fan_id, verdict, details,
-        {"memberships": certs, "proportional": bridge}, elapsed,
+        {"memberships": certs, "proportional": bridge},
     )
 
 
@@ -138,16 +135,10 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     """On a simplicial quasi-projective fan, the positive support of every
     extremal wall relation is a primitive collection whose relation is a
     positive multiple of the wall relation."""
-    t0 = time.perf_counter()
-    if not fan.is_simplicial:
+    reason = _inapplicable(fan)
+    if reason is not None:
         return TheoremReport(
-            "extremal-positive-support", fan_id, INAPPLICABLE, "fan not simplicial"
-        )
-    qp, _ = is_quasi_projective(fan)
-    if not qp:
-        return TheoremReport(
-            "extremal-positive-support", fan_id, INAPPLICABLE,
-            "fan not quasi-projective",
+            "extremal-positive-support", fan_id, INAPPLICABLE, "fan " + reason
         )
     certs = []
     basis = pl_basis(fan)
@@ -161,7 +152,6 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
                 "extremal-positive-support", fan_id, FAILS,
                 f"positive support {p} of wall {w.ray_indices} is not primitive",
                 {"counterexample": list(p)},
-                time.perf_counter() - t0,
             )
         a_p = relation_dense(fan, relations[p].relation)
         a_t = relation_dense(fan, rel)
@@ -171,13 +161,12 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
                 f"relation of {p} is not a positive multiple of wall "
                 f"{w.ray_indices}",
                 {"counterexample": list(p)},
-                time.perf_counter() - t0,
             )
         certs.append(_proportional_certificate(a_t, a_p))
     return TheoremReport(
         "extremal-positive-support", fan_id, HOLDS,
         f"checked {len(certs)} extremal walls",
-        {"proportional": certs}, time.perf_counter() - t0,
+        {"proportional": certs},
     )
 
 
@@ -185,17 +174,16 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
     """At an extremal wall of a simplicial quasi-projective fan, dropping a
     positive-coefficient ray from the wall relation leaves a maximal cone of
     the fan, and those cones cover the cone on all n+1 relation rays."""
-    t0 = time.perf_counter()
-    reason = _reid_inapplicable(fan)
+    reason = _inapplicable(fan)
     if reason is None and wall not in extremal_walls(fan, pl_basis(fan)):
         reason = f"wall {wall.ray_indices} is not extremal"
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    return _reid_at_wall(fan, mori_cone(fan, pl_basis(fan)), wall, fan_id, t0)
+    return _reid_at_wall(fan, mori_cone(fan, pl_basis(fan)), wall, fan_id)
 
 
-def _reid_inapplicable(fan: Fan) -> str | None:
-    """Why the Reid conditions do not apply to the fan, or None."""
+def _inapplicable(fan: Fan) -> str | None:
+    """Why the checks of simplicial quasi-projective fans skip the fan, or None."""
     if not fan.is_simplicial:
         return "not simplicial"
     if not is_quasi_projective(fan)[0]:
@@ -203,9 +191,7 @@ def _reid_inapplicable(fan: Fan) -> str | None:
     return None
 
 
-def _reid_at_wall(
-    fan: Fan, mc: MoriCone, wall: Wall, fan_id: str, t0: float
-) -> TheoremReport:
+def _reid_at_wall(fan: Fan, mc: MoriCone, wall: Wall, fan_id: str) -> TheoremReport:
     """Both Reid conditions at one extremal wall of a simplicial fan."""
     rel = mc.relations[mc.walls.index(wall)]
     a, b = (set(fan.max_cones[k].ray_indices) for k in wall.cone_indices)
@@ -220,7 +206,6 @@ def _reid_at_wall(
                 "reid-conditions", fan_id, FAILS,
                 f"dropping ray {i} does not leave a maximal cone",
                 {"counterexample": list(delta)},
-                time.perf_counter() - t0,
             )
         deltas.append(delta)
     big = v_to_h(VCone.make([fan.ray(i) for i in ray_seq], fan.dim))
@@ -230,34 +215,30 @@ def _reid_at_wall(
             "reid-conditions", fan_id, FAILS,
             f"{len(open_facets)} open facets inside the relation cone",
             {"counterexample": [list(f) for f in open_facets]},
-            time.perf_counter() - t0,
         )
     return TheoremReport(
         "reid-conditions", fan_id, HOLDS,
         f"wall {wall.ray_indices}: {len(deltas)} cones cover the relation cone",
         {"deltas": [list(d) for d in deltas]},
-        time.perf_counter() - t0,
     )
 
 
 def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     """Aggregate reid-conditions over every extremal wall of the fan."""
-    t0 = time.perf_counter()
-    reason = _reid_inapplicable(fan)
+    reason = _inapplicable(fan)
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
     basis = pl_basis(fan)
     mc = mori_cone(fan, basis)
     walls = extremal_walls(fan, basis)
     for w in walls:
-        r = _reid_at_wall(fan, mc, w, fan_id, time.perf_counter())
+        r = _reid_at_wall(fan, mc, w, fan_id)
         if r.verdict == FAILS:
             return r
     return TheoremReport(
         "reid-conditions", fan_id, HOLDS,
         f"verified at {len(walls)} extremal walls",
         {"walls": [list(w.ray_indices) for w in walls]},
-        time.perf_counter() - t0,
     )
 
 
@@ -265,7 +246,6 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
     """The additivity equalities of the two-element collections primitive
     for the refinement but inside a coarse cone cut out exactly the pullback
     of the coarse function space inside the fine one."""
-    t0 = time.perf_counter()
     fine = refinement.fine
     if not fine.is_simplicial:
         raise ValueError("the type-A check needs a simplicial refinement")
@@ -287,7 +267,6 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
         HOLDS if ok else FAILS,
         f"cut subspace dim {ra}, pullback dim {rb}, joint {rab}",
         {"dims": [ra, rb, rab]},
-        time.perf_counter() - t0,
     )
 
 
@@ -320,6 +299,26 @@ def random_complete_fan(rng: random.Random) -> tuple[str, Fan]:
     return f"{base}{dim}d+{steps}", fan
 
 
+# each check of the suite by id, run on (fan, fan_id, seed); the lambdas look
+# the checks up at call time, so a wrapper rebound to a check's name sees it
+CHECKS = {
+    "main-cone-equality": lambda f, i, seed: check_main_theorem(f, i),
+    "extremal-positive-support": lambda f, i, seed: check_extremal_primitive(f, i),
+    "reid-conditions": lambda f, i, seed: check_reid_all_walls(f, i),
+    "type-a-subspace": lambda f, i, seed: check_type_a_description(
+        f, simplicial_refinement(f, (), seed=seed), i),
+}
+
+
+def run_check(name: str, fan: Fan, fan_id: str = "fan", seed: int = 0) -> TheoremReport:
+    """Run the check CHECKS[name] on the fan; the report's seconds cover the
+    whole run, a refinement the check draws included."""
+    t0 = time.perf_counter()
+    report = CHECKS[name](fan, fan_id, seed)
+    report.seconds = time.perf_counter() - t0
+    return report
+
+
 def run_paper_suite(
     seed: int = 0, random_fans: int = 8, fans=None
 ) -> list[TheoremReport]:
@@ -331,15 +330,7 @@ def run_paper_suite(
         for i in range(random_fans):
             name, f = random_complete_fan(rng)
             fans.append((f"random-{i}-{name}", f))
-    else:
-        fans = list(fans)
-    reports = []
-    for fan_id, f in fans:
-        reports.append(check_main_theorem(f, fan_id))
-        reports.append(check_extremal_primitive(f, fan_id))
-        reports.append(check_reid_all_walls(f, fan_id))
-        r = simplicial_refinement(f, (), seed=seed)
-        reports.append(check_type_a_description(f, r, fan_id))
+    reports = [run_check(name, f, fan_id, seed) for fan_id, f in fans for name in CHECKS]
     reports.sort(key=lambda r: (r.fan_id, r.theorem))
     return reports
 

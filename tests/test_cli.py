@@ -216,6 +216,16 @@ def test_refine_bad_support_is_usage_error(capsys, support):
     assert "--support" in err
 
 
+@pytest.mark.parametrize("support, message", [
+    ("0,99", "ray indices (0, 99) out of range"),
+    ("1,2,3,4", "support meets cone (1, 2, 3, 4) dependently"),
+], ids=["out-of-range", "dependent"])
+def test_refine_support_the_fan_cannot_take_is_usage_error(capsys, support, message):
+    code, out, err = run_cli(capsys, "refine", "--fan", "corpus:ex31", "--support", support)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_refine_qp_on_a_fan_that_is_not_quasi_projective_is_exit_2(capsys):
     # Fulton's fan is valid but has no strictly convex function
     code, out, err = run_cli(capsys, "refine", "--qp", "--fan", "corpus:fulton")
@@ -375,6 +385,29 @@ PINNED_JSON = {
     "verify": (("--seed", "0"),
                "36f730bd25254dc2e89780073b6c448bb7e26603c2faa09ef568bbaa18af5695"),
 }
+
+
+# SHA-256 of each subcommand's text output, concatenated over PINNED_FANS;
+# fulton's nef report prints equality lines and no other pin covers them
+PINNED_TEXT = {
+    "validate": "71093e816e3b66c84880fff76f967debaf836150e6d0e3632e61d97b7610f6c1",
+    "prim": "64f3464aff2e747178dd01d21b8f30353c0a257b0914f3add94ad5ae9c5388b1",
+    "walls": "dba7dc8290bd6aa5cd9ca73358a2059c40fdc44cf4d529d564cbb2e9d5cacd76",
+    "relations": "f98b636de925d88430dbab66c39291a0bdee2ed07a98fd07bc19ff88ce255659",
+    "mori": "18038370ece5f8db47252a1ce17cfe0368ee03380e230cddb5b52856542f1c06",
+    "nef": "7e3ad0880a586d2882b289c02de3d5f50764f95afc389a225dd788f8dddcea0b",
+    "qp": "2f0edccc40902275593fba925fb6c0a315a7b4541e8fa513cba698e8e6c2451b",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PINNED_TEXT))
+def test_text_output_bytes_are_pinned(capsys, sub):
+    h = hashlib.sha256()
+    for name in PINNED_FANS:
+        code, out, _ = run_cli(capsys, sub, "--fan", f"corpus:{name}")
+        assert code == 0, name
+        h.update(out.encode())
+    assert h.hexdigest() == PINNED_TEXT[sub]
 
 
 @pytest.mark.parametrize("sub", sorted(PINNED_JSON))

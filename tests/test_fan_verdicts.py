@@ -147,12 +147,23 @@ def test_dimension_guard_precedes_cone_checks():
     assert e.value.code == "BadInput"
 
 
+def reference_face_sets(fan):
+    """The faces of each maximal cone, as ray index sets, found by
+    reference_cone_faces."""
+    memo = {}
+    return tuple(
+        frozenset(reference_cone_faces(c.ray_indices, c.facets, fan.rays, memo))
+        for c in fan.max_cones
+    )
+
+
 def reference_pairwise_faces(fan):
     """Do all pairs of maximal cones meet in a common face?  Each
     intersection is computed by double description and its extreme rays are
-    looked up among the fan's rays and faces."""
+    looked up among the fan's rays and the faces of the two cones."""
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cones = fan.max_cones
+    face_sets = reference_face_sets(fan)
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
             inter = h_to_v(intersect_hcones(cones[a].facets, cones[b].facets))
@@ -160,7 +171,7 @@ def reference_pairwise_faces(fan):
             if None in got:
                 return False
             t = tuple(sorted(set(got)))
-            if t not in fan.max_face_sets[a] or t not in fan.max_face_sets[b]:
+            if t not in face_sets[a] or t not in face_sets[b]:
                 return False
     return True
 
@@ -204,10 +215,11 @@ def reference_walls_and_support(fan):
     among their faces, and the support's normals: the inequalities of each
     boundary wall's one cone that vanish on the wall."""
     walls = []
+    face_sets = reference_face_sets(fan)
     for fs in sorted(fan.faces):
         if fan.faces[fs].dim == fan.dim - 1:
             incident = tuple(
-                k for k, sets in enumerate(fan.max_face_sets) if fs in sets
+                k for k, sets in enumerate(face_sets) if fs in sets
             )
             assert 1 <= len(incident) <= 2
             walls.append((fs, incident))
@@ -383,8 +395,17 @@ def test_faces_match_double_description_reference():
             frozenset(reference_cone_faces(c.ray_indices, c.facets, f.rays, memo))
             for c in f.max_cones
         )
-        assert f.max_face_sets == max_face_sets
         assert set(f.faces) == set(memo)
+        # validation names a cone pair that meets improperly by deciding
+        # faces with _is_face; it agrees with the reference on every face
+        # of the fan and on every subset of a cone's rays
+        for k, c in enumerate(f.max_cones):
+            subsets = (
+                s for size in range(len(c.ray_indices) + 1)
+                for s in itertools.combinations(c.ray_indices, size)
+            )
+            for t in set(f.faces) | set(subsets):
+                assert fanmod._is_face(c, t, f.rays) == (t in max_face_sets[k])
         for key, (_, hrep) in memo.items():
             face = f.faces[key]
             # the same dimension, and the same cone: the fan's rays in it

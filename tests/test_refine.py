@@ -409,3 +409,49 @@ def test_property_a_on_cube_fan():
     support = (0, 1)
     r = simplicial_refinement(f, support, seed=1)
     assert tuple(sorted(support)) in r.fine.faces
+
+
+def _all_ones_draws(monkeypatch, how_many):
+    """Make the first how_many weight draws all-ones, a degenerate draw on
+    the cube fan; later draws are the seeded ones."""
+    draw = refine._draw_weights
+    drawn = []
+
+    def patched(fan, support, rng, seed):
+        w = draw(fan, support, rng, seed)
+        drawn.append(w)
+        return refine.WeightAssignment((1,) * fan.n_rays, seed) if len(drawn) <= how_many else w
+
+    monkeypatch.setattr(refine, "_draw_weights", patched)
+    return drawn
+
+
+def test_refinement_retries_a_degenerate_draw(monkeypatch):
+    f = corpus.cube_fan(3)
+    # equal weights lift every square facet's four corners onto one plane
+    with pytest.raises(Degenerate):
+        weighted_subdivision(f, f.max_cones[0], interior_dual_point(f, f.max_cones[0]),
+                             (1,) * f.n_rays)
+    drawn = _all_ones_draws(monkeypatch, 1)
+    r = simplicial_refinement(f, (), seed=0)
+    assert r.retries == 1 and len(drawn) == 2
+    assert r.weights == drawn[1]
+    assert r.fine.is_simplicial and r.fine.rays == f.rays
+    assert covers_coarse_exactly(r) and induced_wall_subdivisions_agree(r)
+    fine = validate_fan(f.dim, f.rays, [c.ray_indices for c in r.fine.max_cones])
+    assert fans_equal(fine, r.fine)
+
+
+def test_refinement_gives_up_after_only_degenerate_draws(monkeypatch):
+    drawn = _all_ones_draws(monkeypatch, refine.MAX_RETRIES)
+    with pytest.raises(GenericityExhausted):
+        simplicial_refinement(corpus.cube_fan(3), (), seed=0)
+    assert len(drawn) == refine.MAX_RETRIES
+
+
+def test_qp_refinement_rejects_a_function_of_another_fan():
+    f = corpus.square_pyramid_fan()
+    ok, phi = is_quasi_projective(corpus.split_pyramid_fan())
+    assert ok
+    with pytest.raises(ValueError, match="phi must live on the fan being refined"):
+        qp_refinement(f, (), phi)

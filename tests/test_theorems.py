@@ -1,13 +1,15 @@
 import copy
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from fanforge import cones, corpus, lp, primcoll, theorems
+from fanforge import cli, cones, corpus, lp, primcoll, theorems
 from fanforge.cones import HCone, VCone, cone_contains, cones_equal, h_to_v
 from fanforge.fan import fan_from_json_obj
-from fanforge.linalg import kernel_basis, rank, solve_linear, vsum
+from fanforge.linalg import kernel_basis, rank, solve_linear, vneg, vsum
 from fanforge.mori import extremal_walls, mori_cone, positively_proportional, relation_dense
 from fanforge.plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from fanforge.primcoll import primitive_relation, primitive_rows
@@ -24,6 +26,7 @@ from fanforge.theorems import (
     check_reid_conditions,
     check_type_a_description,
     random_complete_fan,
+    run_check,
     run_paper_suite,
     stellar_subdivide,
     verify_certificates,
@@ -520,3 +523,122 @@ def test_main_theorem_needs_its_wall_class_bridge(tamper, fan_id):
     assert r.verdict in (HOLDS, EVIDENCE) and verify_certificates(r)
     tamper(r.certificates)
     assert verify_certificates(r) is False
+
+
+def _first_extremal_support(f):
+    """The positive support of the first extremal wall's relation."""
+    basis = pl_basis(f)
+    mc = mori_cone(f, basis)
+    rel = mc.relations[mc.walls.index(extremal_walls(f, basis)[0])]
+    return tuple(sorted(i for i, c in rel.items() if c > 0))
+
+
+def _negate_first_primitive_row(monkeypatch):
+    rows = primcoll.primitive_rows
+    monkeypatch.setattr(primcoll, "primitive_rows", lambda f, basis: [
+        vneg(r) if k == 0 else r for k, r in enumerate(rows(f, basis))
+    ])
+
+
+def _drop_first_extremal_collection(monkeypatch):
+    relations = primcoll.primitive_relations
+    monkeypatch.setattr(primcoll, "primitive_relations", lambda f: {
+        p: r for p, r in relations(f).items() if p != _first_extremal_support(f)
+    })
+
+
+def _scale_first_extremal_relation(monkeypatch):
+    relations = primcoll.primitive_relations
+
+    def scaled(f):
+        p0 = _first_extremal_support(f)
+        return {p: dataclasses.replace(r, relation={i: -2 * c for i, c in r.relation.items()})
+                if p == p0 else r for p, r in relations(f).items()}
+
+    monkeypatch.setattr(primcoll, "primitive_relations", scaled)
+
+
+def _report_an_open_facet(monkeypatch):
+    # the first part less its first ray, as if no other part had that facet
+    monkeypatch.setattr(
+        theorems, "hcone_covered_by", lambda big, parts, rays: (False, [tuple(parts[0][1:])])
+    )
+
+
+def _relations_positive_on_every_ray(monkeypatch):
+    # every ray of a wall's circuit may then be dropped, also a wall ray
+    # whose complement is no cone of the fan
+    real = theorems.mori_cone
+
+    def positive(f, basis):
+        mc = real(f, basis)
+        ones = dict.fromkeys(range(f.n_rays), 1)
+        return dataclasses.replace(mc, relations=tuple(ones for _ in mc.walls))
+
+    monkeypatch.setattr(theorems, "mori_cone", positive)
+
+
+# check id, how its failure is forced on ex21, and the details and
+# counterexample of the report.  On ex21 the first extremal wall is (0, 1),
+# whose relation 2 r0 + r2 + r4 = 0 has positive support (0, 2, 4).
+FORCED_FAILURES = {
+    "negated-primitive-row": (
+        "main-cone-equality", _negate_first_primitive_row,
+        "cone equality fails at generator ['0', '2']", ["0", "2"],
+    ),
+    "missing-primitive-collection": (
+        "extremal-positive-support", _drop_first_extremal_collection,
+        "positive support (0, 2, 4) of wall (0, 1) is not primitive", [0, 2, 4],
+    ),
+    "scaled-relation": (
+        "extremal-positive-support", _scale_first_extremal_relation,
+        "relation of (0, 2, 4) is not a positive multiple of wall (0, 1)", [0, 2, 4],
+    ),
+    "open-facet": (
+        "reid-conditions", _report_an_open_facet,
+        "1 open facets inside the relation cone", [[2, 4]],
+    ),
+    "delta-not-maximal": (
+        "reid-conditions", _relations_positive_on_every_ray,
+        "dropping ray 1 does not leave a maximal cone", [0, 2, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_FAILURES))
+def test_forced_failures_are_reported(monkeypatch, capsys, case):
+    check, force, details, counterexample = FORCED_FAILURES[case]
+    f = corpus.split_pyramid_fan()
+    assert _first_extremal_support(f) == (0, 2, 4)
+    assert run_check(check, f, "ex21").verdict == HOLDS
+    force(monkeypatch)
+    r = run_check(check, f, "ex21")
+    assert (r.theorem, r.verdict, r.details) == (check, FAILS, details)
+    assert r.certificates == {"counterexample": counterexample}
+    assert r.seconds > 0
+    if check == "main-cone-equality":
+        # a Mori class outside the cone of the tampered primitive rows
+        basis = pl_basis(f)
+        bad = tuple(Fraction(x) for x in counterexample)
+        assert bad in mori_cone(f, basis).cone.generators
+        tampered = VCone.make(primcoll.primitive_rows(f, basis), basis.dim_pic)
+        assert not cone_contains(tampered, bad)[0]
+    code = cli.main(["verify", "--theorem", check, "--fan", "corpus:ex21", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["all_passing"] is False
+    assert out["reports"] == [{
+        "theorem": check, "fan": "corpus:ex21", "verdict": FAILS, "details": details,
+    }]
+
+
+def test_run_check_times_every_check_of_the_suite():
+    f = corpus.square_pyramid_fan()
+    reports = [run_check(name, f, "ex31", seed=0) for name in theorems.CHECKS]
+    assert [r.theorem for r in reports] == list(theorems.CHECKS)
+    assert all(r.seconds > 0 for r in reports)
+    # a direct call leaves the time unset
+    assert check_main_theorem(f, "ex31").seconds == 0.0
+    suite = run_paper_suite(fans=[("ex31", f)], seed=0)
+    assert [r.to_json_obj() for r in suite] == sorted(
+        (r.to_json_obj() for r in reports), key=lambda o: o["theorem"]
+    )
