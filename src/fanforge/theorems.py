@@ -302,11 +302,11 @@ def random_complete_fan(rng: random.Random) -> tuple[str, Fan]:
 # each check of the suite by id, run on (fan, fan_id, seed); the lambdas look
 # the checks up at call time, so a wrapper rebound to a check's name sees it
 CHECKS = {
-    "main-cone-equality": lambda f, i, seed: check_main_theorem(f, i),
-    "extremal-positive-support": lambda f, i, seed: check_extremal_primitive(f, i),
-    "reid-conditions": lambda f, i, seed: check_reid_all_walls(f, i),
-    "type-a-subspace": lambda f, i, seed: check_type_a_description(
-        f, simplicial_refinement(f, (), seed=seed), i),
+    "main-cone-equality": lambda f, fid, seed: check_main_theorem(f, fid),
+    "extremal-positive-support": lambda f, fid, seed: check_extremal_primitive(f, fid),
+    "reid-conditions": lambda f, fid, seed: check_reid_all_walls(f, fid),
+    "type-a-subspace": lambda f, fid, seed: check_type_a_description(
+        f, simplicial_refinement(f, (), seed=seed), fid),
 }
 
 
