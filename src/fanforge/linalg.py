@@ -66,8 +66,11 @@ def vsum(vectors: Iterable[Sequence], dim: int) -> Vec:
 
 def _integer_row(a: Sequence) -> tuple[list[int], int]:
     """The row times the lcm of its entries' denominators, and that lcm."""
-    scale = lcm(*(x.denominator for x in a))
-    return [x.numerator * (scale // x.denominator) for x in a], scale
+    for x in a:
+        if type(x) is not int:
+            scale = lcm(*(x.denominator for x in a))
+            return [x.numerator * (scale // x.denominator) for x in a], scale
+    return list(a), 1
 
 
 def primitivize(a: Sequence) -> tuple[int, ...]:

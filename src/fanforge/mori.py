@@ -1,10 +1,10 @@
 """Curve classes, the Mori cone and its extremal rays.
 
 Every interior wall carries a rational relation among the rays around it,
-unique up to positive scale once the coefficient of the off-wall ray on the
-second incident cone is pinned to 1 (plfun.wall_relation).  Evaluating a
-relation on a basis of the function-space quotient turns it into a curve
-class; the classes of all interior walls generate the Mori cone.
+unique up to positive scale once the off-wall ray of the second incident
+cone has coefficient 1 (plfun.wall_relation).  Paired with a basis of the
+function-space quotient, the relations become the classes that generate the
+Mori cone; on a simplicial fan the relations are the classes, basis-free.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .cones import VCone, cone_contains
 from .fan import Fan, Wall
 from .linalg import Vec, _integer_row, primitivize
 from .plfun import DegenerateWall, PLBasis, RelationVector, is_quasi_projective, pl_basis
-from .plfun import _wall_classes, _wall_table, wall_relation
+from .plfun import _relation_coordinates, _wall_classes, _wall_table, wall_relation
 
 
 class MoriConeNotPointed(Exception):
@@ -98,20 +98,30 @@ def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
     cone is not full dimensional.  Decided once per fan in the fan's own
     pl_basis; each call returns a fresh list.
     """
-    if basis is not pl_basis(fan):
-        raise ValueError("the basis must be the fan's own pl_basis")
-    return list(fan.derived("extremal_walls", lambda: _find_extremal_walls(fan, basis)))
-
-
-def _find_extremal_walls(fan: Fan, basis: PLBasis) -> tuple[Wall, ...]:
     mc = mori_cone(fan, basis)
     if not mc.is_pointed:
         raise MoriConeNotPointed("extremal rays need a strongly convex Mori cone")
-    dirs = [primitivize(c) if any(x != 0 for x in c) else None for c in mc.classes]
+    return list(fan.derived("extremal_walls", lambda: _extremal(
+        mc.walls, mc.classes, basis.dim_pic)))
+
+
+def _relation_extremal_walls(fan: Fan) -> tuple[tuple[Wall, dict[int, int]], ...]:
+    """The extremal walls of a simplicial quasi-projective fan with their
+    integer relations, found once per fan in plfun._relation_coordinates."""
+    rays, rels, rows, qp = _relation_coordinates(fan)
+    if not qp:
+        raise MoriConeNotPointed("extremal rays need a quasi-projective fan here")
+    return fan.derived("relation_extremal_walls", lambda: _extremal(
+        tuple(zip(fan.interior_walls, rels)), rows, len(rays)))
+
+
+def _extremal(walls, classes, dim: int) -> tuple:
+    """The walls whose class spans an extremal ray of cone(classes) in Q^dim."""
+    dirs = [primitivize(c) if any(x != 0 for x in c) else None for c in classes]
     distinct = sorted({d for d in dirs if d is not None})
     extremal = set()
     for d in distinct:
         others = tuple(e for e in distinct if e != d)
-        if not cone_contains(VCone(others, basis.dim_pic), d)[0]:
+        if not cone_contains(VCone(others, dim), d)[0]:
             extremal.add(d)
-    return tuple(w for w, d in zip(mc.walls, dirs) if d in extremal)
+    return tuple(w for w, d in zip(walls, dirs) if d in extremal)

@@ -7,7 +7,8 @@ function is convex exactly when its bend across every interior wall is
 nonnegative, and strictly convex when all are positive.  Each bend is a
 fixed positive multiple of the wall relation paired with the ray values, so
 convexity is read off integer pairings.  Quasi-projectivity of the fan is
-decided by an exact LP over a basis of the function space.
+decided by an exact LP, over a basis of the function space (which yields a
+witness) or, on a simplicial fan, over relations among the rays.
 """
 
 from __future__ import annotations
@@ -203,6 +204,25 @@ def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:
         sum(c * values[i] for i, c in zip(rays, coeffs))
         for rays, coeffs, _, _ in _wall_table(phi.fan)
     ], d
+
+
+def _relation_coordinates(fan: Fan) -> tuple[tuple[int, ...], tuple, tuple, bool]:
+    """Simplicial fans, once per fan: the rays outside the first maximal
+    cone, each interior wall's integer relation as a dict and restricted to
+    them, and whether the fan is quasi-projective.  N_1 is the space of relations
+    among the rays (Cox, Little and Schenck, ch. 6), and as the first cone's
+    rays are independent, restricting is an isomorphism.  A function less a
+    linear one vanishes on the first cone, and its bends pair its other ray
+    values with the wall relations (_wall_table): one strict row per wall."""
+    def table():
+        rays = tuple(i for i in range(fan.n_rays) if i not in fan.max_cones[0].ray_indices)
+        rels = tuple(dict(zip(r, c)) for r, c, _, _ in _wall_table(fan))
+        rows = tuple(tuple(rel.get(i, 0) for i in rays) for rel in rels)
+        x, _ = lp.strict_feasible(rows, [], [], len(rays))
+        if x is not None and any(vdot(r, x) <= 0 for r in rows):
+            raise RuntimeError("LP point does not pair positively with every wall relation")
+        return rays, rels, rows, x is not None
+    return fan.derived("relation_coordinates", table)
 
 
 def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:

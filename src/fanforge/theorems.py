@@ -5,8 +5,9 @@ verdict ships machine-checkable certificates (nonnegative-combination
 coefficients, proportionality scales) that verify_certificates re-checks
 with nothing but arithmetic.  Fans that are not quasi-projective are run in
 evidence mode: the cone identities are still tested, but a passing result
-is reported as "evidence", never "holds".  CHECKS lists the suite's checks
-by id, and run_check runs one of them and times it.
+is reported as "evidence", never "holds".  A simplicial fan is checked in
+relation coordinates, with no PL basis (plfun._relation_coordinates).
+CHECKS lists the suite's checks by id, and run_check runs one and times it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import corpus, primcoll
 from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
-from .mori import MoriCone, extremal_walls, mori_cone, positively_proportional, relation_dense
-from .plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
+from .mori import _relation_extremal_walls, mori_cone, positively_proportional, relation_dense
+from .plfun import _relation_coordinates, is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from .refine import Refinement, simplicial_refinement
 
 HOLDS = "holds"
@@ -105,16 +106,23 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     by the primitive rows P, which are the primitive classes.  By Farkas,
     {x : Wx >= 0} = {x : Px >= 0} iff cone(W) = cone(P).  Each row is its
     wall's class times the wall's positive scale (plfun._wall_table), so
-    cone(W) is the Mori cone.  Certified: memberships both ways between the
-    Mori and primitive classes, and one proportional entry per wall."""
-    basis = pl_basis(fan)
-    qp, _ = is_quasi_projective(fan)
-    mc = mori_cone(fan, basis)
-    rows = wall_rows(fan, basis)
-    bridge = [_proportional_certificate(u, v) for u, v in zip(rows, mc.classes)]
-    prim_v = VCone.make(primcoll.primitive_rows(fan, basis), basis.dim_pic)
+    cone(W) is the Mori cone.  Certified by memberships both ways, between
+    the relations restricted to the listed "rays" on a simplicial fan, else
+    between the classes, tied to the rows by proportional entries."""
+    if fan.is_simplicial:
+        rays, _, rows, qp = _relation_coordinates(fan)
+        dim, walls_v, extra = len(rays), VCone(rows, len(rays)), {"rays": list(rays)}
+        prims = [[r.relation.get(i, 0) for i in rays]
+                 for r in primcoll.primitive_relations(fan).values()]
+    else:
+        basis = pl_basis(fan)
+        qp, _ = is_quasi_projective(fan)
+        mc = mori_cone(fan, basis)
+        dim, walls_v, prims = basis.dim_pic, mc.cone, primcoll.primitive_rows(fan, basis)
+        extra = {"proportional": [_proportional_certificate(u, v)
+                                  for u, v in zip(wall_rows(fan, basis), mc.classes)]}
     certs: list = []
-    bad = _cones_equal_certified(mc.cone, prim_v, certs)
+    bad = _cones_equal_certified(walls_v, VCone.make(prims, dim), certs)
     if bad is not None:
         return TheoremReport(
             "main-cone-equality", fan_id, FAILS,
@@ -127,7 +135,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     )
     return TheoremReport(
         "main-cone-equality", fan_id, verdict, details,
-        {"memberships": certs, "proportional": bridge},
+        {"memberships": certs, **extra},
     )
 
 
@@ -141,12 +149,9 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
             "extremal-positive-support", fan_id, INAPPLICABLE, "fan " + reason
         )
     certs = []
-    basis = pl_basis(fan)
-    mc = mori_cone(fan, basis)
-    for w in extremal_walls(fan, basis):
-        rel = mc.relations[mc.walls.index(w)]
+    relations = primcoll.primitive_relations(fan)
+    for w, rel in _relation_extremal_walls(fan):
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
-        relations = primcoll.primitive_relations(fan)
         if p not in relations:
             return TheoremReport(
                 "extremal-positive-support", fan_id, FAILS,
@@ -175,25 +180,25 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
     positive-coefficient ray from the wall relation leaves a maximal cone of
     the fan, and those cones cover the cone on all n+1 relation rays."""
     reason = _inapplicable(fan)
-    if reason is None and wall not in extremal_walls(fan, pl_basis(fan)):
+    extremal = dict(_relation_extremal_walls(fan)) if reason is None else {}
+    if reason is None and wall not in extremal:
         reason = f"wall {wall.ray_indices} is not extremal"
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    return _reid_at_wall(fan, mori_cone(fan, pl_basis(fan)), wall, fan_id)
+    return _reid_at_wall(fan, wall, extremal[wall], fan_id)
 
 
 def _inapplicable(fan: Fan) -> str | None:
     """Why the checks of simplicial quasi-projective fans skip the fan, or None."""
     if not fan.is_simplicial:
         return "not simplicial"
-    if not is_quasi_projective(fan)[0]:
+    if not _relation_coordinates(fan)[3]:
         return "not quasi-projective"
     return None
 
 
-def _reid_at_wall(fan: Fan, mc: MoriCone, wall: Wall, fan_id: str) -> TheoremReport:
+def _reid_at_wall(fan: Fan, wall: Wall, rel: dict, fan_id: str) -> TheoremReport:
     """Both Reid conditions at one extremal wall of a simplicial fan."""
-    rel = mc.relations[mc.walls.index(wall)]
     a, b = (set(fan.max_cones[k].ray_indices) for k in wall.cone_indices)
     ray_seq = list(wall.ray_indices) + [min(a - b), min(b - a)]
     positive = [i for i in ray_seq if rel.get(i, 0) > 0]
@@ -228,17 +233,15 @@ def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     reason = _inapplicable(fan)
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    basis = pl_basis(fan)
-    mc = mori_cone(fan, basis)
-    walls = extremal_walls(fan, basis)
-    for w in walls:
-        r = _reid_at_wall(fan, mc, w, fan_id)
+    walls = _relation_extremal_walls(fan)
+    for w, rel in walls:
+        r = _reid_at_wall(fan, w, rel, fan_id)
         if r.verdict == FAILS:
             return r
     return TheoremReport(
         "reid-conditions", fan_id, HOLDS,
         f"verified at {len(walls)} extremal walls",
-        {"walls": [list(w.ray_indices) for w in walls]},
+        {"walls": [list(w.ray_indices) for w, _ in walls]},
     )
 
 
@@ -335,25 +338,28 @@ def run_paper_suite(
     return reports
 
 
-# the certificate lists a passing verdict must carry
+# the certificate lists a passing verdict must carry, each one of alternatives
 _REQUIRED_CERTIFICATES = {
-    ("main-cone-equality", HOLDS): ("memberships", "proportional"),
-    ("main-cone-equality", EVIDENCE): ("memberships", "proportional"),
-    ("extremal-positive-support", HOLDS): ("proportional",),
+    ("main-cone-equality", HOLDS): (("memberships",), ("proportional", "rays")),
+    ("main-cone-equality", EVIDENCE): (("memberships",), ("proportional", "rays")),
+    ("extremal-positive-support", HOLDS): (("proportional",),),
 }
 
 
 def verify_certificates(report: TheoremReport) -> bool:
     """Independent re-check of a report's certificates by plain arithmetic.
 
-    Fails closed: a passing verdict without its certificate list, an entry
-    that does not parse as a rational, and vectors of unequal lengths are
-    all rejected."""
+    Fails closed: a passing verdict without its certificate lists, an entry
+    that does not parse as a rational, vectors of unequal lengths and a
+    membership of another length than the listed rays are all rejected."""
     certs = report.certificates
     required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict), ())
-    if not all(isinstance(certs.get(name), list) for name in required):
+    if not all(any(isinstance(certs.get(n), list) for n in names) for names in required):
         return False
     try:
+        if "rays" in certs and any(len(m["target"]) != len(certs["rays"])
+                                   for m in certs["memberships"]):
+            return False
         # the memberships of one cone equality share their generator list,
         # so each distinct list is parsed once
         parsed: dict = {}

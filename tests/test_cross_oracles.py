@@ -1,15 +1,25 @@
 """Independent-oracle stress tests: the double description method against a
-brute-force extreme-ray search, and the simplex-based strict feasibility
-against a double-description-based decision of the same question."""
+brute-force extreme-ray search, the simplex-based strict feasibility
+against a double-description-based decision of the same question, and the
+relation-coordinate decisions on simplicial fans against the Picard route."""
 
 import itertools
+import json
 import random
+import types
+from pathlib import Path
 
-from fanforge import lp
+import pytest
+
+from fanforge import corpus, lp, mori, plfun
 from fanforge.cones import HCone, VCone, h_to_v, v_to_h
-from fanforge.fan import FanError, validate_fan
+from fanforge.fan import FanError, fan_from_json_obj, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
+from fanforge.theorems import check_main_theorem, random_complete_fan
 from test_cones import lineality_dim
+from test_theorems import reference_check_main_theorem
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def brute_force_extreme_rays(rows, dim):
@@ -145,3 +155,52 @@ def test_validate_fan_fuzz_fails_cleanly():
             assert e.code == "BadInput"
         else:
             raise AssertionError(f"accepted {rays!r} with cones {cones!r}")
+
+
+def _route_fans():
+    """The corpus, the seed-7 suite fans, the three benchmark workloads'
+    inputs at seeds 41-43 and cross_fan(4), each distinct fan once.  The
+    workload module is compiled from its source, so nothing under
+    ``perfbench/`` is imported as a package or written."""
+    wl = types.ModuleType("perfbench_workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), wl.__dict__)
+    rng = random.Random(7)
+    fans = corpus.paper_examples() + [random_complete_fan(rng) for _ in range(25)]
+    for workload in ("verify-suite", "query", "refine"):
+        for seed in (41, 42, 43):
+            fans += [
+                (f"{workload}/{seed}/{fid}", fan_from_json_obj(item) if workload == "query" else item)
+                for fid, item in wl.make_inputs(workload, seed)
+            ]
+    fans.append(("cross4d", corpus.cross_fan(4)))
+    seen = {}
+    for name, f in fans:
+        seen.setdefault(json.dumps(f.to_json_obj()), (name, f))
+    return list(seen.values())
+
+
+def test_relation_route_agrees_with_the_picard_route():
+    simplicial = [(name, f) for name, f in _route_fans() if f.is_simplicial]
+    outcomes = {True: 0, False: 0}
+    for name, f in simplicial:
+        qp = plfun._relation_coordinates(f)[3]
+        assert qp == plfun.is_quasi_projective(f)[0], name
+        basis = plfun.pl_basis(f)
+        if qp:
+            pairs = mori._relation_extremal_walls(f)
+            assert [w for w, _ in pairs] == mori.extremal_walls(f, basis), name
+            # each with its wall's relation, in integers
+            for w, rel in pairs:
+                assert all(type(c) is int for c in rel.values())
+                assert mori.positively_proportional(
+                    mori.relation_dense(f, rel), mori.relation_dense(f, mori.wall_relation(f, w)))
+        else:
+            with pytest.raises(mori.MoriConeNotPointed):
+                mori._relation_extremal_walls(f)
+            with pytest.raises(mori.MoriConeNotPointed):
+                mori.extremal_walls(f, basis)
+        new, ref = check_main_theorem(f, name), reference_check_main_theorem(f, name)
+        assert (new.verdict, new.details) == (ref.verdict, ref.details), name
+        outcomes[qp] += 1
+    # Fulton's fan is the one simplicial fan here that is not quasi-projective
+    assert outcomes == {True: 57, False: 1}

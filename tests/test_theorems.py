@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import cli, cones, corpus, lp, primcoll, theorems
+from fanforge import cli, cones, corpus, lp, plfun, primcoll, theorems
 from fanforge.cones import HCone, VCone, cone_contains, cones_equal, h_to_v
 from fanforge.fan import fan_from_json_obj
-from fanforge.linalg import kernel_basis, rank, solve_linear, vneg, vsum
+from fanforge.linalg import kernel_basis, primitivize, rank, solve_linear, vsum
 from fanforge.mori import extremal_walls, mori_cone, positively_proportional, relation_dense
+from fanforge.mori import wall_relation
 from fanforge.plfun import is_quasi_projective, pl_basis, type_a_pairs, wall_rows
 from fanforge.primcoll import primitive_relation, primitive_rows
 from fanforge.refine import simplicial_refinement
@@ -466,24 +467,46 @@ def reference_check_main_theorem(fan, fan_id="fan"):
     )
 
 
+def relation_coordinate_rays(f):
+    """The rays outside the first maximal cone, in index order."""
+    return [i for i in range(f.n_rays) if i not in f.max_cones[0].ray_indices]
+
+
 def test_main_theorem_matches_two_half_reference():
     verdicts = set()
+    routes = {True: 0, False: 0}
     for name, f in _lookup_fans():
         new = check_main_theorem(f, name)
         ref = reference_check_main_theorem(f, name)
         assert (new.verdict, new.details) == (ref.verdict, ref.details), name
         assert verify_certificates(new), name
-        # one proportional entry per interior wall, each tying the wall's
-        # row to its class
-        basis = pl_basis(f)
-        mc = mori_cone(f, basis)
-        bridge = new.certificates["proportional"]
-        assert len(bridge) == len(f.interior_walls) == len(mc.classes)
-        for p, row, cls in zip(bridge, wall_rows(f, basis), mc.classes):
-            assert p["u"] == [str(x) for x in row]
-            assert p["v"] == [str(x) for x in cls]
+        # one membership per interior wall and one per primitive relation
+        memberships = new.certificates["memberships"]
+        n_walls = len(f.interior_walls)
+        assert len(memberships) == n_walls + len(primcoll.primitive_relations(f)), name
+        if f.is_simplicial:
+            # in relation coordinates: the wall memberships come first, each
+            # target on the ray of its wall's relation, re-derived here
+            rays = relation_coordinate_rays(f)
+            assert new.certificates["rays"] == rays and "proportional" not in new.certificates
+            assert [primitivize([Fraction(x) for x in m["target"]])
+                    for m in memberships[:n_walls]] == [
+                primitivize([wall_relation(f, w).get(i, 0) for i in rays])
+                for w in f.interior_walls]
+        else:
+            # one proportional entry per interior wall, each tying the wall's
+            # row to its class
+            basis = pl_basis(f)
+            mc = mori_cone(f, basis)
+            bridge = new.certificates["proportional"]
+            assert len(bridge) == n_walls == len(mc.classes) and "rays" not in new.certificates
+            for p, row, cls in zip(bridge, wall_rows(f, basis), mc.classes):
+                assert p["u"] == [str(x) for x in row]
+                assert p["v"] == [str(x) for x in cls]
         verdicts.add(new.verdict)
+        routes[f.is_simplicial] += 1
     assert verdicts == {HOLDS, EVIDENCE}
+    assert min(routes.values()) >= 5
 
 
 @pytest.mark.parametrize("r", [15, 16, 20])
@@ -503,7 +526,10 @@ def test_main_theorem_beyond_the_double_description_guard(monkeypatch, r):
     rep = check_main_theorem(f, f"ex22({r})")
     assert pl_basis(f).dim_pic == r - 2 > cones.MAX_DIM
     assert rep.verdict == HOLDS and verify_certificates(rep)
-    assert len(rep.certificates["proportional"]) == r
+    # one membership per wall and one per non-adjacent pair of rays, over
+    # the r - 2 rays outside the first cone
+    assert len(rep.certificates["memberships"]) == r + r * (r - 3) // 2
+    assert len(rep.certificates["rays"]) == r - 2
     assert all(d <= f.dim for d in dims)
 
 
@@ -517,10 +543,36 @@ def _scale_one_u(certs):
     _scale_one_u,
     lambda certs: certs["proportional"][0].update(scale="0"),
 ], ids=["dropped", "scaled-u", "zero-scale"])
-@pytest.mark.parametrize("fan_id", ["ex21", "fulton"])
+@pytest.mark.parametrize("fan_id", ["ex31", "cube3"])
 def test_main_theorem_needs_its_wall_class_bridge(tamper, fan_id):
-    r = check_main_theorem(corpus.corpus_fan(fan_id), fan_id)
-    assert r.verdict in (HOLDS, EVIDENCE) and verify_certificates(r)
+    # a non-simplicial fan's report is in Picard coordinates, with the bridge
+    f = corpus.corpus_fan(fan_id) if fan_id == "ex31" else corpus.cube_fan(3)
+    r = check_main_theorem(f, fan_id)
+    assert r.verdict == HOLDS and verify_certificates(r)
+    assert "rays" not in r.certificates
+    tamper(r.certificates)
+    assert verify_certificates(r) is False
+
+
+def _scale_one_membership_coefficient(certs):
+    m = certs["memberships"][0]
+    k = next(k for k, c in enumerate(m["coeffs"]) if c != "0")
+    m["coeffs"][k] = str(2 * Fraction(m["coeffs"][k]))
+
+
+@pytest.mark.parametrize("tamper", [
+    _scale_one_membership_coefficient,
+    lambda certs: certs.pop("memberships"),
+    lambda certs: certs.pop("rays"),
+    lambda certs: certs["rays"].pop(),
+], ids=["scaled-coefficient", "dropped-memberships", "dropped-rays", "short-rays"])
+@pytest.mark.parametrize("fan_id, verdict", [("ex21", HOLDS), ("fulton", EVIDENCE)])
+def test_relation_route_certificates_fail_closed(tamper, fan_id, verdict):
+    f = corpus.corpus_fan(fan_id)
+    r = check_main_theorem(f, fan_id)
+    assert r.verdict == verdict and verify_certificates(r)
+    assert r.certificates["rays"] == relation_coordinate_rays(f)
+    assert "proportional" not in r.certificates
     tamper(r.certificates)
     assert verify_certificates(r) is False
 
@@ -533,11 +585,12 @@ def _first_extremal_support(f):
     return tuple(sorted(i for i, c in rel.items() if c > 0))
 
 
-def _negate_first_primitive_row(monkeypatch):
-    rows = primcoll.primitive_rows
-    monkeypatch.setattr(primcoll, "primitive_rows", lambda f, basis: [
-        vneg(r) if k == 0 else r for k, r in enumerate(rows(f, basis))
-    ])
+def _negate_first_primitive_relation(monkeypatch):
+    relations = primcoll.primitive_relations
+    monkeypatch.setattr(primcoll, "primitive_relations", lambda f: {
+        p: dataclasses.replace(r, relation={i: -c for i, c in r.relation.items()})
+        if k == 0 else r for k, (p, r) in enumerate(relations(f).items())
+    })
 
 
 def _drop_first_extremal_collection(monkeypatch):
@@ -568,23 +621,21 @@ def _report_an_open_facet(monkeypatch):
 def _relations_positive_on_every_ray(monkeypatch):
     # every ray of a wall's circuit may then be dropped, also a wall ray
     # whose complement is no cone of the fan
-    real = theorems.mori_cone
-
-    def positive(f, basis):
-        mc = real(f, basis)
-        ones = dict.fromkeys(range(f.n_rays), 1)
-        return dataclasses.replace(mc, relations=tuple(ones for _ in mc.walls))
-
-    monkeypatch.setattr(theorems, "mori_cone", positive)
+    real = theorems._relation_extremal_walls
+    monkeypatch.setattr(theorems, "_relation_extremal_walls", lambda f: tuple(
+        (w, dict.fromkeys(range(f.n_rays), 1)) for w, _ in real(f)
+    ))
 
 
 # check id, how its failure is forced on ex21, and the details and
 # counterexample of the report.  On ex21 the first extremal wall is (0, 1),
-# whose relation 2 r0 + r2 + r4 = 0 has positive support (0, 2, 4).
+# whose relation 2 r0 + r2 + r4 = 0 has positive support (0, 2, 4).  The
+# main theorem runs in relation coordinates, over rays 3 and 4, where that
+# relation reads (0, 1).
 FORCED_FAILURES = {
     "negated-primitive-row": (
-        "main-cone-equality", _negate_first_primitive_row,
-        "cone equality fails at generator ['0', '2']", ["0", "2"],
+        "main-cone-equality", _negate_first_primitive_relation,
+        "cone equality fails at generator ['0', '1']", ["0", "1"],
     ),
     "missing-primitive-collection": (
         "extremal-positive-support", _drop_first_extremal_collection,
@@ -617,11 +668,14 @@ def test_forced_failures_are_reported(monkeypatch, capsys, case):
     assert r.certificates == {"counterexample": counterexample}
     assert r.seconds > 0
     if check == "main-cone-equality":
-        # a Mori class outside the cone of the tampered primitive rows
-        basis = pl_basis(f)
+        # a wall relation outside the cone of the tampered primitive
+        # relations, both restricted to the rays outside the first cone
+        rays = relation_coordinate_rays(f)
         bad = tuple(Fraction(x) for x in counterexample)
-        assert bad in mori_cone(f, basis).cone.generators
-        tampered = VCone.make(primcoll.primitive_rows(f, basis), basis.dim_pic)
+        assert any(positively_proportional(bad, [wall_relation(f, w).get(i, 0) for i in rays])
+                   for w in f.interior_walls)
+        tampered = VCone.make([[r.relation.get(i, 0) for i in rays]
+                               for r in primcoll.primitive_relations(f).values()], len(rays))
         assert not cone_contains(tampered, bad)[0]
     code = cli.main(["verify", "--theorem", check, "--fan", "corpus:ex21", "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -642,3 +696,31 @@ def test_run_check_times_every_check_of_the_suite():
     assert [r.to_json_obj() for r in suite] == sorted(
         (r.to_json_obj() for r in reports), key=lambda o: o["theorem"]
     )
+
+
+class PicardRouteTaken(Exception):
+    pass
+
+
+def test_suite_on_a_simplicial_fan_derives_no_picard_basis(monkeypatch):
+    def refuse(fan):
+        raise PicardRouteTaken(fan)
+
+    monkeypatch.setattr(plfun, "_solve_pl_basis", refuse)
+    monkeypatch.setattr(plfun, "_solve_quasi_projective", refuse)
+    rng = random.Random(7)
+    seeded = (random_complete_fan(rng) for _ in range(25))
+    name, f = next((name, f) for name, f in seeded if f.is_simplicial)
+    fans = [("ex21", corpus.split_pyramid_fan()), ("fulton", corpus.fulton_fan()), (name, f)]
+    reports = run_paper_suite(fans=fans, seed=7)
+    assert len(reports) == 4 * len(fans)
+    assert all(r.verdict in PASSING and verify_certificates(r) for r in reports)
+    assert {(r.fan_id, r.verdict) for r in reports if r.theorem == "main-cone-equality"} == {
+        ("ex21", HOLDS), ("fulton", EVIDENCE), (name, HOLDS)}
+    # fulton's extremal and Reid checks are decided inapplicable, the rest hold
+    assert [(r.fan_id, r.details) for r in reports if r.verdict == INAPPLICABLE] == [
+        ("fulton", "fan not quasi-projective"), ("fulton", "not quasi-projective")]
+    assert sum(r.verdict == HOLDS for r in reports) == 9
+    # a non-simplicial fan still takes the Picard route
+    with pytest.raises(PicardRouteTaken):
+        run_paper_suite(fans=[("ex31", corpus.square_pyramid_fan())], seed=7)
