@@ -209,11 +209,11 @@ def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:
 def _relation_coordinates(fan: Fan) -> tuple[tuple[int, ...], tuple, tuple, bool]:
     """Simplicial fans, once per fan: the rays outside the first maximal
     cone, each interior wall's integer relation as a dict and restricted to
-    them, and whether the fan is quasi-projective.  N_1 is the space of relations
-    among the rays (Cox, Little and Schenck, ch. 6), and as the first cone's
-    rays are independent, restricting is an isomorphism.  A function less a
-    linear one vanishes on the first cone, and its bends pair its other ray
-    values with the wall relations (_wall_table): one strict row per wall."""
+    them, and whether the fan is quasi-projective.  N_1 is the space of
+    relations among the rays (Cox, Little and Schenck, ch. 6); the first
+    cone's rays are independent, so restricting is an isomorphism.  A
+    function less a linear one vanishes there, and its bends pair its other
+    ray values with the wall relations (_wall_table): one strict row a wall."""
     def table():
         rays = tuple(i for i in range(fan.n_rays) if i not in fan.max_cones[0].ray_indices)
         rels = tuple(dict(zip(r, c)) for r, c, _, _ in _wall_table(fan))

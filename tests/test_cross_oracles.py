@@ -168,10 +168,9 @@ def _route_fans():
     fans = corpus.paper_examples() + [random_complete_fan(rng) for _ in range(25)]
     for workload in ("verify-suite", "query", "refine"):
         for seed in (41, 42, 43):
-            fans += [
-                (f"{workload}/{seed}/{fid}", fan_from_json_obj(item) if workload == "query" else item)
-                for fid, item in wl.make_inputs(workload, seed)
-            ]
+            for fid, item in wl.make_inputs(workload, seed):
+                f = fan_from_json_obj(item) if workload == "query" else item
+                fans.append((f"{workload}/{seed}/{fid}", f))
     fans.append(("cross4d", corpus.cross_fan(4)))
     seen = {}
     for name, f in fans:
