@@ -10,14 +10,13 @@ Mori cone; on a simplicial fan the relations are the classes, basis-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lp
 from .cones import VCone, cone_contains
 from .fan import Fan, Wall
 from .linalg import Vec, _integer_row, primitivize
 from .plfun import DegenerateWall, PLBasis, RelationVector, is_quasi_projective, pl_basis
-from .plfun import _relation_coordinates, _wall_classes, _wall_table, wall_relation
+from .plfun import _relation_coordinates, _wall_classes, wall_relation
 
 
 class MoriConeNotPointed(Exception):
@@ -57,8 +56,8 @@ def positively_proportional(u: Vec, v: Vec) -> bool:
 
 @dataclass(frozen=True)
 class MoriCone:
-    """The Mori cone with its generating wall classes, labeled by wall; the
-    wall relations behind the classes are kept aligned with the walls.
+    """The Mori cone with its generating wall classes, labeled by wall (the
+    relation behind each class is plfun.wall_relation of its wall).
     is_pointed: some functional is positive on every nonzero class.  A
     strictly convex function is one (each class is a positive multiple of
     its wall row); otherwise one strict-feasibility LP decides."""
@@ -66,7 +65,6 @@ class MoriCone:
     cone: VCone
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
-    relations: tuple[RelationVector, ...]
     is_pointed: bool
 
 
@@ -79,15 +77,12 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
-    walls = fan.interior_walls
-    relations = tuple({i: Fraction(c, d) for i, c in zip(rays, coeffs)}
-                      for rays, coeffs, d, _ in _wall_table(fan))
     classes = _wall_classes(fan, basis)
     nonzero = [c for c in classes if any(x != 0 for x in c)]
     cone = VCone(tuple(nonzero), basis.dim_pic)
     pointed = is_quasi_projective(fan)[0] or lp.strict_feasible(
         nonzero, [], [], basis.dim_pic)[0] is not None
-    return MoriCone(cone, walls, classes, relations, pointed)
+    return MoriCone(cone, fan.interior_walls, classes, pointed)
 
 
 def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:

@@ -6,9 +6,11 @@ wall).  Ray values are the divisor coefficients; with this sign convention a
 function is convex exactly when its bend across every interior wall is
 nonnegative, and strictly convex when all are positive.  Each bend is a
 fixed positive multiple of the wall relation paired with the ray values, so
-convexity is read off integer pairings.  Quasi-projectivity of the fan is
-decided by an exact LP, over a basis of the function space (which yields a
-witness) or, on a simplicial fan, over relations among the rays.
+convexity is read off integer pairings.  The function space is solved in
+ray values, subject to each non-simplicial cone's relations among its rays.
+Quasi-projectivity of the fan is decided by an exact LP, over a basis of
+the function space (which yields a witness) or, on a simplicial fan, over
+relations among the rays.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ class PLBasis:
     """A basis of the space of piecewise-linear functions on a fan, as plain
     values that do not refer to the fan.  The basis is the n global
     coordinate functionals followed by representatives of the quotient
-    Pic(X)_R, pinned to vanish on the first maximal cone.  Only the
+    Pic(X)_R, pinned to vanish on the first maximal cone (_solve_pl_basis).
+    Only the
     quotient functions are stored: quotient_functionals holds one tuple per
     quotient function, with one functional per maximal cone.  Each basis
     function's ray values are kept once, in basis order, in value_rows as
@@ -298,82 +301,69 @@ class PLBasis:
         return PLFunction(fan, tuple(ms))
 
 
-def _compat_rows(fan: Fan) -> list[Vec]:
-    """Wall-compatibility equations over the stacked (m_sigma) vector."""
-    n = fan.dim
-    k = len(fan.max_cones)
-    rows = []
-    for w in fan.interior_walls:
-        a, b = w.cone_indices
-        for i in w.ray_indices:
-            row = [0] * (k * n)
-            ray = fan.ray(i)
-            for d in range(n):
-                row[a * n + d] += ray[d]
-                row[b * n + d] -= ray[d]
-            rows.append(tuple(row))
-    return rows
-
-
 def pl_basis(fan: Fan) -> PLBasis:
-    """Solve the wall-compatibility system for the whole function space,
-    once per fan."""
+    """The function-space basis (_solve_pl_basis), once per fan."""
     return fan.derived("pl_basis", lambda: _solve_pl_basis(fan))
 
 
 def _solve_pl_basis(fan: Fan) -> PLBasis:
-    n = fan.dim
-    if fan.is_simplicial:
-        stacked = _dual_basis_quotient(fan)
-    else:
-        stacked = _stacked_quotient(fan)
-    quotient = tuple(
-        tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))
-        for s in stacked
-    )
-    rows = [(values, 1) for values in zip(*fan.rays)] + [
-        PLFunction(fan, ms).integer_ray_values() for ms in quotient
-    ]
-    return PLBasis(quotient, tuple(rows))
+    """The function space in ray values, for every fan: a PL function on
+    full-dimensional cones is its ray values, subject only to each
+    non-simplicial cone's relations among its own rays (Cox, Little and
+    Schenck, ch. 4 and 6).  Values pinned to 0 on the first cone's rays
+    split off the global linear functions.  span[j] holds the cone
+    functionals of a unit value at ray j: u_j / s_j on a simplicial cone
+    (ConeData.frame); on any other, the row for j of the inverse of an
+    independent ray set S, which with S (dim pivots) and the cone's
+    relations comes off one elimination of [rays | I].  The span rows, or
+    the relations' kernel mapped through them, span the quotient.
 
-
-def _stacked_quotient(fan: Fan) -> list[Vec]:
-    """The kernel of the wall-compatibility rows plus the first-cone pin."""
-    n = fan.dim
-    k = len(fan.max_cones)
-    compat = _compat_rows(fan)
-    # pin the first cone's functional; the pin is the identity on the global
-    # linear functionals (one unit vector on every cone), so it splits them
-    # off iff every row vanishes on them
-    pin = [tuple(int(j == d) for j in range(k * n)) for d in range(n)]
-    if any(sum(row[d::n]) != 0 for row in compat for d in range(n)):
-        raise RuntimeError("first-cone pinning must split off M")
-    return kernel_basis(compat + pin, k * n)
-
-
-def _dual_basis_quotient(fan: Fan) -> list[Vec]:
-    """Simplicial fans: the same basis as _stacked_quotient, with no
-    compatibility system.
-
-    For each ray j outside the first cone, the function with value 1 at j
-    and 0 at every other ray is d_j on each cone containing j (its dual
-    basis functional there) and 0 elsewhere; these functions span the
-    kernel.  kernel_basis returns the kernel's reduced basis: one vector
-    per free column f, with 1 at f and 0 at the other free columns.  A
-    column is free exactly when some kernel vector has its last nonzero
-    entry there, so the free columns are the pivots of the spanning rows
-    read right to left, and the reduced row echelon form of the reversed
-    rows, which is unique, is that basis reversed."""
+    The stored basis is the reduced one in stacked cone-functional columns:
+    one function per free column f, 1 at f and 0 at the other free columns.
+    A column is free exactly when some function has its last nonzero entry
+    there, so the reduced row echelon form of the reversed spanning rows,
+    which is unique, is that basis reversed."""
     n = fan.dim
     first = set(fan.max_cones[0].ray_indices)
     width = len(fan.max_cones) * n
-    rows = {j: [0] * width for j in range(fan.n_rays) if j not in first}
-    for k, c in enumerate(fan.max_cones):
-        for j, (u, s) in zip(c.ray_indices, c.frame):
-            if j in rows:
-                rows[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
-    red, _ = rref([row[::-1] for row in rows.values()])
-    return [row[::-1] for row in reversed(red)]
+    span = {j: [0] * width for j in range(fan.n_rays) if j not in first}
+    column = {j: c for c, j in enumerate(span)}
+    relations = []
+    for k, c in enumerate(fan.max_cones[1:], 1):
+        if c.frame:
+            for j, (u, s) in zip(c.ray_indices, c.frame):
+                if j in span:
+                    span[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
+            continue
+        rays, r = c.ray_indices, len(c.ray_indices)
+        red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
+                            for d in range(n)])
+        if pivots[-1] >= r:
+            raise RuntimeError(f"the rays of maximal cone {k} do not span")
+        for row, p in zip(red, pivots):
+            if rays[p] in span:
+                span[rays[p]][k * n:(k + 1) * n] = row[r:]
+        for q in (q for q in range(r) if q not in pivots):
+            # ray q is sum_p red[p][q] S_p, and so is its value
+            rel = [0] * len(span)
+            for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
+                if x and i in column:
+                    rel[column[i]] += x
+            if any(rel):
+                relations.append(rel)
+    rows = list(span.values())
+    if relations:
+        rows = [vsum([vscale(xj, row) for xj, row in zip(x, rows) if xj], width)
+                for x in kernel_basis(relations, len(rows))]
+    red, _ = rref([row[::-1] for row in rows])
+    quotient = tuple(
+        tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))
+        for s in (row[::-1] for row in reversed(red))
+    )
+    value_rows = [(values, 1) for values in zip(*fan.rays)] + [
+        PLFunction(fan, ms).integer_ray_values() for ms in quotient
+    ]
+    return PLBasis(quotient, tuple(value_rows))
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:

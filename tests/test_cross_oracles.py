@@ -15,7 +15,7 @@ from fanforge import corpus, lp, mori, plfun
 from fanforge.cones import HCone, VCone, h_to_v, v_to_h
 from fanforge.fan import FanError, fan_from_json_obj, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
-from fanforge.theorems import check_main_theorem, random_complete_fan
+from fanforge.theorems import check_main_theorem, random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
 from test_theorems import reference_check_main_theorem
 
@@ -203,3 +203,14 @@ def test_relation_route_agrees_with_the_picard_route():
         outcomes[qp] += 1
     # Fulton's fan is the one simplicial fan here that is not quasi-projective
     assert outcomes == {True: 57, False: 1}
+    # seeded stellar chains of Fulton's fan reach the "not quasi-projective"
+    # branch of both routes more often
+    rng = random.Random(5)
+    for _ in range(12):
+        f = corpus.fulton_fan()
+        for _ in range(rng.randint(1, 2)):
+            f = stellar_subdivide(f, rng.randrange(len(f.max_cones)))
+        qp = plfun._relation_coordinates(f)[3]
+        assert qp == plfun.is_quasi_projective(f)[0]
+        outcomes[qp] += 1
+    assert outcomes[False] == 1 + 12

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fanforge import corpus, plfun, refine
-from fanforge.fan import validate_fan
-from fanforge.linalg import ZERO, kernel_basis, solve_linear, vdot, vec, vscale, vsub, vsum
+from fanforge.fan import ConeData, validate_fan
+from fanforge.linalg import ZERO, kernel_basis, rref, solve_linear, vdot, vec, vscale, vsub, vsum
 from fanforge.mori import extremal_walls, mori_cone
 from fanforge.plfun import (
     NonSimplicialFan,
@@ -23,12 +23,14 @@ from fanforge.plfun import (
     pl_from_json_obj,
     pl_from_ray_values,
     refinement_cone_map,
+    refinement_ray_map,
     wall_functional,
     wall_rows,
 )
 from fanforge.primcoll import primitive_relations
 from fanforge.refine import qp_refinement, simplicial_refinement
-from fanforge.theorems import random_complete_fan
+from fanforge.theorems import random_complete_fan, stellar_subdivide
+from test_cross_oracles import _route_fans
 
 
 def test_zero_function():
@@ -337,6 +339,42 @@ def test_coarse_membership_computes_no_double_description(monkeypatch):
     assert calls == []
 
 
+def _dependent_ray(fan, cone):
+    """A ray of a non-simplicial cone in the span of the cone's other rays:
+    the first non-pivot column of its ray matrix."""
+    _, pivots = rref([[fan.ray(i)[d] for i in cone.ray_indices] for d in range(fan.dim)])
+    return next(i for q, i in enumerate(cone.ray_indices) if q not in pivots)
+
+
+def test_pl_basis_is_the_type_a_subspace_of_a_simplicial_refinement():
+    # the paper's non-simplicial definition: a function on a simplicial
+    # refinement on the same rays lives on the fan exactly when it passes
+    # coarse_membership (additive on the type-A pairs).  Every basis
+    # function pulled back by its ray values does; a unit value on a
+    # dependent ray of a non-simplicial cone does not.
+    rng = random.Random(17)
+    cube3 = corpus.cube_fan(3)
+    fans = [corpus.square_pyramid_fan(), cube3, corpus.cube_fan(4)]
+    for _ in range(4):
+        f = cube3
+        for _ in range(rng.randint(1, 2)):
+            f = stellar_subdivide(f, rng.randrange(len(f.max_cones)))
+        fans.append(f)
+    checked = 0
+    for f in fans:
+        fine = simplicial_refinement(f).fine
+        ray_map = refinement_ray_map(fine, f)
+        for values in pl_basis(f).ray_values:
+            phi = pl_from_ray_values(fine, [values[j] for j in ray_map])
+            assert coarse_membership(phi, f)
+        for c in (c for c in f.max_cones if not c.frame):
+            q = _dependent_ray(f, c)
+            phi = pl_from_ray_values(fine, [int(j == q) for j in ray_map])
+            assert not coarse_membership(phi, f)
+            checked += 1
+    assert checked == 34
+
+
 def test_refinement_cone_map_rejects_unrelated():
     with pytest.raises(NotARefinement):
         refinement_cone_map(corpus.polygon_fan(4), corpus.split_pyramid_fan())
@@ -367,25 +405,18 @@ def test_pl_json_roundtrip():
 
 
 @pytest.mark.parametrize("name", ["ex21", "ex31", "fulton"])
-def test_compat_row_off_the_linear_functions_is_rejected(monkeypatch, name):
-    real = plfun._compat_rows
-
-    def skewed(fan):
-        # drop the second cone's half of the first row: a global linear
-        # function no longer solves it
-        rows = real(fan)
-        n, b = fan.dim, fan.interior_walls[0].cone_indices[1]
-        row = list(rows[0])
-        row[b * n:(b + 1) * n] = [0] * n
-        return [tuple(row)] + rows[1:]
-
-    monkeypatch.setattr(plfun, "_compat_rows", skewed)
+def test_cone_whose_rays_do_not_span_is_rejected(monkeypatch, name):
     fan = corpus.corpus_fan(name)
-    # simplicial fans read their basis off dual bases; force the stacked
-    # system, which is what non-simplicial fans solve
-    monkeypatch.setattr(fan, "is_simplicial", False)
-    with pytest.raises(RuntimeError, match="must split off M"):
-        pl_basis(fan)
+    expected = plfun._solve_pl_basis(fan)
+    # no cone reads its frame: every cone goes through the elimination that
+    # a non-simplicial cone takes, and the basis is the same
+    monkeypatch.setattr(ConeData, "frame", property(lambda self: ()))
+    assert plfun._solve_pl_basis(fan) == expected
+    # every ray flattened into the hyperplane x_n = 0: no cone's rays span,
+    # and the elimination finds fewer than dim pivots among them
+    monkeypatch.setattr(fan, "rays", tuple((*r[:-1], 0) for r in fan.rays))
+    with pytest.raises(RuntimeError, match="do not span"):
+        plfun._solve_pl_basis(fan)
 
 
 def reference_pl_basis(fan):
@@ -428,24 +459,28 @@ def _simplicial_basis_corpus():
 
 
 def test_simplicial_pl_basis_matches_stacked_reference():
+    # the simplicial corpus, then the corpus, the seed-7 suite fans, the
+    # three workloads' inputs at seeds 41-43 and the cube fans, where
+    # non-simplicial cones give the ray-value route relations to solve
     fans = _simplicial_basis_corpus()
+    assert len(fans) == 95
+    fans += [f for _, f in _route_fans()] + [corpus.cube_fan(3), corpus.cube_fan(4)]
     for f in fans:
         b = pl_basis(f)
         quotient, ray_values, dim_pic = reference_pl_basis(f)
         assert list(b.quotient_functionals) == quotient
-        assert all(
-            type(x) is Fraction for ms in b.quotient_functionals
-            for m in ms for x in m
-        )
+        entries = [x for ms in b.quotient_functionals for m in ms for x in m]
+        assert all(type(x) is Fraction for x in entries)
+        assert all(x is ZERO for x in entries if x == 0)
         assert b.ray_values == ray_values
         assert b.dim_pic == dim_pic
-    assert len(fans) == 95
+    assert len(fans) == 95 + 76 + 2
+    assert sum(not f.is_simplicial for f in fans) == 20
 
 
 def test_simplicial_pl_basis_shares_one_zero():
     # the basis functions vanish on most cones; every zero entry is the ZERO
-    # that rref (simplicial fans) or kernel_basis (the stacked system of a
-    # non-simplicial fan) shares, not a Fraction of its own
+    # that the final rref shares, not a Fraction of its own
     rng = random.Random(3)
     fans = [corpus.fulton_fan(), corpus.cross_fan(4), corpus.cube_fan(3)]
     fans += [random_complete_fan(rng)[1] for _ in range(5)]

@@ -579,9 +579,7 @@ def test_relation_route_certificates_fail_closed(tamper, fan_id, verdict):
 
 def _first_extremal_support(f):
     """The positive support of the first extremal wall's relation."""
-    basis = pl_basis(f)
-    mc = mori_cone(f, basis)
-    rel = mc.relations[mc.walls.index(extremal_walls(f, basis)[0])]
+    rel = wall_relation(f, extremal_walls(f, pl_basis(f))[0])
     return tuple(sorted(i for i, c in rel.items() if c > 0))
 
 

@@ -27,6 +27,7 @@ from fanforge.plfun import (
     pl_basis,
     pl_from_ray_values,
     wall_functional,
+    wall_relation,
     wall_rows,
 )
 from fanforge.primcoll import primitive_relations
@@ -114,7 +115,7 @@ def test_classes_equal_the_fraction_reference(fans):
     for name, f in fans:
         basis = pl_basis(f)
         mc = mori_cone(f, basis)
-        expected = [fraction_relation_row(f, rel, basis) for rel in mc.relations]
+        expected = [fraction_relation_row(f, wall_relation(f, w), basis) for w in mc.walls]
         assert list(mc.classes) == expected, name
         # a wall's class times its scale is its oracle row (the lemma)
         scales = [scale for _, _, _, scale in _wall_table(f)]
