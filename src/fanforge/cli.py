@@ -355,6 +355,9 @@ def cmd_verify(args) -> int:
     if args.random_fans < 0:
         print("error: --random-fans must not be negative", file=sys.stderr)
         return EXIT_USAGE
+    if args.all and args.fan:
+        print("error: --all runs the built-in suite and takes no --fan", file=sys.stderr)
+        return EXIT_USAGE
     seed = args.seed if args.seed is not None else _default_seed()
     if args.theorem:
         if not args.fan:

@@ -4,7 +4,8 @@ Every interior wall carries a rational relation among the rays around it,
 unique up to positive scale once the off-wall ray of the second incident
 cone has coefficient 1 (plfun.wall_relation).  Paired with a basis of the
 function-space quotient, the relations become the classes that generate the
-Mori cone; on a simplicial fan the relations are the classes, basis-free.
+Mori cone, as mori and nef print them; paired with plfun's functions K they
+give the same cone in relation coordinates, with no basis.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ def positively_proportional(u: Vec, v: Vec) -> bool:
 
 @dataclass(frozen=True)
 class MoriCone:
-    """The Mori cone with its generating wall classes, labeled by wall (the
+    """The Mori cone as its generating wall classes, labeled by wall (the
     relation behind each class is plfun.wall_relation of its wall).
     is_pointed: some functional is positive on every nonzero class.  A
     strictly convex function is one (each class is a positive multiple of
     its wall row); otherwise one strict-feasibility LP decides."""
 
-    cone: VCone
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
     is_pointed: bool
@@ -79,10 +79,9 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
     classes = _wall_classes(fan, basis)
     nonzero = [c for c in classes if any(x != 0 for x in c)]
-    cone = VCone(tuple(nonzero), basis.dim_pic)
     pointed = is_quasi_projective(fan)[0] or lp.strict_feasible(
         nonzero, [], [], basis.dim_pic)[0] is not None
-    return MoriCone(cone, fan.interior_walls, classes, pointed)
+    return MoriCone(fan.interior_walls, classes, pointed)
 
 
 def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
@@ -101,13 +100,13 @@ def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
 
 
 def _relation_extremal_walls(fan: Fan) -> tuple[tuple[Wall, dict[int, int]], ...]:
-    """The extremal walls of a simplicial quasi-projective fan with their
-    integer relations, found once per fan in plfun._relation_coordinates."""
-    rays, rels, rows, qp = _relation_coordinates(fan)
-    if not qp:
+    """The extremal walls of a quasi-projective fan with their integer
+    relations, found once per fan in plfun._relation_coordinates."""
+    rc = _relation_coordinates(fan)
+    if not rc.quasi_projective:
         raise MoriConeNotPointed("extremal rays need a quasi-projective fan here")
     return fan.derived("relation_extremal_walls", lambda: _extremal(
-        tuple(zip(fan.interior_walls, rels)), rows, len(rays)))
+        tuple(zip(fan.interior_walls, rc.relations)), rc.rows, rc.dim))
 
 
 def _extremal(walls, classes, dim: int) -> tuple:

@@ -8,9 +8,10 @@ nonnegative, and strictly convex when all are positive.  Each bend is a
 fixed positive multiple of the wall relation paired with the ray values, so
 convexity is read off integer pairings.  The function space is solved in
 ray values, subject to each non-simplicial cone's relations among its rays.
-Quasi-projectivity of the fan is decided by an exact LP, over a basis of
-the function space (which yields a witness) or, on a simplicial fan, over
-relations among the rays.
+Paired with the functions that vanish on the first maximal cone, the
+relations get coordinates in N_1, over which an exact LP decides
+quasi-projectivity; the same LP over a basis of the function space yields
+a witness.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import lp
 from .fan import Fan, Wall, contained_in_single_cone
@@ -208,22 +210,38 @@ def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:
     ], d
 
 
-def _relation_coordinates(fan: Fan) -> tuple[tuple[int, ...], tuple, tuple, bool]:
-    """Simplicial fans, once per fan: the rays outside the first maximal
-    cone, each interior wall's integer relation as a dict and restricted to
-    them, and whether the fan is quasi-projective.  N_1 is the space of
-    relations among the rays (Cox, Little and Schenck, ch. 6); the first
-    cone's rays are independent, so restricting is an isomorphism.  A
-    function less a linear one vanishes there, and its bends pair its other
-    ray values with the wall relations (_wall_table): one strict row a wall."""
+class RelationCoordinates(NamedTuple):
+    """A fan's N_1 in coordinates, as plain values: the rays outside the
+    first maximal cone, the functions K over them (_cone_relations) and
+    their number, each interior wall's integer relation and its
+    coordinates, and whether the fan is quasi-projective."""
+
+    rays: tuple[int, ...]
+    functions: tuple[tuple[int, ...], ...] | None
+    dim: int
+    relations: tuple[dict[int, int], ...]
+    rows: tuple[tuple, ...]
+    quasi_projective: bool
+
+    def coordinates(self, rel: RelationVector) -> tuple:
+        values = tuple(rel.get(i, 0) for i in self.rays)
+        return values if self.functions is None else tuple(vdot(k, values) for k in self.functions)
+
+
+def _relation_coordinates(fan: Fan) -> RelationCoordinates:
+    """Derived once per fan.  N_1 is the relations among the rays modulo
+    those that pair to 0 with every PL function (Cox, Little and Schenck,
+    ch. 6), so a relation's coordinates are its pairings with K; each bend
+    is a positive multiple of its wall's pairing (_wall_table)."""
     def table():
-        rays = tuple(i for i in range(fan.n_rays) if i not in fan.max_cones[0].ray_indices)
+        rays, k, _ = _cone_relations(fan)
+        rc = RelationCoordinates(rays, k, len(rays if k is None else k), (), (), False)
         rels = tuple(dict(zip(r, c)) for r, c, _, _ in _wall_table(fan))
-        rows = tuple(tuple(rel.get(i, 0) for i in rays) for rel in rels)
-        x, _ = lp.strict_feasible(rows, [], [], len(rays))
+        rows = tuple(rc.coordinates(rel) for rel in rels)
+        x, _ = lp.strict_feasible(rows, [], [], rc.dim)
         if x is not None and any(vdot(r, x) <= 0 for r in rows):
             raise RuntimeError("LP point does not pair positively with every wall relation")
-        return rays, rels, rows, x is not None
+        return rc._replace(relations=rels, rows=rows, quasi_projective=x is not None)
     return fan.derived("relation_coordinates", table)
 
 
@@ -306,17 +324,48 @@ def pl_basis(fan: Fan) -> PLBasis:
     return fan.derived("pl_basis", lambda: _solve_pl_basis(fan))
 
 
+def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, list]:
+    """The rays outside the first maximal cone, the functions K over them
+    and each non-simplicial cone k's inverse rows (k, ray, row).  A PL
+    function on full-dimensional cones is its ray values, subject only to
+    each non-simplicial cone's relations among its own rays (Cox, Little
+    and Schenck, ch. 4 and 6); those pinned to 0 on the first cone are
+    spanned by K, integer rows of the relations' kernel, or None for the
+    identity.  One elimination of [rays | I] per cone gives an independent
+    ray set S (dim pivots), S's inverse and one relation per other ray."""
+    n = fan.dim
+    first = set(fan.max_cones[0].ray_indices)
+    outside = tuple(j for j in range(fan.n_rays) if j not in first)
+    column = {j: c for c, j in enumerate(outside)}
+    inverses, relations = [], []
+    for k, c in enumerate(fan.max_cones[1:], 1):
+        if c.frame:
+            continue
+        rays, r = c.ray_indices, len(c.ray_indices)
+        red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
+                            for d in range(n)])
+        if pivots[-1] >= r:
+            raise RuntimeError(f"the rays of maximal cone {k} do not span")
+        inverses += ((k, rays[p], row[r:]) for row, p in zip(red, pivots))
+        for q in (q for q in range(r) if q not in pivots):
+            # ray q is sum_p red[p][q] S_p, and so is its value
+            rel = [0] * len(outside)
+            for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
+                if x and i in column:
+                    rel[column[i]] += x
+            if any(rel):
+                relations.append(rel)
+    if not relations:
+        return outside, None, inverses
+    kernel = kernel_basis(relations, len(outside))
+    return outside, tuple(tuple(_integer_row(x)[0]) for x in kernel), inverses
+
+
 def _solve_pl_basis(fan: Fan) -> PLBasis:
-    """The function space in ray values, for every fan: a PL function on
-    full-dimensional cones is its ray values, subject only to each
-    non-simplicial cone's relations among its own rays (Cox, Little and
-    Schenck, ch. 4 and 6).  Values pinned to 0 on the first cone's rays
-    split off the global linear functions.  span[j] holds the cone
-    functionals of a unit value at ray j: u_j / s_j on a simplicial cone
-    (ConeData.frame); on any other, the row for j of the inverse of an
-    independent ray set S, which with S (dim pivots) and the cone's
-    relations comes off one elimination of [rays | I].  The span rows, or
-    the relations' kernel mapped through them, span the quotient.
+    """The function space in ray values (_cone_relations).  span[j] holds
+    the cone functionals of a unit value at ray j: u_j / s_j on a
+    simplicial cone (ConeData.frame), else its row of the inverse.  The
+    span rows, or K mapped through them, span the quotient.
 
     The stored basis is the reduced one in stacked cone-functional columns:
     one function per free column f, 1 at f and 0 at the other free columns.
@@ -324,37 +373,20 @@ def _solve_pl_basis(fan: Fan) -> PLBasis:
     there, so the reduced row echelon form of the reversed spanning rows,
     which is unique, is that basis reversed."""
     n = fan.dim
-    first = set(fan.max_cones[0].ray_indices)
+    rays, functions, inverses = _cone_relations(fan)
     width = len(fan.max_cones) * n
-    span = {j: [0] * width for j in range(fan.n_rays) if j not in first}
-    column = {j: c for c, j in enumerate(span)}
-    relations = []
+    span = {j: [0] * width for j in rays}
     for k, c in enumerate(fan.max_cones[1:], 1):
-        if c.frame:
-            for j, (u, s) in zip(c.ray_indices, c.frame):
-                if j in span:
-                    span[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
-            continue
-        rays, r = c.ray_indices, len(c.ray_indices)
-        red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
-                            for d in range(n)])
-        if pivots[-1] >= r:
-            raise RuntimeError(f"the rays of maximal cone {k} do not span")
-        for row, p in zip(red, pivots):
-            if rays[p] in span:
-                span[rays[p]][k * n:(k + 1) * n] = row[r:]
-        for q in (q for q in range(r) if q not in pivots):
-            # ray q is sum_p red[p][q] S_p, and so is its value
-            rel = [0] * len(span)
-            for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
-                if x and i in column:
-                    rel[column[i]] += x
-            if any(rel):
-                relations.append(rel)
+        for j, (u, s) in zip(c.ray_indices, c.frame):
+            if j in span:
+                span[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
+    for k, j, m in inverses:
+        if j in span:
+            span[j][k * n:(k + 1) * n] = m
     rows = list(span.values())
-    if relations:
+    if functions is not None:
         rows = [vsum([vscale(xj, row) for xj, row in zip(x, rows) if xj], width)
-                for x in kernel_basis(relations, len(rows))]
+                for x in functions]
     red, _ = rref([row[::-1] for row in rows])
     quotient = tuple(
         tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))

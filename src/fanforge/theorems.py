@@ -5,7 +5,7 @@ verdict ships machine-checkable certificates (nonnegative-combination
 coefficients, proportionality scales) that verify_certificates re-checks
 with nothing but arithmetic.  Fans that are not quasi-projective are run in
 evidence mode: the cone identities are still tested, but a passing result
-is reported as "evidence", never "holds".  A simplicial fan is checked in
+is reported as "evidence", never "holds".  Every fan is checked in
 relation coordinates, with no PL basis (plfun._relation_coordinates).
 CHECKS lists the suite's checks by id, and run_check runs one and times it.
 """
@@ -21,8 +21,8 @@ from . import corpus, primcoll
 from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
-from .mori import _relation_extremal_walls, mori_cone, positively_proportional, relation_dense
-from .plfun import _relation_coordinates, is_quasi_projective, pl_basis, type_a_pairs, wall_rows
+from .mori import _relation_extremal_walls, positively_proportional, relation_dense
+from .plfun import _relation_coordinates, type_a_pairs
 from .refine import Refinement, simplicial_refinement
 
 HOLDS = "holds"
@@ -102,41 +102,31 @@ def _proportional_certificate(u: Vec, v: Vec) -> dict:
 
 
 def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
-    """The convex-function cone cut by the wall rows W equals the cone cut
-    by the primitive rows P, which are the primitive classes.  By Farkas,
-    {x : Wx >= 0} = {x : Px >= 0} iff cone(W) = cone(P).  Each row is its
-    wall's class times the wall's positive scale (plfun._wall_table), so
-    cone(W) is the Mori cone.  Certified by memberships both ways, between
-    the relations restricted to the listed "rays" on a simplicial fan, else
-    between the classes, tied to the rows by proportional entries."""
-    if fan.is_simplicial:
-        rays, _, rows, qp = _relation_coordinates(fan)
-        dim, walls_v, extra = len(rays), VCone(rows, len(rays)), {"rays": list(rays)}
-        prims = [[r.relation.get(i, 0) for i in rays]
-                 for r in primcoll.primitive_relations(fan).values()]
-    else:
-        basis = pl_basis(fan)
-        qp, _ = is_quasi_projective(fan)
-        mc = mori_cone(fan, basis)
-        dim, walls_v, prims = basis.dim_pic, mc.cone, primcoll.primitive_rows(fan, basis)
-        extra = {"proportional": [_proportional_certificate(u, v)
-                                  for u, v in zip(wall_rows(fan, basis), mc.classes)]}
-    certs: list = []
-    bad = _cones_equal_certified(walls_v, VCone.make(prims, dim), certs)
+    """The convex-function cone cut out by the wall relations W equals the
+    one cut out by the primitive relations P.  By Farkas, {x : Wx >= 0} =
+    {x : Px >= 0} iff cone(W) = cone(P), here in N_1 in the coordinates of
+    plfun._relation_coordinates; each bend is a positive multiple of its
+    wall's pairing (plfun._wall_table), so cone(W) is the Mori cone.
+    Certified by memberships both ways, over the "rays" outside the first
+    cone, and over the "functions" K where the cones have relations."""
+    rc = _relation_coordinates(fan)
+    prims = [rc.coordinates(r.relation) for r in primcoll.primitive_relations(fan).values()]
+    memberships: list = []
+    bad = _cones_equal_certified(VCone(rc.rows, rc.dim), VCone.make(prims, rc.dim), memberships)
     if bad is not None:
         return TheoremReport(
             "main-cone-equality", fan_id, FAILS,
             f"cone equality fails at generator {[str(x) for x in bad]}",
             {"counterexample": [str(x) for x in bad]},
         )
-    verdict = HOLDS if qp else EVIDENCE
+    qp = rc.quasi_projective
     details = "wall and primitive descriptions agree" + (
         "" if qp else " (fan not quasi-projective: conjecture evidence only)"
     )
-    return TheoremReport(
-        "main-cone-equality", fan_id, verdict, details,
-        {"memberships": certs, **extra},
-    )
+    certs = {"memberships": memberships, "rays": list(rc.rays)}
+    if rc.functions is not None:
+        certs["functions"] = [[str(x) for x in k] for k in rc.functions]
+    return TheoremReport("main-cone-equality", fan_id, HOLDS if qp else EVIDENCE, details, certs)
 
 
 def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
@@ -192,7 +182,7 @@ def _inapplicable(fan: Fan) -> str | None:
     """Why the checks of simplicial quasi-projective fans skip the fan, or None."""
     if not fan.is_simplicial:
         return "not simplicial"
-    if not _relation_coordinates(fan)[3]:
+    if not _relation_coordinates(fan).quasi_projective:
         return "not quasi-projective"
     return None
 
@@ -261,7 +251,10 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
         rows = [relation_dense(fine, primcoll.primitive_relation(fine, p).relation)
                 for p in type_a_pairs(fine, coarse)]
         cut_basis = kernel_basis(rows, fine.n_rays)
-        pull_basis = pl_basis(coarse).ray_values
+        # the coarse functions' ray values: the linear ones, then K's; K's
+        # values at a ray are the coordinates of its unit relation
+        units = [_relation_coordinates(coarse).coordinates({i: 1}) for i in range(coarse.n_rays)]
+        pull_basis = [*zip(*coarse.rays), *zip(*units)]
         ra, rb = rank(cut_basis), rank(pull_basis)
         rab = rank(list(cut_basis) + list(pull_basis))
     ok = ra == rb == rab
@@ -338,11 +331,11 @@ def run_paper_suite(
     return reports
 
 
-# the certificate lists a passing verdict must carry, each one of alternatives
+# the certificate lists a passing verdict must carry
 _REQUIRED_CERTIFICATES = {
-    ("main-cone-equality", HOLDS): (("memberships",), ("proportional", "rays")),
-    ("main-cone-equality", EVIDENCE): (("memberships",), ("proportional", "rays")),
-    ("extremal-positive-support", HOLDS): (("proportional",),),
+    ("main-cone-equality", HOLDS): ("memberships", "rays"),
+    ("main-cone-equality", EVIDENCE): ("memberships", "rays"),
+    ("extremal-positive-support", HOLDS): ("proportional",),
 }
 
 
@@ -350,15 +343,21 @@ def verify_certificates(report: TheoremReport) -> bool:
     """Independent re-check of a report's certificates by plain arithmetic.
 
     Fails closed: a passing verdict without its certificate lists, an entry
-    that does not parse as a rational, vectors of unequal lengths and a
-    membership of another length than the listed rays are all rejected."""
+    that does not parse as a rational, vectors of unequal lengths, a
+    function that is not an integer row as long as the listed rays, and a
+    membership of another length than the functions (else the rays) are
+    all rejected."""
     certs = report.certificates
     required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict), ())
-    if not all(any(isinstance(certs.get(n), list) for n in names) for names in required):
+    if not all(isinstance(certs.get(n), list) for n in required):
         return False
     try:
-        if "rays" in certs and any(len(m["target"]) != len(certs["rays"])
-                                   for m in certs["memberships"]):
+        functions = certs.get("functions", [])
+        if any(len(k) != len(certs["rays"]) or any(str(int(x)) != x for x in k)
+               for k in functions):
+            return False
+        width = len(certs.get("functions", certs.get("rays", ())))
+        if "rays" in certs and any(len(m["target"]) != width for m in certs["memberships"]):
             return False
         # the memberships of one cone equality share their generator list,
         # so each distinct list is parsed once

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fanforge import corpus
-from fanforge.cones import HCone, cone_contains, cones_equal
+from fanforge.cones import HCone, VCone, cone_contains, cones_equal
 from fanforge.fan import contained_in_single_cone, fans_equal
 from fanforge.linalg import primitivize, rank, vec, vsum
 from fanforge.mori import (
@@ -226,7 +226,7 @@ def test_criterion_5_property_suite_random_fans():
         basis = pl_basis(f)
         qp, _ = is_quasi_projective(f)
         collections = enumerate_primitive_collections(f)
-        mc = mori_cone(f, basis)
+        mc = VCone.make(mori_cone(f, basis).classes, basis.dim_pic)
         for p in collections:
             # (a) size bound and full-rank proper subsets
             assert len(p) <= n + 1
@@ -240,12 +240,12 @@ def test_criterion_5_property_suite_random_fans():
                 assert 0 < pr.b[i] < 1
             # (c) the class lies in the Mori cone, certificate re-verified
             cls = curve_class(f, pr.relation, basis)
-            ok, cert = cone_contains(mc.cone, cls)
+            ok, cert = cone_contains(mc, cls)
             assert ok
             assert all(c >= 0 for c in cert)
             for d in range(len(cls)):
                 assert (
-                    sum(c * g[d] for c, g in zip(cert, mc.cone.generators))
+                    sum(c * g[d] for c, g in zip(cert, mc.generators))
                     == cls[d]
                 )
         if qp:

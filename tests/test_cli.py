@@ -340,6 +340,16 @@ def test_negative_random_fans_is_usage_error(capsys):
     assert code == 0 and len(json.loads(out)["reports"]) == 40
 
 
+@pytest.mark.parametrize("extra", [(), ("--theorem", "main-cone-equality")],
+                         ids=["suite", "theorem"])
+def test_verify_all_with_a_fan_is_usage_error(capsys, extra):
+    # --all runs the built-in suite; with --fan it would check that fan alone
+    code, out, err = run_cli(capsys, "verify", "--all", "--fan", "corpus:ex21",
+                             "--random-fans", "25", *extra)
+    assert code == 4 and out == ""
+    assert err == "error: --all runs the built-in suite and takes no --fan\n"
+
+
 def test_verify_timing_adds_only_seconds(capsys):
     argv = ("verify", "--fan", "corpus:ex21", "--seed", "0", "--json")
     _, plain, _ = run_cli(capsys, *argv)

@@ -1,7 +1,7 @@
 """Independent-oracle stress tests: the double description method against a
 brute-force extreme-ray search, the simplex-based strict feasibility
 against a double-description-based decision of the same question, and the
-relation-coordinate decisions on simplicial fans against the Picard route."""
+relation-coordinate decisions against the Picard route."""
 
 import itertools
 import json
@@ -17,7 +17,7 @@ from fanforge.fan import FanError, fan_from_json_obj, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
 from fanforge.theorems import check_main_theorem, random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
-from test_theorems import reference_check_main_theorem
+from test_theorems import merged_fulton_fans, reference_check_main_theorem
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -179,12 +179,19 @@ def _route_fans():
 
 
 def test_relation_route_agrees_with_the_picard_route():
-    simplicial = [(name, f) for name, f in _route_fans() if f.is_simplicial]
-    outcomes = {True: 0, False: 0}
-    for name, f in simplicial:
-        qp = plfun._relation_coordinates(f)[3]
+    outcomes = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    for name, f in _route_fans() + merged_fulton_fans():
+        rc = plfun._relation_coordinates(f)
+        qp = rc.quasi_projective
         assert qp == plfun.is_quasi_projective(f)[0], name
         basis = plfun.pl_basis(f)
+        # K is the identity on a simplicial fan, else dim Pic integer rows
+        assert rc.dim == basis.dim_pic, name
+        assert (rc.functions is None) is f.is_simplicial, name
+        if rc.functions is not None:
+            assert len(rc.functions) == basis.dim_pic
+            assert all(type(x) is int and len(k) == len(rc.rays)
+                       for k in rc.functions for x in k), name
         if qp:
             pairs = mori._relation_extremal_walls(f)
             assert [w for w, _ in pairs] == mori.extremal_walls(f, basis), name
@@ -200,9 +207,10 @@ def test_relation_route_agrees_with_the_picard_route():
                 mori.extremal_walls(f, basis)
         new, ref = check_main_theorem(f, name), reference_check_main_theorem(f, name)
         assert (new.verdict, new.details) == (ref.verdict, ref.details), name
-        outcomes[qp] += 1
-    # Fulton's fan is the one simplicial fan here that is not quasi-projective
-    assert outcomes == {True: 57, False: 1}
+        outcomes[f.is_simplicial, qp] += 1
+    # Fulton's fan is the one simplicial fan here that is not quasi-projective,
+    # and its three merged fans the non-simplicial ones
+    assert outcomes == {(True, True): 57, (True, False): 1, (False, True): 18, (False, False): 3}
     # seeded stellar chains of Fulton's fan reach the "not quasi-projective"
     # branch of both routes more often
     rng = random.Random(5)
@@ -210,7 +218,7 @@ def test_relation_route_agrees_with_the_picard_route():
         f = corpus.fulton_fan()
         for _ in range(rng.randint(1, 2)):
             f = stellar_subdivide(f, rng.randrange(len(f.max_cones)))
-        qp = plfun._relation_coordinates(f)[3]
+        qp = plfun._relation_coordinates(f).quasi_projective
         assert qp == plfun.is_quasi_projective(f)[0]
-        outcomes[qp] += 1
-    assert outcomes[False] == 1 + 12
+        outcomes[True, qp] += 1
+    assert outcomes[True, False] == 1 + 12

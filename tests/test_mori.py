@@ -226,7 +226,7 @@ def test_mori_cone_single_cone_fan():
     f = validate_fan(2, [(1, 0), (0, 1)], [[0, 1]])
     basis = pl_basis(f)
     mc = mori_cone(f, basis)
-    assert mc.classes == () and mc.cone.generators == ()
+    assert mc.classes == () and VCone.make(mc.classes, basis.dim_pic).generators == ()
 
 
 def test_mori_cone_fulton_not_pointed():
@@ -272,7 +272,7 @@ def test_mori_cone_is_dual_of_wall_inequalities():
         cpl = HCone.make(
             wall_rows(f, basis), (), basis.dim_pic
         )
-        assert cones_equal(mc.cone, dual_cone(cpl))
+        assert cones_equal(VCone.make(mc.classes, basis.dim_pic), dual_cone(cpl))
 
 
 def test_primitive_class_membership_certificate():
@@ -280,15 +280,15 @@ def test_primitive_class_membership_certificate():
 
     f = corpus.split_pyramid_fan()
     basis = pl_basis(f)
-    mc = mori_cone(f, basis)
+    cone = VCone.make(mori_cone(f, basis).classes, basis.dim_pic)
     for p in enumerate_primitive_collections(f):
         rel = primitive_relation(f, p).relation
         cls = curve_class(f, rel, basis)
-        ok, cert = cone_contains(mc.cone, cls)
+        ok, cert = cone_contains(cone, cls)
         assert ok
         for d in range(len(cls)):
             got = sum(
-                c * g[d] for c, g in zip(cert, mc.cone.generators)
+                c * g[d] for c, g in zip(cert, cone.generators)
             )
             assert got == cls[d]
 
@@ -351,8 +351,9 @@ def test_wall_relation_matches_kernel_reference(monkeypatch):
     assert dual >= 200 and kernel >= 80
 
 
-def _pointedness_reference(mc) -> bool:
-    return not mc.cone.generators or lineality_dim(mc.cone) == 0
+def _pointedness_reference(mc, dim) -> bool:
+    cone = VCone.make(mc.classes, dim)
+    return not cone.generators or lineality_dim(cone) == 0
 
 
 def test_is_pointed_matches_double_description_on_fulton_subdivisions():
@@ -369,7 +370,7 @@ def test_is_pointed_matches_double_description_on_fulton_subdivisions():
     for g in fans:
         assert not is_quasi_projective(g)[0]
         mc = mori_cone(g, pl_basis(g))
-        assert mc.is_pointed is _pointedness_reference(mc) is False
+        assert mc.is_pointed is _pointedness_reference(mc, pl_basis(g).dim_pic) is False
 
 
 def test_is_pointed_lp_branch_matches_double_description(monkeypatch):
@@ -380,6 +381,6 @@ def test_is_pointed_lp_branch_matches_double_description(monkeypatch):
     for f in _wall_class_fans():
         g = fan_from_json_obj(f.to_json_obj())
         mc = mori_cone(g, pl_basis(g))
-        assert mc.is_pointed is _pointedness_reference(mc)
+        assert mc.is_pointed is _pointedness_reference(mc, pl_basis(g).dim_pic)
         pointed += mc.is_pointed
     assert pointed >= 30

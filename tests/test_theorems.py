@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import cli, cones, corpus, lp, plfun, primcoll, theorems
+from fanforge import cli, cones, corpus, lp, mori, plfun, primcoll, theorems
 from fanforge.cones import HCone, VCone, cone_contains, cones_equal, h_to_v
 from fanforge.fan import fan_from_json_obj
 from fanforge.linalg import kernel_basis, primitivize, rank, solve_linear, vsum
@@ -59,6 +59,27 @@ def test_main_theorem_fulton_is_evidence_only():
     r = check_main_theorem(corpus.fulton_fan(), "fulton")
     assert r.verdict == EVIDENCE
     assert verify_certificates(r)
+
+
+def test_merged_fulton_fans_are_not_quasi_projective():
+    # non-simplicial fans on the "no" branch of both quasi-projectivity routes
+    merged = merged_fulton_fans()
+    assert [[c.ray_indices for c in f.max_cones if len(c.ray_indices) > 3] for _, f in merged] == [
+        [(0, 2, 4, 5)], [(0, 1, 5, 6)], [(1, 2, 4, 6)]]
+    for name, f in merged:
+        assert not is_quasi_projective(f)[0], name
+        assert not plfun._relation_coordinates(f).quasi_projective, name
+        reports = run_paper_suite(fans=[(name, f)], seed=7)
+        assert all(verify_certificates(r) for r in reports), name
+        assert [(r.theorem, r.verdict, r.details) for r in reports] == [
+            ("extremal-positive-support", INAPPLICABLE, "fan not simplicial"),
+            ("main-cone-equality", EVIDENCE,
+             "wall and primitive descriptions agree"
+             " (fan not quasi-projective: conjecture evidence only)"),
+            ("reid-conditions", INAPPLICABLE, "not simplicial"),
+            ("type-a-subspace", HOLDS, reports[3].details),
+        ], name
+        assert "functions" in reports[1].certificates, name
 
 
 def test_extremal_primitive_split_pyramid():
@@ -450,8 +471,8 @@ def reference_check_main_theorem(fan, fan_id="fan"):
     certs = []
     bad = theorems._cones_equal_certified(h_to_v(walls_h), h_to_v(prim_h), certs)
     if bad is None:
-        mc = mori_cone(fan, basis)
-        bad = theorems._cones_equal_certified(mc.cone, VCone.make(prim_rows, d), certs)
+        mori_v = VCone.make(mori_cone(fan, basis).classes, d)
+        bad = theorems._cones_equal_certified(mori_v, VCone.make(prim_rows, d), certs)
     if bad is not None:
         return theorems.TheoremReport(
             "main-cone-equality", fan_id, FAILS,
@@ -472,41 +493,54 @@ def relation_coordinate_rays(f):
     return [i for i in range(f.n_rays) if i not in f.max_cones[0].ray_indices]
 
 
+def merged_fulton_fans():
+    """Fulton's fan with the two cones across wall (0, 4), (1, 5) or (2, 6)
+    merged into one, in place of the first: valid non-simplicial fans with
+    the merged cones [0, 2, 4, 5], [0, 1, 5, 6] and [1, 2, 4, 6]."""
+    obj = corpus.fulton_fan().to_json_obj()
+    fans = []
+    for wall in ((0, 4), (1, 5), (2, 6)):
+        a, b = (c for c in obj["max_cones"] if set(wall) <= set(c))
+        cones = [sorted({*a, *b}) if c == a else c for c in obj["max_cones"] if c != b]
+        f = fan_from_json_obj({**obj, "max_cones": cones})
+        fans.append((f"fulton-merged{wall[0]}{wall[1]}", f))
+    return fans
+
+
 def test_main_theorem_matches_two_half_reference():
     verdicts = set()
-    routes = {True: 0, False: 0}
-    for name, f in _lookup_fans():
+    with_functions = {True: 0, False: 0}
+    for name, f in _lookup_fans() + merged_fulton_fans():
         new = check_main_theorem(f, name)
         ref = reference_check_main_theorem(f, name)
         assert (new.verdict, new.details) == (ref.verdict, ref.details), name
         assert verify_certificates(new), name
-        # one membership per interior wall and one per primitive relation
-        memberships = new.certificates["memberships"]
+        # one membership per interior wall and one per primitive relation,
+        # over the rays outside the first cone, with no proportional bridge
+        certs = new.certificates
+        memberships = certs["memberships"]
         n_walls = len(f.interior_walls)
         assert len(memberships) == n_walls + len(primcoll.primitive_relations(f)), name
-        if f.is_simplicial:
-            # in relation coordinates: the wall memberships come first, each
-            # target on the ray of its wall's relation, re-derived here
-            rays = relation_coordinate_rays(f)
-            assert new.certificates["rays"] == rays and "proportional" not in new.certificates
-            assert [primitivize([Fraction(x) for x in m["target"]])
-                    for m in memberships[:n_walls]] == [
-                primitivize([wall_relation(f, w).get(i, 0) for i in rays])
-                for w in f.interior_walls]
-        else:
-            # one proportional entry per interior wall, each tying the wall's
-            # row to its class
-            basis = pl_basis(f)
-            mc = mori_cone(f, basis)
-            bridge = new.certificates["proportional"]
-            assert len(bridge) == n_walls == len(mc.classes) and "rays" not in new.certificates
-            for p, row, cls in zip(bridge, wall_rows(f, basis), mc.classes):
-                assert p["u"] == [str(x) for x in row]
-                assert p["v"] == [str(x) for x in cls]
+        rays = relation_coordinate_rays(f)
+        assert certs["rays"] == rays and "proportional" not in certs, name
+        # the functions K: listed where the cones have relations, each a row
+        # of integer values on the rays; the identity otherwise
+        k = plfun._relation_coordinates(f).functions
+        assert ("functions" in certs) is (k is not None), name
+        functions = ([[int(x) for x in row] for row in certs["functions"]] if k is not None
+                     else [[int(i == j) for i in rays] for j in rays])
+        assert len(functions) == pl_basis(f).dim_pic
+        # the wall memberships come first, each target on the ray of its
+        # wall's relation paired with K, re-derived here
+        assert [primitivize([Fraction(x) for x in m["target"]])
+                for m in memberships[:n_walls]] == [
+            primitivize([sum(wall_relation(f, w).get(i, 0) * x for i, x in zip(rays, row))
+                         for row in functions])
+            for w in f.interior_walls]
         verdicts.add(new.verdict)
-        routes[f.is_simplicial] += 1
+        with_functions[k is not None] += 1
     assert verdicts == {HOLDS, EVIDENCE}
-    assert min(routes.values()) >= 5
+    assert min(with_functions.values()) >= 5
 
 
 @pytest.mark.parametrize("r", [15, 16, 20])
@@ -533,23 +567,33 @@ def test_main_theorem_beyond_the_double_description_guard(monkeypatch, r):
     assert all(d <= f.dim for d in dims)
 
 
-def _scale_one_u(certs):
-    p = certs["proportional"][0]
-    p["u"] = [str(2 * Fraction(x)) for x in p["u"]]
+def _shorten_one_function(certs):
+    certs["functions"][0].pop()
+
+
+def _non_integer_function_entry(certs):
+    certs["functions"][0][0] = "1/2"
+
+
+def _shorten_one_target(certs):
+    m = certs["memberships"][0]
+    m["target"] = m["target"][:-1]
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda certs: certs.pop("proportional"),
-    _scale_one_u,
-    lambda certs: certs["proportional"][0].update(scale="0"),
-], ids=["dropped", "scaled-u", "zero-scale"])
+    lambda certs: certs.pop("functions"),
+    _shorten_one_function,
+    _non_integer_function_entry,
+    _shorten_one_target,
+], ids=["dropped", "short-row", "non-integer", "short-target"])
 @pytest.mark.parametrize("fan_id", ["ex31", "cube3"])
-def test_main_theorem_needs_its_wall_class_bridge(tamper, fan_id):
-    # a non-simplicial fan's report is in Picard coordinates, with the bridge
+def test_main_theorem_needs_its_functions(tamper, fan_id):
+    # a non-simplicial fan's memberships are over K, listed as functions
     f = corpus.corpus_fan(fan_id) if fan_id == "ex31" else corpus.cube_fan(3)
     r = check_main_theorem(f, fan_id)
     assert r.verdict == HOLDS and verify_certificates(r)
-    assert "rays" not in r.certificates
+    functions = r.certificates["functions"]
+    assert len(functions) == pl_basis(f).dim_pic < len(r.certificates["rays"])
     tamper(r.certificates)
     assert verify_certificates(r) is False
 
@@ -572,7 +616,7 @@ def test_relation_route_certificates_fail_closed(tamper, fan_id, verdict):
     r = check_main_theorem(f, fan_id)
     assert r.verdict == verdict and verify_certificates(r)
     assert r.certificates["rays"] == relation_coordinate_rays(f)
-    assert "proportional" not in r.certificates
+    assert "proportional" not in r.certificates and "functions" not in r.certificates
     tamper(r.certificates)
     assert verify_certificates(r) is False
 
@@ -700,25 +744,29 @@ class PicardRouteTaken(Exception):
     pass
 
 
-def test_suite_on_a_simplicial_fan_derives_no_picard_basis(monkeypatch):
-    def refuse(fan):
-        raise PicardRouteTaken(fan)
+def test_suite_on_any_fan_derives_no_picard_basis(monkeypatch):
+    def refuse(*args):
+        raise PicardRouteTaken(args)
 
     monkeypatch.setattr(plfun, "_solve_pl_basis", refuse)
     monkeypatch.setattr(plfun, "_solve_quasi_projective", refuse)
+    monkeypatch.setattr(mori, "_build_mori_cone", refuse)
     rng = random.Random(7)
     seeded = (random_complete_fan(rng) for _ in range(25))
     name, f = next((name, f) for name, f in seeded if f.is_simplicial)
-    fans = [("ex21", corpus.split_pyramid_fan()), ("fulton", corpus.fulton_fan()), (name, f)]
+    merged, g = merged_fulton_fans()[0]
+    fans = [("ex21", corpus.split_pyramid_fan()), ("fulton", corpus.fulton_fan()), (name, f),
+            ("ex31", corpus.square_pyramid_fan()), ("cube3", corpus.cube_fan(3)), (merged, g)]
     reports = run_paper_suite(fans=fans, seed=7)
     assert len(reports) == 4 * len(fans)
     assert all(r.verdict in PASSING and verify_certificates(r) for r in reports)
     assert {(r.fan_id, r.verdict) for r in reports if r.theorem == "main-cone-equality"} == {
-        ("ex21", HOLDS), ("fulton", EVIDENCE), (name, HOLDS)}
-    # fulton's extremal and Reid checks are decided inapplicable, the rest hold
-    assert [(r.fan_id, r.details) for r in reports if r.verdict == INAPPLICABLE] == [
-        ("fulton", "fan not quasi-projective"), ("fulton", "not quasi-projective")]
-    assert sum(r.verdict == HOLDS for r in reports) == 9
-    # a non-simplicial fan still takes the Picard route
-    with pytest.raises(PicardRouteTaken):
-        run_paper_suite(fans=[("ex31", corpus.square_pyramid_fan())], seed=7)
+        ("ex21", HOLDS), ("fulton", EVIDENCE), (name, HOLDS),
+        ("ex31", HOLDS), ("cube3", HOLDS), (merged, EVIDENCE)}
+    # fulton's extremal and Reid checks are decided inapplicable, and so
+    # are those of the non-simplicial fans; the rest hold
+    assert sorted((r.fan_id, r.details) for r in reports if r.verdict == INAPPLICABLE) == sorted(
+        [("fulton", "fan not quasi-projective"), ("fulton", "not quasi-projective")]
+        + [(fid, d) for fid in ("cube3", "ex31", merged)
+           for d in ("fan not simplicial", "not simplicial")])
+    assert sum(r.verdict == HOLDS for r in reports) == 9 + 2 + 2 + 1
