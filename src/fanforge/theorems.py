@@ -253,7 +253,8 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
         cut_basis = kernel_basis(rows, fine.n_rays)
         # the coarse functions' ray values: the linear ones, then K's; K's
         # values at a ray are the coordinates of its unit relation
-        units = [_relation_coordinates(coarse).coordinates({i: 1}) for i in range(coarse.n_rays)]
+        rc = _relation_coordinates(coarse)
+        units = [rc.coordinates({i: 1}) for i in range(coarse.n_rays)]
         pull_basis = [*zip(*coarse.rays), *zip(*units)]
         ra, rb = rank(cut_basis), rank(pull_basis)
         rab = rank(list(cut_basis) + list(pull_basis))
