@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import corpus, mori, plfun, primcoll, refine, theorems
 from .cones import VCone, cone_contains
 from .fan import Fan, FanError, fan_from_json_obj
-from .linalg import format_rational, kernel_basis, primitivize, rref, vneg
+from .linalg import format_rational, is_zero_vec, kernel_basis, primitivize, rref, vneg
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -217,30 +217,25 @@ def _nef_report(f: Fan) -> dict:
     relations = primcoll.primitive_relations(f)
     collections = list(relations)
     raw_rows = [mori.relation_dense(f, pr.relation) for pr in relations.values()]
-    # linear conditions cutting the function space inside ray-value space
+    rc = plfun._relation_coordinates(f)
+    coords = [rc.coordinates(pr.relation) for pr in relations.values()]
+    # the membership subspace: values on the rays outside the first cone
+    # that pair to 0 with every PL function, the kernel of the coordinates
     # (nontrivial only for non-simplicial fans)
-    membership = kernel_basis(plfun.pl_basis(f).ray_values, f.n_rays)
+    membership = [] if rc.functions is None else [
+        mori.relation_dense(f, dict(zip(rc.rays, x)))
+        for x in kernel_basis(rc.functions, len(rc.rays))
+    ]
 
     def pin(row):
         return tuple(0 if i in pinned else x for i, x in enumerate(row))
 
     pinned_rows = [pin(r) for r in raw_rows]
-    pinned_membership = [pin(r) for r in membership]
     # forced equalities: inequality rows whose negation lies in the cone of
-    # all rows modulo the membership subspace
-    span_gens = [g for r in pinned_membership for g in (r, vneg(r))]
-    test_gens = [r for r in pinned_rows if any(x != 0 for x in r)] + [
-        g for g in span_gens if any(x != 0 for x in g)
-    ]
-    cone = VCone.make(test_gens, f.n_rays) if test_gens else None
-    eq_idx = []
-    for k, row in enumerate(pinned_rows):
-        if all(x == 0 for x in row):
-            continue
-        neg = vneg(row)
-        if cone is not None and cone_contains(cone, neg)[0]:
-            eq_idx.append(k)
-    eq_rows, eq_pivots = rref(pinned_membership + [pinned_rows[k] for k in eq_idx])
+    # all rows modulo the membership subspace, decided in N_1
+    cone = VCone(tuple(c for c in coords if not is_zero_vec(c)), rc.dim)
+    eq_idx = [k for k, c in enumerate(coords) if cone_contains(cone, vneg(c))[0]]
+    eq_rows, eq_pivots = rref(membership + [pinned_rows[k] for k in eq_idx])
     # reduce the inequality rows modulo the equalities
     red_seen = []
     for k, row in enumerate(pinned_rows):

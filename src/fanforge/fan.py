@@ -12,10 +12,10 @@ description each.  That the cones meet in common faces and cover a convex
 set is decided by matching the facets of the maximal cones in one pass,
 which needs no cone intersection and no description of the cone on all
 rays; the same pass lists the walls and the support.  Fans are immutable
-after validation and all queries are pure, so the invariants that other
-modules derive from a fan (PL basis, quasi-projectivity, Mori cone,
-extremal walls) are computed once and kept on the fan under their names,
-as plain values that do not refer back to it.
+after validation and all queries are pure, so what other modules derive
+(cone relations, relation coordinates, PL basis, quasi-projectivity, Mori
+cone, extremal walls) is computed once and kept on the fan by name, as
+plain values that do not refer back to it.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Every interior wall carries a rational relation among the rays around it,
 unique up to positive scale once the off-wall ray of the second incident
-cone has coefficient 1 (plfun.wall_relation).  Paired with a basis of the
-function-space quotient, the relations become the classes that generate the
-Mori cone, as mori and nef print them; paired with plfun's functions K they
-give the same cone in relation coordinates, with no basis.
+cone has coefficient 1 (plfun.wall_relation).  Paired with plfun's
+functions K, the relations are the Mori cone's generators in N_1 in
+relation coordinates (plfun._relation_coordinates), where its pointedness
+and its extremal walls are decided once per fan.  Paired with a basis of
+the function-space quotient, they are the Picard classes that mori prints.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ def positively_proportional(u: Vec, v: Vec) -> bool:
 
 @dataclass(frozen=True)
 class MoriCone:
-    """The Mori cone as its generating wall classes, labeled by wall (the
-    relation behind each class is plfun.wall_relation of its wall).
-    is_pointed: some functional is positive on every nonzero class.  A
-    strictly convex function is one (each class is a positive multiple of
-    its wall row); otherwise one strict-feasibility LP decides."""
+    """The Mori cone as its wall classes in Picard coordinates, printed and
+    not decided on, labeled by wall (plfun.wall_relation of the wall is the
+    relation behind its class).  is_pointed: some functional is positive on
+    every nonzero class.  A strictly convex function is one; otherwise one
+    strict-feasibility LP on the wall rows in relation coordinates decides."""
 
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
@@ -77,45 +78,38 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
-    classes = _wall_classes(fan, basis)
-    nonzero = [c for c in classes if any(x != 0 for x in c)]
+    rc = _relation_coordinates(fan)
+    nonzero = [r for r in rc.rows if any(x != 0 for x in r)]
     pointed = is_quasi_projective(fan)[0] or lp.strict_feasible(
-        nonzero, [], [], basis.dim_pic)[0] is not None
-    return MoriCone(fan.interior_walls, classes, pointed)
+        nonzero, [], [], rc.dim)[0] is not None
+    return MoriCone(fan.interior_walls, _wall_classes(fan, basis), pointed)
 
 
 def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
-    """Interior walls whose class spans an extremal ray of the Mori cone.
-
-    A class direction is extremal iff it lies outside the cone of the other
-    distinct directions; this LP exclusion test also works when the Mori
-    cone is not full dimensional.  Decided once per fan in the fan's own
-    pl_basis; each call returns a fresh list.
-    """
-    mc = mori_cone(fan, basis)
-    if not mc.is_pointed:
+    """Interior walls whose class spans an extremal ray of the Mori cone,
+    as a fresh list; the cone must be pointed (mori_cone(fan, basis)).
+    Decided in relation coordinates (_relation_extremal_walls)."""
+    if not mori_cone(fan, basis).is_pointed:
         raise MoriConeNotPointed("extremal rays need a strongly convex Mori cone")
-    return list(fan.derived("extremal_walls", lambda: _extremal(
-        mc.walls, mc.classes, basis.dim_pic)))
+    return [w for w, _ in _relation_extremal_walls(fan)]
 
 
 def _relation_extremal_walls(fan: Fan) -> tuple[tuple[Wall, dict[int, int]], ...]:
-    """The extremal walls of a quasi-projective fan with their integer
-    relations, found once per fan in plfun._relation_coordinates."""
-    rc = _relation_coordinates(fan)
-    if not rc.quasi_projective:
-        raise MoriConeNotPointed("extremal rays need a quasi-projective fan here")
-    return fan.derived("relation_extremal_walls", lambda: _extremal(
-        tuple(zip(fan.interior_walls, rc.relations)), rc.rows, rc.dim))
-
-
-def _extremal(walls, classes, dim: int) -> tuple:
-    """The walls whose class spans an extremal ray of cone(classes) in Q^dim."""
-    dirs = [primitivize(c) if any(x != 0 for x in c) else None for c in classes]
-    distinct = sorted({d for d in dirs if d is not None})
-    extremal = set()
-    for d in distinct:
-        others = tuple(e for e in distinct if e != d)
-        if not cone_contains(VCone(others, dim), d)[0]:
-            extremal.add(d)
-    return tuple(w for w, d in zip(walls, dirs) if d in extremal)
+    """The walls whose row spans an extremal ray of the cone of the wall
+    rows in plfun._relation_coordinates, with their integer relations,
+    found once per fan; meaningful when that cone is pointed.  A direction
+    is extremal iff it lies outside the cone of the other distinct
+    directions; this LP exclusion test also works when the cone is not
+    full dimensional."""
+    def solve():
+        rc = _relation_coordinates(fan)
+        dirs = [primitivize(r) if any(x != 0 for x in r) else None for r in rc.rows]
+        distinct = sorted({d for d in dirs if d is not None})
+        extremal = set()
+        for d in distinct:
+            others = tuple(e for e in distinct if e != d)
+            if not cone_contains(VCone(others, rc.dim), d)[0]:
+                extremal.add(d)
+        return tuple((w, rel) for w, rel, d in zip(fan.interior_walls, rc.relations, dirs)
+                     if d in extremal)
+    return fan.derived("relation_extremal_walls", solve)

@@ -7,11 +7,12 @@ function is convex exactly when its bend across every interior wall is
 nonnegative, and strictly convex when all are positive.  Each bend is a
 fixed positive multiple of the wall relation paired with the ray values, so
 convexity is read off integer pairings.  The function space is solved in
-ray values, subject to each non-simplicial cone's relations among its rays.
-Paired with the functions that vanish on the first maximal cone, the
-relations get coordinates in N_1, over which an exact LP decides
-quasi-projectivity; the same LP over a basis of the function space yields
-a witness.
+ray values, subject to each non-simplicial cone's relations among its rays,
+found by one elimination per fan.  Paired with the functions that vanish
+on the first maximal cone, the relations get coordinates in N_1, the one
+N_1 that every Mori-cone decision reads; over them an exact LP decides
+quasi-projectivity, and the same LP over a basis of the function space
+yields a witness.
 """
 
 from __future__ import annotations
@@ -213,15 +214,14 @@ def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:
 class RelationCoordinates(NamedTuple):
     """A fan's N_1 in coordinates, as plain values: the rays outside the
     first maximal cone, the functions K over them (_cone_relations) and
-    their number, each interior wall's integer relation and its
-    coordinates, and whether the fan is quasi-projective."""
+    their number, and each interior wall's integer relation and its
+    coordinates."""
 
     rays: tuple[int, ...]
     functions: tuple[tuple[int, ...], ...] | None
     dim: int
     relations: tuple[dict[int, int], ...]
     rows: tuple[tuple, ...]
-    quasi_projective: bool
 
     def coordinates(self, rel: RelationVector) -> tuple:
         values = tuple(rel.get(i, 0) for i in self.rays)
@@ -235,14 +235,22 @@ def _relation_coordinates(fan: Fan) -> RelationCoordinates:
     is a positive multiple of its wall's pairing (_wall_table)."""
     def table():
         rays, k, _ = _cone_relations(fan)
-        rc = RelationCoordinates(rays, k, len(rays if k is None else k), (), (), False)
+        rc = RelationCoordinates(rays, k, len(rays if k is None else k), (), ())
         rels = tuple(dict(zip(r, c)) for r, c, _, _ in _wall_table(fan))
-        rows = tuple(rc.coordinates(rel) for rel in rels)
-        x, _ = lp.strict_feasible(rows, [], [], rc.dim)
-        if x is not None and any(vdot(r, x) <= 0 for r in rows):
-            raise RuntimeError("LP point does not pair positively with every wall relation")
-        return rc._replace(relations=rels, rows=rows, quasi_projective=x is not None)
+        return rc._replace(relations=rels, rows=tuple(rc.coordinates(rel) for rel in rels))
     return fan.derived("relation_coordinates", table)
+
+
+def _relation_quasi_projective(fan: Fan) -> bool:
+    """Is the fan quasi-projective?  One exact LP for a point positive on
+    every wall row in relation coordinates, once per fan, its point re-checked."""
+    def solve():
+        rc = _relation_coordinates(fan)
+        x, _ = lp.strict_feasible(rc.rows, [], [], rc.dim)
+        if x is not None and any(vdot(r, x) <= 0 for r in rc.rows):
+            raise RuntimeError("LP point does not pair positively with every wall relation")
+        return x is not None
+    return fan.derived("relation_quasi_projective", solve)
 
 
 def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:
@@ -324,41 +332,44 @@ def pl_basis(fan: Fan) -> PLBasis:
     return fan.derived("pl_basis", lambda: _solve_pl_basis(fan))
 
 
-def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, list]:
+def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
     """The rays outside the first maximal cone, the functions K over them
-    and each non-simplicial cone k's inverse rows (k, ray, row).  A PL
-    function on full-dimensional cones is its ray values, subject only to
-    each non-simplicial cone's relations among its own rays (Cox, Little
-    and Schenck, ch. 4 and 6); those pinned to 0 on the first cone are
-    spanned by K, integer rows of the relations' kernel, or None for the
-    identity.  One elimination of [rays | I] per cone gives an independent
-    ray set S (dim pivots), S's inverse and one relation per other ray."""
-    n = fan.dim
-    first = set(fan.max_cones[0].ray_indices)
-    outside = tuple(j for j in range(fan.n_rays) if j not in first)
-    column = {j: c for c, j in enumerate(outside)}
-    inverses, relations = [], []
-    for k, c in enumerate(fan.max_cones[1:], 1):
-        if c.frame:
-            continue
-        rays, r = c.ray_indices, len(c.ray_indices)
-        red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
-                            for d in range(n)])
-        if pivots[-1] >= r:
-            raise RuntimeError(f"the rays of maximal cone {k} do not span")
-        inverses += ((k, rays[p], row[r:]) for row, p in zip(red, pivots))
-        for q in (q for q in range(r) if q not in pivots):
-            # ray q is sum_p red[p][q] S_p, and so is its value
-            rel = [0] * len(outside)
-            for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
-                if x and i in column:
-                    rel[column[i]] += x
-            if any(rel):
-                relations.append(rel)
-    if not relations:
-        return outside, None, inverses
-    kernel = kernel_basis(relations, len(outside))
-    return outside, tuple(tuple(_integer_row(x)[0]) for x in kernel), inverses
+    and each non-simplicial cone k's inverse rows (k, ray, row), derived
+    once per fan.  A PL function on full-dimensional cones is its ray
+    values, subject only to each non-simplicial cone's relations among its
+    own rays (Cox, Little and Schenck, ch. 4 and 6); those pinned to 0 on
+    the first cone are spanned by K, integer rows of the relations' kernel,
+    or None for the identity.  One elimination of [rays | I] per cone gives
+    an independent ray set S (dim pivots), S's inverse and one relation per
+    other ray."""
+    def solve():
+        n = fan.dim
+        first = set(fan.max_cones[0].ray_indices)
+        outside = tuple(j for j in range(fan.n_rays) if j not in first)
+        column = {j: c for c, j in enumerate(outside)}
+        inverses, relations = [], []
+        for k, c in enumerate(fan.max_cones[1:], 1):
+            if c.frame:
+                continue
+            rays, r = c.ray_indices, len(c.ray_indices)
+            red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
+                                for d in range(n)])
+            if pivots[-1] >= r:
+                raise RuntimeError(f"the rays of maximal cone {k} do not span")
+            inverses += ((k, rays[p], row[r:]) for row, p in zip(red, pivots))
+            for q in (q for q in range(r) if q not in pivots):
+                # ray q is sum_p red[p][q] S_p, and so is its value
+                rel = [0] * len(outside)
+                for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
+                    if x and i in column:
+                        rel[column[i]] += x
+                if any(rel):
+                    relations.append(rel)
+        if not relations:
+            return outside, None, tuple(inverses)
+        kernel = kernel_basis(relations, len(outside))
+        return outside, tuple(tuple(_integer_row(x)[0]) for x in kernel), tuple(inverses)
+    return fan.derived("cone_relations", solve)
 
 
 def _solve_pl_basis(fan: Fan) -> PLBasis:

@@ -22,7 +22,7 @@ from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
 from .mori import _relation_extremal_walls, positively_proportional, relation_dense
-from .plfun import _relation_coordinates, type_a_pairs
+from .plfun import _relation_coordinates, _relation_quasi_projective, type_a_pairs
 from .refine import Refinement, simplicial_refinement
 
 HOLDS = "holds"
@@ -119,7 +119,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
             f"cone equality fails at generator {[str(x) for x in bad]}",
             {"counterexample": [str(x) for x in bad]},
         )
-    qp = rc.quasi_projective
+    qp = _relation_quasi_projective(fan)
     details = "wall and primitive descriptions agree" + (
         "" if qp else " (fan not quasi-projective: conjecture evidence only)"
     )
@@ -182,7 +182,7 @@ def _inapplicable(fan: Fan) -> str | None:
     """Why the checks of simplicial quasi-projective fans skip the fan, or None."""
     if not fan.is_simplicial:
         return "not simplicial"
-    if not _relation_coordinates(fan).quasi_projective:
+    if not _relation_quasi_projective(fan):
         return "not quasi-projective"
     return None
 

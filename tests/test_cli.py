@@ -7,9 +7,13 @@ import sys
 
 import pytest
 
-from fanforge import cli, cones, corpus
+from fanforge import cli, cones, corpus, mori, plfun, primcoll
+from fanforge.cones import VCone, cone_contains
 from fanforge import fan as fanmod
 from fanforge.fan import fan_from_json_obj, fans_equal
+from fanforge.linalg import format_rational, kernel_basis, primitivize, rref, vneg
+from test_cross_oracles import _route_fans
+from test_theorems import merged_fulton_fans
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,65 @@ def test_nef_fulton_reduced_system(capsys):
     assert len(rep["equalities"]) == 2
     assert sorted(rep["reduced"]) == sorted([["0", "0", "0", "1", "0", "0", "-1"],
                                              ["0", "0", "0", "-2", "0", "0", "3"]])
+
+
+def reference_nef_report(f):
+    """The nef report in Picard terms: the relations that pair to 0 with
+    every basis function's ray values span the membership subspace, and a
+    row is a forced equality when its negation lies in the cone of all rows
+    and of that subspace, in ray-value columns."""
+    pinned = list(f.max_cones[0].ray_indices)
+    relations = primcoll.primitive_relations(f)
+    raw_rows = [mori.relation_dense(f, pr.relation) for pr in relations.values()]
+    membership = kernel_basis(plfun.pl_basis(f).ray_values, f.n_rays)
+
+    def pin(row):
+        return tuple(0 if i in pinned else x for i, x in enumerate(row))
+
+    pinned_rows = [pin(r) for r in raw_rows]
+    pinned_membership = [pin(r) for r in membership]
+    gens = [r for r in pinned_rows if any(r)]
+    gens += [g for r in pinned_membership if any(r) for g in (r, vneg(r))]
+    cone = VCone.make(gens, f.n_rays) if gens else None
+    eq_idx = [k for k, row in enumerate(pinned_rows)
+              if any(row) and cone is not None and cone_contains(cone, vneg(row))[0]]
+    eq_rows, eq_pivots = rref(pinned_membership + [pinned_rows[k] for k in eq_idx])
+    reduced = []
+    for k, row in enumerate(pinned_rows):
+        if k in eq_idx or not any(row):
+            continue
+        r = list(row)
+        for erow, piv in zip(eq_rows, eq_pivots):
+            if r[piv]:
+                r = [a - r[piv] * b for a, b in zip(r, erow)]
+        if any(r) and primitivize(r) not in reduced:
+            reduced.append(primitivize(r))
+    return {
+        "pinned_rays": pinned,
+        "collections": [list(p) for p in relations],
+        "inequalities": [[format_rational(x) for x in r] for r in raw_rows],
+        "equalities": [[format_rational(x) for x in r] for r in eq_rows],
+        "reduced": [[str(x) for x in r] for r in reduced],
+    }
+
+
+def test_nef_report_matches_picard_reference():
+    # the byte pins hold one membership fan (ex31) and one fan with forced
+    # equalities (fulton); here every route fan, the merged Fulton fans and
+    # cube_fan(4), compared as JSON
+    fans = _route_fans() + merged_fulton_fans() + [("cube4", corpus.cube_fan(4))]
+    membership = forced = 0
+    for name, f in fans:
+        new, ref = cli._nef_report(f), reference_nef_report(f)
+        assert json.dumps(new) == json.dumps(ref), name
+        # the membership subspace has dimension len(rays) - dim in N_1 terms,
+        # and any equality beyond it is a forced primitive row
+        rc = plfun._relation_coordinates(f)
+        membership += len(rc.rays) > rc.dim
+        forced += len(new["equalities"]) > len(rc.rays) - rc.dim
+    # every non-simplicial fan has membership rows; fulton and its merged
+    # fans have forced equalities
+    assert (membership, forced) == (22, 4)
 
 
 def test_qp_reports(capsys):

@@ -17,6 +17,7 @@ from fanforge.fan import FanError, fan_from_json_obj, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
 from fanforge.theorems import check_main_theorem, random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
+from test_mori import _pointedness_reference, reference_extremal_walls
 from test_theorems import merged_fulton_fans, reference_check_main_theorem
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -178,11 +179,25 @@ def _route_fans():
     return list(seen.values())
 
 
+def _assert_extremal_walls_match_picard_oracle(name, f, basis):
+    # pointedness and the extremal walls, decided in relation coordinates,
+    # against the Picard classes: double description and the pairwise loop
+    mc = mori.mori_cone(f, basis)
+    assert mc.is_pointed is _pointedness_reference(mc, basis.dim_pic), name
+    if mc.is_pointed:
+        assert mori.extremal_walls(f, basis) == reference_extremal_walls(f, basis), name
+    else:
+        with pytest.raises(mori.MoriConeNotPointed):
+            mori.extremal_walls(f, basis)
+    return mc.is_pointed
+
+
 def test_relation_route_agrees_with_the_picard_route():
     outcomes = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    pointed = 0
     for name, f in _route_fans() + merged_fulton_fans():
         rc = plfun._relation_coordinates(f)
-        qp = rc.quasi_projective
+        qp = plfun._relation_quasi_projective(f)
         assert qp == plfun.is_quasi_projective(f)[0], name
         basis = plfun.pl_basis(f)
         # K is the identity on a simplicial fan, else dim Pic integer rows
@@ -192,6 +207,7 @@ def test_relation_route_agrees_with_the_picard_route():
             assert len(rc.functions) == basis.dim_pic
             assert all(type(x) is int and len(k) == len(rc.rays)
                        for k in rc.functions for x in k), name
+        pointed += _assert_extremal_walls_match_picard_oracle(name, f, basis)
         if qp:
             pairs = mori._relation_extremal_walls(f)
             assert [w for w, _ in pairs] == mori.extremal_walls(f, basis), name
@@ -200,11 +216,6 @@ def test_relation_route_agrees_with_the_picard_route():
                 assert all(type(c) is int for c in rel.values())
                 assert mori.positively_proportional(
                     mori.relation_dense(f, rel), mori.relation_dense(f, mori.wall_relation(f, w)))
-        else:
-            with pytest.raises(mori.MoriConeNotPointed):
-                mori._relation_extremal_walls(f)
-            with pytest.raises(mori.MoriConeNotPointed):
-                mori.extremal_walls(f, basis)
         new, ref = check_main_theorem(f, name), reference_check_main_theorem(f, name)
         assert (new.verdict, new.details) == (ref.verdict, ref.details), name
         outcomes[f.is_simplicial, qp] += 1
@@ -218,7 +229,11 @@ def test_relation_route_agrees_with_the_picard_route():
         f = corpus.fulton_fan()
         for _ in range(rng.randint(1, 2)):
             f = stellar_subdivide(f, rng.randrange(len(f.max_cones)))
-        qp = plfun._relation_coordinates(f).quasi_projective
+        qp = plfun._relation_quasi_projective(f)
         assert qp == plfun.is_quasi_projective(f)[0]
+        pointed += _assert_extremal_walls_match_picard_oracle("fulton-chain", f, plfun.pl_basis(f))
         outcomes[True, qp] += 1
     assert outcomes[True, False] == 1 + 12
+    # the oracle sees both branches: here a fan's Mori cone is pointed
+    # exactly when the fan is quasi-projective
+    assert pointed == 57 + 18

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, plfun, refine
+from fanforge import cli, corpus, mori, plfun, refine
 from fanforge.fan import ConeData, validate_fan
 from fanforge.linalg import ZERO, kernel_basis, rref, solve_linear, vdot, vec, vscale, vsub, vsum
 from fanforge.mori import extremal_walls, mori_cone
@@ -29,7 +29,7 @@ from fanforge.plfun import (
 )
 from fanforge.primcoll import primitive_relations
 from fanforge.refine import qp_refinement, simplicial_refinement
-from fanforge.theorems import random_complete_fan, stellar_subdivide
+from fanforge.theorems import check_type_a_description, random_complete_fan, stellar_subdivide
 from test_cross_oracles import _route_fans
 
 
@@ -406,14 +406,15 @@ def test_pl_json_roundtrip():
 
 @pytest.mark.parametrize("name", ["ex21", "ex31", "fulton"])
 def test_cone_whose_rays_do_not_span_is_rejected(monkeypatch, name):
-    fan = corpus.corpus_fan(name)
-    expected = plfun._solve_pl_basis(fan)
+    # the elimination is kept on its fan, so each step builds a fresh one
+    expected = plfun._solve_pl_basis(corpus.corpus_fan(name))
     # no cone reads its frame: every cone goes through the elimination that
     # a non-simplicial cone takes, and the basis is the same
     monkeypatch.setattr(ConeData, "frame", property(lambda self: ()))
-    assert plfun._solve_pl_basis(fan) == expected
+    assert plfun._solve_pl_basis(corpus.corpus_fan(name)) == expected
     # every ray flattened into the hyperplane x_n = 0: no cone's rays span,
     # and the elimination finds fewer than dim pivots among them
+    fan = corpus.corpus_fan(name)
     monkeypatch.setattr(fan, "rays", tuple((*r[:-1], 0) for r in fan.rays))
     with pytest.raises(RuntimeError, match="do not span"):
         plfun._solve_pl_basis(fan)
@@ -506,6 +507,22 @@ def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cone_elimination_runs_once_per_fan(monkeypatch):
+    # the basis, relation coordinates, extremal walls and nef report of a
+    # non-simplicial fan share one elimination of its cones
+    calls = []
+    real = plfun.kernel_basis
+    monkeypatch.setattr(
+        plfun, "kernel_basis", lambda *a: calls.append(a) or real(*a)
+    )
+    f = corpus.cube_fan(3)
+    basis = pl_basis(f)
+    plfun._relation_coordinates(f)
+    extremal_walls(f, basis)
+    cli._nef_report(f)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("make", [
     corpus.split_pyramid_fan,
     corpus.square_pyramid_fan,
@@ -526,9 +543,14 @@ def test_derived_invariants_free_their_fan_without_the_collector(make):
         primitive_relations(fan)
         if mc.is_pointed:
             extremal_walls(fan, basis)
+        cli._nef_report(fan)
+        check_type_a_description(fan, simplicial_refinement(fan, (), seed=0))
+        plfun._relation_quasi_projective(fan)
+        mori._relation_extremal_walls(fan)
         assert set(fan._derived) >= {
             "pl_basis", "wall_table", "wall_classes", "is_quasi_projective", "mori_cone",
-            "primitive_relations",
+            "primitive_relations", "cone_relations", "relation_coordinates",
+            "relation_quasi_projective", "relation_extremal_walls",
         }
         ref = weakref.ref(fan)
         del fan, basis, mc

@@ -68,7 +68,7 @@ def test_merged_fulton_fans_are_not_quasi_projective():
         [(0, 2, 4, 5)], [(0, 1, 5, 6)], [(1, 2, 4, 6)]]
     for name, f in merged:
         assert not is_quasi_projective(f)[0], name
-        assert not plfun._relation_coordinates(f).quasi_projective, name
+        assert not plfun._relation_quasi_projective(f), name
         reports = run_paper_suite(fans=[(name, f)], seed=7)
         assert all(verify_certificates(r) for r in reports), name
         assert [(r.theorem, r.verdict, r.details) for r in reports] == [
@@ -186,6 +186,16 @@ def test_type_a_description_square_pyramid():
     assert rep.verdict == HOLDS
     # codimension one inside the 5-dimensional fine function space
     assert rep.certificates["dims"] == [4, 4, 4]
+
+
+def test_type_a_check_solves_no_lp(monkeypatch):
+    # the check reads the coarse fan's K alone, not its quasi-projectivity
+    calls = []
+    solve = lp.strict_feasible
+    monkeypatch.setattr(lp, "strict_feasible", lambda *a: calls.append(a) or solve(*a))
+    r = run_check("type-a-subspace", corpus.square_pyramid_fan(), "ex31")
+    assert r.verdict == HOLDS
+    assert calls == []
 
 
 def test_type_a_description_identity_refinement():
