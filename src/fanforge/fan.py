@@ -4,10 +4,10 @@ A fan is given by primitive integer ray vectors plus maximal cones as ray
 index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, cones meeting in common faces, convex
 support) and derives the face lattice, the walls with their incident
-maximal cones, the support and the simplicial/complete flags, reading each
-verdict off one double description per maximal cone.  The faces of a
-simplicial cone are the subsets of its rays, described by the cone's own
-facet normals; only the faces of a non-simplicial cone take a double
+maximal cones, the support and the simplicial/complete flags.  A maximal
+cone on dim rays takes one elimination, whose inverse ray matrix gives its
+facets and its frame; its faces are the subsets of its rays, described by
+that frame.  Only a non-simplicial maximal cone and its faces take a double
 description each.  That the cones meet in common faces and cover a convex
 set is decided by matching the facets of the maximal cones in one pass,
 which needs no cone intersection and no description of the cone on all
@@ -26,11 +26,11 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 from types import MappingProxyType
 
 from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
-from .linalg import Vec, is_zero_vec, primitivize, vdot, vneg, vsum
+from .linalg import Vec, _eliminate, is_zero_vec, primitivize, vdot, vneg, vsum
 
 log = logging.getLogger(__name__)
 
@@ -50,34 +50,28 @@ class OutsideSupport(Exception):
 @dataclass(frozen=True)
 class ConeData:
     """A cone of the fan: its extreme rays (as indices into rays), dimension,
-    and exact facet description (inequalities plus span equalities).  A
-    maximal cone and a face of a non-simplicial cone have v_to_h's reduced
-    description; a face of a simplicial cone has that cone's own facet
-    normals, with the normals of the facets containing the face among its
-    equalities."""
+    exact facet description (inequalities plus span equalities) and frame.
+    A maximal cone on dim rays is described by the inverse of its ray matrix
+    (its facets are v_to_h's, sorted); any other maximal cone and each face
+    of one has v_to_h's reduced description; a face of a simplicial cone has
+    that cone's own facet normals, with the normals of the facets containing
+    the face among its equalities."""
 
     ray_indices: tuple[int, ...]
     dim: int
     facets: HCone
-    rays: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _frame: tuple[tuple[Vec, int], ...] = field(repr=False, compare=False)
 
     def contains_point(self, x) -> bool:
         return self.facets.contains_point(x)
 
-    @cached_property
+    @property
     def frame(self) -> tuple[tuple[Vec, int], ...]:
-        """A simplicial cone's integer frame, found on first use: for each
-        ray v_i, in ray_indices order, the one facet inequality u_i that does
-        not vanish on v_i, and s_i = <u_i, v_i> > 0; empty otherwise.  A
-        point x of the span is sum_i (<u_i, x> / s_i) v_i."""
-        if len(self.ray_indices) != self.dim:
-            return ()
-        rays = self.rays
-        normal = {
-            next(i for i in self.ray_indices if vdot(u, rays[i])): u
-            for u in self.facets.inequalities
-        }
-        return tuple((normal[i], vdot(normal[i], rays[i])) for i in self.ray_indices)
+        """A simplicial cone's integer frame, given when the cone is built:
+        for each ray v_i, in ray_indices order, the one facet inequality u_i
+        that does not vanish on v_i, and s_i = <u_i, v_i> > 0; empty
+        otherwise.  A point x of the span is sum_i (<u_i, x> / s_i) v_i."""
+        return self._frame
 
 
 @dataclass(frozen=True)
@@ -159,50 +153,77 @@ class Fan:
         )
 
 
-def _cone_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None:
-    """Enter every face of the cone on the indexed rays, the cone itself
-    included, into memo, which maps each face (a ray index set) to its facet
-    description.  hrep is the cone's description; a face met again keeps the
-    description it was first given, so each is derived once.
+def _inverse_cone(k: int, idx: tuple[int, ...], rays) -> ConeData:
+    """Maximal cone k on dim rays, read off one elimination of [W | I] with
+    W's columns the rays.  Row i of W's inverse is 1 on ray i and 0 on the
+    others, so its primitive multiple is the inward normal u_i of the facet
+    opposite ray i (Cox, Little and Schenck, ch. 1).  A cone's facet normals
+    are unique, so sorted they are v_to_h's."""
+    dim = len(idx)
+    T, pivots, d, _ = _eliminate(
+        [[rays[i][r] for i in idx] + [int(e == r) for e in range(dim)] for r in range(dim)]
+    )
+    if pivots[-1] >= dim:
+        raise FanError("MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}")
+    frame = []
+    for row in T:
+        # row i is d [e_i | row i of the inverse], so <row, v_i> = d
+        g = gcd(*row[dim:]) if d > 0 else -gcd(*row[dim:])
+        frame.append((tuple(x // g for x in row[dim:]), d // g))
+    return ConeData(idx, dim, HCone(tuple(sorted(u for u, _ in frame)), (), dim), tuple(frame))
+
+
+def _described_face(indices: tuple[int, ...], rays, dim: int) -> ConeData:
+    """A face of a non-simplicial cone, described by a double description
+    of its rays.  If it is simplicial, each of its facet normals vanishes
+    on all its rays but one, which that normal frames."""
+    h = v_to_h(VCone.make([rays[i] for i in indices], dim))
+    frame = ()
+    if len(indices) == dim - len(h.equalities):
+        normal = {next(i for i in indices if vdot(u, rays[i])): u for u in h.inequalities}
+        frame = tuple((normal[i], vdot(normal[i], rays[i])) for i in indices)
+    return ConeData(indices, dim - len(h.equalities), h, frame)
+
+
+def _cone_faces(cone: ConeData, rays, memo) -> None:
+    """Enter every face of the cone, the cone itself included, into memo,
+    which maps each face (a ray index set) to its ConeData.  A face met
+    again keeps the entry it was first given, so each is derived once.
 
     A simplicial cone's faces are all subsets of its rays, described by the
-    cone's own normals (_simplicial_faces).  Any other cone's facets are
-    read off its normals, each facet described by a double description of
-    its rays, and their faces are found the same way."""
-    if indices in memo:
+    cone's own frame (_simplicial_faces).  Any other cone's facets are read
+    off its normals, each facet described by a double description of its
+    rays, and their faces are found the same way."""
+    if cone.ray_indices in memo:
         return
-    if len(indices) == hrep.ambient_dim - len(hrep.equalities):
-        _simplicial_faces(indices, hrep, rays, memo)
+    if len(cone.ray_indices) == cone.dim:
+        _simplicial_faces(cone, memo)
         return
-    for u in hrep.inequalities:
-        tight = tuple(i for i in indices if vdot(u, rays[i]) == 0)
-        face_hrep = memo[tight] if tight in memo else v_to_h(
-            VCone.make([rays[i] for i in tight], hrep.ambient_dim)
-        )
-        _cone_faces(tight, face_hrep, rays, memo)
-    memo[indices] = hrep
+    for u in cone.facets.inequalities:
+        tight = tuple(i for i in cone.ray_indices if vdot(u, rays[i]) == 0)
+        if tight not in memo:
+            _cone_faces(_described_face(tight, rays, cone.facets.ambient_dim), rays, memo)
+    memo[cone.ray_indices] = cone
 
 
-def _simplicial_faces(indices: tuple[int, ...], hrep: HCone, rays, memo) -> None:
+def _simplicial_faces(cone: ConeData, memo) -> None:
     """The memo entries of _cone_faces for every subset S of the rays of a
-    simplicial cone.  Each facet normal u_i of the cone vanishes on every
-    ray but one, i; S is the face cut out by u_j = 0 for the rays j outside
-    S, so its description keeps the u_i of S as inequalities and adds the
-    other u_j to the cone's equalities.  Then dim - len(equalities) = |S|,
-    and u_i is still the one inequality that does not vanish on ray i, as
-    ConeData.frame reads it."""
-    normal = {}
-    for u in hrep.inequalities:
-        (i,) = (i for i in indices if vdot(u, rays[i]) != 0)
-        normal[i] = u
+    simplicial cone, itself included.  The cone's frame pairs each ray i
+    with the facet normal u_i that vanishes on every ray but i; S is the
+    face cut out by u_j = 0 for the rays j outside S, so its description
+    keeps the u_i of S, in ray order, as inequalities and adds the other
+    u_j to the cone's equalities, and its frame is the cone's frame on S.
+    Then dim - len(equalities) = |S|."""
+    indices, h = cone.ray_indices, cone.facets
+    frame = dict(zip(indices, cone._frame))
     for size in range(len(indices) + 1):
         for s in itertools.combinations(indices, size):
             if s not in memo:
-                memo[s] = HCone(
-                    tuple(normal[i] for i in s),
-                    hrep.equalities + tuple(normal[j] for j in indices if j not in s),
-                    hrep.ambient_dim,
-                )
+                memo[s] = ConeData(s, size, HCone(
+                    tuple(frame[i][0] for i in s),
+                    h.equalities + tuple(frame[j][0] for j in indices if j not in s),
+                    h.ambient_dim,
+                ), tuple(frame[i] for i in s))
 
 
 def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], HCone]:
@@ -215,7 +236,10 @@ def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], 
     halfspaces of the facets of only one cone."""
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for k, c in enumerate(cones):
-        for u in c.facets.inequalities:
+        # a simplicial cone's facet opposite ray i is its other rays
+        for i, (u, _) in zip(c.ray_indices, c._frame):
+            facets.setdefault(tuple(j for j in c.ray_indices if j != i), []).append((k, u))
+        for u in () if c._frame else c.facets.inequalities:
             key = tuple(i for i in c.ray_indices if vdot(u, rays[i]) == 0)
             facets.setdefault(key, []).append((k, u))
     unmatched = {ku[0][1] for ku in facets.values() if len(ku) == 1}
@@ -360,36 +384,38 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     if len(set(cone_sets)) != len(cone_sets):
         raise FanError("BadInput", "duplicate maximal cones")
 
-    # full-dimensional iff the facet description has no equalities, pointed
-    # iff the facet normals leave no line, and then the DD rays are extreme
+    # dim rays span iff they are independent, and then all are extreme; any
+    # other cone is full-dimensional iff its facet description has no
+    # equalities, pointed iff its facet normals leave no line, and then its
+    # DD rays are extreme
     cones: list[ConeData] = []
     for k, idx in enumerate(cone_sets):
+        if len(idx) == dim:
+            cones.append(_inverse_cone(k, idx, rays_t))
+            continue
         gens = [rays_t[i] for i in idx]
         hrep = v_to_h(VCone.make(gens))
         if hrep.equalities:
             raise FanError(
                 "MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}"
             )
-        # dim rays spanning the space are independent: no line, all extreme
-        if len(idx) != dim:
-            lines, extreme = double_description((), hrep.inequalities, dim)
-            if lines:
-                raise FanError(
-                    "NotStronglyConvex", f"maximal cone {k} contains a line"
-                )
-            if set(gens) != set(extreme):
-                raise FanError(
-                    "RayNotExtreme",
-                    f"maximal cone {k} lists a generator that is not an "
-                    "extreme ray",
-                )
-        cones.append(ConeData(idx, dim, hrep, rays_t))
+        lines, extreme = double_description((), hrep.inequalities, dim)
+        if lines:
+            raise FanError(
+                "NotStronglyConvex", f"maximal cone {k} contains a line"
+            )
+        if set(gens) != set(extreme):
+            raise FanError(
+                "RayNotExtreme",
+                f"maximal cone {k} lists a generator that is not an "
+                "extreme ray",
+            )
+        cones.append(ConeData(idx, dim, hrep, ()))
 
     # face lattice, shared across cones and closed under taking faces
-    memo: dict[tuple[int, ...], HCone] = {}
+    faces: dict[tuple[int, ...], ConeData] = {}
     for c in cones:
-        _cone_faces(c.ray_indices, c.facets, rays_t, memo)
-    faces = {fs: ConeData(fs, dim - len(h.equalities), h, rays_t) for fs, h in memo.items()}
+        _cone_faces(c, rays_t, faces)
 
     used = set().union(*(c.ray_indices for c in cones))
     if used != set(range(len(rays_t))):

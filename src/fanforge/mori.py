@@ -17,7 +17,7 @@ from . import lp
 from .cones import VCone, cone_contains
 from .fan import Fan, Wall
 from .linalg import Vec, _integer_row, primitivize
-from .plfun import DegenerateWall, PLBasis, RelationVector, is_quasi_projective, pl_basis
+from .plfun import PLBasis, RelationVector, is_quasi_projective, pl_basis
 from .plfun import _relation_coordinates, _wall_classes, wall_relation
 
 

@@ -158,13 +158,18 @@ def test_validate_fan_fuzz_fails_cleanly():
             raise AssertionError(f"accepted {rays!r} with cones {cones!r}")
 
 
-def _route_fans():
-    """The corpus, the seed-7 suite fans, the three benchmark workloads'
-    inputs at seeds 41-43 and cross_fan(4), each distinct fan once.  The
-    workload module is compiled from its source, so nothing under
-    ``perfbench/`` is imported as a package or written."""
+def workloads_module():
+    """The benchmark's workload module, compiled from its source, so nothing
+    under ``perfbench/`` is imported as a package or written."""
     wl = types.ModuleType("perfbench_workloads")
     exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), wl.__dict__)
+    return wl
+
+
+def _route_fans():
+    """The corpus, the seed-7 suite fans, the three benchmark workloads'
+    inputs at seeds 41-43 and cross_fan(4), each distinct fan once."""
+    wl = workloads_module()
     rng = random.Random(7)
     fans = corpus.paper_examples() + [random_complete_fan(rng) for _ in range(25)]
     for workload in ("verify-suite", "query", "refine"):

@@ -10,21 +10,26 @@ accepts fans is checked against the pairwise intersection of maximal cones,
 and the walls and support it reads off the facets against a scan of every
 face against every cone and the boundary walls' rows; both are kept here
 as references.  The face lattice, whose simplicial faces are read off their
-cone's normals, is checked against a double description of every face.
+cone's normals, is checked against a double description of every face, and
+each simplicial cone's facets and frame, read off the inverse of its ray
+matrix, against its double description and a search of its facets.
 """
 
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from fanforge import corpus
+from fanforge import cones as conesmod
 from fanforge import fan as fanmod
 from fanforge.cones import VCone, h_to_v, intersect_hcones, v_to_h
 from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.theorems import random_complete_fan, stellar_subdivide
+from test_cross_oracles import workloads_module
 
 # sha256 of the outcomes of verdict_inputs(), one repr per line
 VERDICT_DIGEST = "d19701652d050d15a3e17538a89a99e5bd4bd8acc176bdc7bb6d22a7de88776e"
@@ -422,17 +427,106 @@ def test_faces_match_double_description_reference():
 
 
 def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
-    # a simplicial cone's faces are read off its own facet normals
+    # a simplicial cone is described by the inverse of its ray matrix and
+    # its faces are read off its own frame: no double description at all
     fans = subdivided(corpus.cross_fan(4), 2, 5)
     calls = []
-    real = fanmod.v_to_h
 
-    def counting(c):
-        calls.append(c)
-        return real(c)
+    def counting(real):
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(fanmod, "v_to_h", counting)
+    monkeypatch.setattr(fanmod, "v_to_h", counting(fanmod.v_to_h))
+    monkeypatch.setattr(fanmod, "double_description", counting(fanmod.double_description))
+    monkeypatch.setattr(conesmod, "double_description", counting(conesmod.double_description))
     for f in fans:
+        assert f.is_simplicial
         calls.clear()
         validate_fan(*fan_args(f))
-        assert len(calls) == len(f.max_cones)
+        assert calls == []
+
+
+def reference_frame(cone, rays):
+    """A simplicial cone's frame found by search: for each ray, the one facet
+    inequality of the cone that does not vanish on it, with its value
+    there; empty for a cone that is not simplicial."""
+    if len(cone.ray_indices) != cone.dim:
+        return ()
+    normal = {
+        next(i for i in cone.ray_indices if vdot(u, rays[i])): u
+        for u in cone.facets.inequalities
+    }
+    return tuple((normal[i], vdot(normal[i], rays[i])) for i in cone.ray_indices)
+
+
+def refine_workload_fine_fans():
+    """The fine fans of the refine workload's jobs at seed 7: each input's
+    simplicial refinement, and its qp refinement where the job makes one."""
+    wl = workloads_module()
+    fine = []
+    for k, (fid, item) in enumerate(wl.make_inputs("refine", 7)):
+        _, r, rq, _ = wl.run_job("refine", k, fid, wl.fresh("refine", item), 7)
+        fine += [r.fine] + ([rq.fine] if rq is not None else [])
+    return fine
+
+
+def test_simplicial_cones_match_double_description_and_frame_search():
+    fans = [f for _, f in corpus.paper_examples()]
+    for args in matching_inputs():
+        try:
+            fans.append(validate_fan(*args))
+        except FanError:
+            pass
+    fans += [convex_part(dim, b) for dim in (2, 3, 4) for b in sorted({dim, 1, 2})]
+    fans += [corpus.cross_fan(4), corpus.cube_fan(4)]
+    fine = refine_workload_fine_fans()
+    fans += fine
+    maximal = faces = 0
+    for f in fans:
+        for c in f.max_cones:
+            if len(c.ray_indices) == f.dim:
+                assert c.facets == v_to_h(VCone.make([f.ray(i) for i in c.ray_indices]))
+                assert c.frame == reference_frame(c, f.rays)
+                maximal += 1
+        # each face's frame, the simplicial faces of non-simplicial cones
+        # and the subsets of simplicial cones included
+        for face in f.faces.values():
+            assert face.frame == reference_frame(face, f.rays)
+            faces += bool(face.frame)
+    # 206 fans, 11 of them not simplicial, and 31 fine fans from the 25
+    # refine jobs; 909 simplicial maximal cones and 3,791 framed faces
+    assert len(fine) == 31 and all(g.is_simplicial for g in fine)
+    assert sum(not f.is_simplicial for f in fans) >= 10
+    assert maximal >= 900 and faces >= 3700
+
+
+# Inputs whose first bad maximal cone is named, each with its message.
+DEPENDENT = {
+    # dim dependent rays: a line in the plane, three coplanar rays
+    "line-2d": (2, [(1, 0), (-1, 0), (0, 1)], [[0, 1], [0, 2]],
+                "MaxConeNotFullDim: maximal cone 0 has dimension < 2"),
+    "coplanar-3d": (3, [(1, 0, 0), (0, 1, 0), (1, 2, 0)], [[0, 1, 2]],
+                    "MaxConeNotFullDim: maximal cone 0 has dimension < 3"),
+    "coplanar-3d-second": (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], [[0, 1, 3], [0, 1, 2]],
+                           "MaxConeNotFullDim: maximal cone 1 has dimension < 3"),
+    # an earlier bad cone of another kind is named first
+    "line-first": (2, [(1, 0), (-1, 0), (0, 1)], [[0, 1, 2], [0, 1]],
+                   "NotStronglyConvex: maximal cone 0 contains a line"),
+    "not-extreme-first": (2, [(1, 0), (0, 1), (1, 1), (-1, 0)], [[0, 1, 2], [0, 3]],
+                          "RayNotExtreme: maximal cone 0 lists a generator that is not an extreme ray"),
+    "too-few-rays-first": (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [[0, 1], [0, 1, 2]],
+                           "MaxConeNotFullDim: maximal cone 0 has dimension < 3"),
+    # and an earlier dependent cone before a later bad one
+    "dependent-first": (2, [(1, 0), (-1, 0), (0, 1)], [[0, 1], [0, 1, 2]],
+                        "MaxConeNotFullDim: maximal cone 0 has dimension < 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEPENDENT))
+def test_dependent_rays_of_a_maximal_cone_are_not_full_dimensional(name):
+    dim, rays, max_cones, message = DEPENDENT[name]
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$") as e:
+        validate_fan(dim, rays, max_cones)
+    assert e.value.code == message.split(":")[0]
