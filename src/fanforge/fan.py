@@ -384,10 +384,9 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     if len(set(cone_sets)) != len(cone_sets):
         raise FanError("BadInput", "duplicate maximal cones")
 
-    # dim rays span iff they are independent, and then all are extreme; any
-    # other cone is full-dimensional iff its facet description has no
-    # equalities, pointed iff its facet normals leave no line, and then its
-    # DD rays are extreme
+    # dim rays span iff independent, and then all are extreme; any other cone
+    # is full-dimensional iff its facets have no equalities, pointed iff its
+    # facet normals leave no line, and then its DD rays are extreme
     cones: list[ConeData] = []
     for k, idx in enumerate(cone_sets):
         if len(idx) == dim:
