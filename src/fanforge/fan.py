@@ -5,17 +5,15 @@ index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, cones meeting in common faces, convex
 support) and derives the face lattice, the walls with their incident
 maximal cones, the support and the simplicial/complete flags.  A maximal
-cone on dim rays takes one elimination, whose inverse ray matrix gives its
-facets and its frame; its faces are the subsets of its rays, described by
-that frame.  Only a non-simplicial maximal cone and its faces take a double
-description each.  That the cones meet in common faces and cover a convex
-set is decided by matching the facets of the maximal cones in one pass,
-which needs no cone intersection and no description of the cone on all
-rays; the same pass lists the walls and the support.  Fans are immutable
-after validation and all queries are pure, so what other modules derive
-(cone relations, relation coordinates, PL basis, quasi-projectivity, Mori
-cone, extremal walls) is computed once and kept on the fan by name, as
-plain values that do not refer back to it.
+cone on dim rays is read off the inverse of its ray matrix, any other off a
+double description, and each face off its maximal cone's facet normals.
+Matching the facets of the maximal cones in one pass decides that the cones
+meet in common faces and cover a convex set, with no cone intersection, and
+lists the walls and the support.  Fans are immutable after validation and
+all queries are pure, so what other modules derive (cone relations,
+relation coordinates, PL basis, quasi-projectivity, Mori cone, extremal
+walls) is computed once and kept on the fan by name, as plain values that
+do not refer back to it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
-from .linalg import Vec, _eliminate, is_zero_vec, primitivize, vdot, vneg, vsum
+from .linalg import Vec, _eliminate, is_zero_vec, primitivize, rank, vdot, vneg, vsum
 
 log = logging.getLogger(__name__)
 
@@ -51,11 +49,9 @@ class OutsideSupport(Exception):
 class ConeData:
     """A cone of the fan: its extreme rays (as indices into rays), dimension,
     exact facet description (inequalities plus span equalities) and frame.
-    A maximal cone on dim rays is described by the inverse of its ray matrix
-    (its facets are v_to_h's, sorted); any other maximal cone and each face
-    of one has v_to_h's reduced description; a face of a simplicial cone has
-    that cone's own facet normals, with the normals of the facets containing
-    the face among its equalities."""
+    A maximal cone has v_to_h's facets, sorted (read off the inverse of its
+    ray matrix if it has dim rays); a face has its maximal cone's normals,
+    those vanishing on it as equalities."""
 
     ray_indices: tuple[int, ...]
     dim: int
@@ -173,37 +169,38 @@ def _inverse_cone(k: int, idx: tuple[int, ...], rays) -> ConeData:
     return ConeData(idx, dim, HCone(tuple(sorted(u for u, _ in frame)), (), dim), tuple(frame))
 
 
-def _described_face(indices: tuple[int, ...], rays, dim: int) -> ConeData:
-    """A face of a non-simplicial cone, described by a double description
-    of its rays.  If it is simplicial, each of its facet normals vanishes
-    on all its rays but one, which that normal frames."""
-    h = v_to_h(VCone.make([rays[i] for i in indices], dim))
-    frame = ()
-    if len(indices) == dim - len(h.equalities):
-        normal = {next(i for i in indices if vdot(u, rays[i])): u for u in h.inequalities}
-        frame = tuple((normal[i], vdot(normal[i], rays[i])) for i in indices)
-    return ConeData(indices, dim - len(h.equalities), h, frame)
-
-
 def _cone_faces(cone: ConeData, rays, memo) -> None:
-    """Enter every face of the cone, the cone itself included, into memo,
-    which maps each face (a ray index set) to its ConeData.  A face met
-    again keeps the entry it was first given, so each is derived once.
-
-    A simplicial cone's faces are all subsets of its rays, described by the
-    cone's own frame (_simplicial_faces).  Any other cone's facets are read
-    off its normals, each facet described by a double description of its
-    rays, and their faces are found the same way."""
-    if cone.ray_indices in memo:
-        return
+    """Enter each face of a maximal cone, itself included, that memo lacks
+    into memo (ray index set -> ConeData).  A simplicial cone's faces are
+    the subsets of its rays (_simplicial_faces).  Any other cone's faces are
+    the intersections of its facets' ray sets, as a face is the intersection
+    of the facets containing it (Ziegler, Lectures on Polytopes, ch. 2).  A
+    face F has the normals vanishing on it as equalities.  F is simplicial
+    iff each ray v of F has a normal u that vanishes on F's other rays but
+    not on v: those u are its inequalities and frame (u, <u, v>).  Else F
+    keeps the other normals and has dimension dim - rank(equalities)."""
     if len(cone.ray_indices) == cone.dim:
         _simplicial_faces(cone, memo)
         return
-    for u in cone.facets.inequalities:
-        tight = tuple(i for i in cone.ray_indices if vdot(u, rays[i]) == 0)
-        if tight not in memo:
-            _cone_faces(_described_face(tight, rays, cone.facets.ambient_dim), rays, memo)
-    memo[cone.ray_indices] = cone
+    normals, dim = cone.facets.inequalities, cone.dim
+    every = set(range(len(normals)))
+    zero = {i: {k for k in every if vdot(normals[k], rays[i]) == 0} for i in cone.ray_indices}
+    memo[cone.ray_indices], faces = cone, [cone.ray_indices]
+    for face in faces:
+        for t in (tuple(i for i in face if k in zero[i]) for k in every):
+            if t not in memo:
+                on = every.intersection(*(zero[i] for i in t))
+                eqs = tuple(normals[k] for k in sorted(on))
+                # for each ray, the normals that vanish on the others but not on it
+                cuts = [every.intersection(*(zero[j] for j in t if j != i)) - zero[i] for i in t]
+                if all(cuts):
+                    us = tuple(normals[min(c)] for c in cuts)
+                    frame = tuple((u, vdot(u, rays[i])) for u, i in zip(us, t))
+                    memo[t] = ConeData(t, len(t), HCone(us, eqs, dim), frame)
+                else:
+                    ineqs = tuple(normals[k] for k in sorted(every - on))
+                    memo[t] = ConeData(t, dim - rank(eqs), HCone(ineqs, eqs, dim), ())
+                faces.append(t)
 
 
 def _simplicial_faces(cone: ConeData, memo) -> None:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import lp
 from .cones import VCone, cone_contains
 from .fan import Fan, Wall
 from .linalg import Vec, _integer_row, primitivize
 from .plfun import PLBasis, RelationVector, is_quasi_projective, pl_basis
-from .plfun import _relation_coordinates, _wall_classes, wall_relation
+from .plfun import _relation_coordinates, _relation_pointed, _wall_classes, wall_relation
 
 
 class MoriConeNotPointed(Exception):
@@ -61,8 +60,8 @@ class MoriCone:
     """The Mori cone as its wall classes in Picard coordinates, printed and
     not decided on, labeled by wall (plfun.wall_relation of the wall is the
     relation behind its class).  is_pointed: some functional is positive on
-    every nonzero class.  A strictly convex function is one; otherwise one
-    strict-feasibility LP on the wall rows in relation coordinates decides."""
+    every nonzero class.  A strictly convex function is one; otherwise the
+    relation LP of plfun._relation_pointed decides."""
 
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
@@ -78,10 +77,7 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
-    rc = _relation_coordinates(fan)
-    nonzero = [r for r in rc.rows if any(x != 0 for x in r)]
-    pointed = is_quasi_projective(fan)[0] or lp.strict_feasible(
-        nonzero, [], [], rc.dim)[0] is not None
+    pointed = is_quasi_projective(fan)[0] or _relation_pointed(fan)
     return MoriCone(fan.interior_walls, _wall_classes(fan, basis), pointed)
 
 

@@ -241,16 +241,22 @@ def _relation_coordinates(fan: Fan) -> RelationCoordinates:
     return fan.derived("relation_coordinates", table)
 
 
-def _relation_quasi_projective(fan: Fan) -> bool:
-    """Is the fan quasi-projective?  One exact LP for a point positive on
-    every wall row in relation coordinates, once per fan, its point re-checked."""
+def _relation_pointed(fan: Fan) -> bool:
+    """Does some point pair positively with every nonzero wall row in
+    relation coordinates?  One exact LP, once per fan, its point re-checked."""
     def solve():
         rc = _relation_coordinates(fan)
-        x, _ = lp.strict_feasible(rc.rows, [], [], rc.dim)
-        if x is not None and any(vdot(r, x) <= 0 for r in rc.rows):
+        rows = [r for r in rc.rows if any(r)]
+        x, _ = lp.strict_feasible(rows, [], [], rc.dim)
+        if x is not None and any(vdot(r, x) <= 0 for r in rows):
             raise RuntimeError("LP point does not pair positively with every wall relation")
         return x is not None
-    return fan.derived("relation_quasi_projective", solve)
+    return fan.derived("relation_pointed", solve)
+
+
+def _relation_quasi_projective(fan: Fan) -> bool:
+    """Quasi-projective iff no wall row is zero and their cone is pointed."""
+    return all(any(r) for r in _relation_coordinates(fan).rows) and _relation_pointed(fan)
 
 
 def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:

@@ -30,6 +30,7 @@ from fanforge.fan import FanError, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot, vneg
 from fanforge.theorems import random_complete_fan, stellar_subdivide
 from test_cross_oracles import workloads_module
+from test_theorems import moved_vertex_cube_fan
 
 # sha256 of the outcomes of verdict_inputs(), one repr per line
 VERDICT_DIGEST = "d19701652d050d15a3e17538a89a99e5bd4bd8acc176bdc7bb6d22a7de88776e"
@@ -385,6 +386,38 @@ def subdivided(base, steps, seed):
     return fans
 
 
+def faces_against_reference(f):
+    """Check the fan's faces against reference_cone_faces and return the
+    number of faces whose description differs from the reference's."""
+    memo = {}
+    max_face_sets = tuple(
+        frozenset(reference_cone_faces(c.ray_indices, c.facets, f.rays, memo))
+        for c in f.max_cones
+    )
+    assert set(f.faces) == set(memo)
+    # validation names a cone pair that meets improperly by deciding
+    # faces with _is_face; it agrees with the reference on every face
+    # of the fan and on every subset of a cone's rays
+    for k, c in enumerate(f.max_cones):
+        subsets = (
+            s for size in range(len(c.ray_indices) + 1)
+            for s in itertools.combinations(c.ray_indices, size)
+        )
+        for t in set(f.faces) | set(subsets):
+            assert fanmod._is_face(c, t, f.rays) == (t in max_face_sets[k])
+    differ = 0
+    for key, (_, hrep) in memo.items():
+        face = f.faces[key]
+        # the same dimension, and the same cone: the fan's rays in it
+        # are the face's own under either description
+        assert face.dim == f.dim - len(hrep.equalities)
+        on = [i for i, r in enumerate(f.rays) if face.contains_point(r)]
+        assert on == [i for i, r in enumerate(f.rays) if hrep.contains_point(r)]
+        assert on == list(key)
+        differ += face.facets != hrep
+    return differ
+
+
 def test_faces_match_double_description_reference():
     fans = []
     for args in verdict_inputs():
@@ -393,37 +426,35 @@ def test_faces_match_double_description_reference():
         except FanError:
             pass
     fans += subdivided(corpus.cross_fan(4), 2, 3) + subdivided(corpus.cube_fan(4), 2, 3)
-    simplicial_faces = 0
-    for f in fans:
-        memo = {}
-        max_face_sets = tuple(
-            frozenset(reference_cone_faces(c.ray_indices, c.facets, f.rays, memo))
-            for c in f.max_cones
-        )
-        assert set(f.faces) == set(memo)
-        # validation names a cone pair that meets improperly by deciding
-        # faces with _is_face; it agrees with the reference on every face
-        # of the fan and on every subset of a cone's rays
-        for k, c in enumerate(f.max_cones):
-            subsets = (
-                s for size in range(len(c.ray_indices) + 1)
-                for s in itertools.combinations(c.ray_indices, size)
-            )
-            for t in set(f.faces) | set(subsets):
-                assert fanmod._is_face(c, t, f.rays) == (t in max_face_sets[k])
-        for key, (_, hrep) in memo.items():
-            face = f.faces[key]
-            # the same dimension, and the same cone: the fan's rays in it
-            # are the face's own under either description
-            assert face.dim == f.dim - len(hrep.equalities)
-            on = [i for i, r in enumerate(f.rays) if face.contains_point(r)]
-            assert on == [i for i, r in enumerate(f.rays) if hrep.contains_point(r)]
-            assert on == list(key)
-            simplicial_faces += face.facets != hrep
-    # 101 fans, 5 of them not simplicial; 1,661 faces are described by the
-    # normals of a simplicial cone rather than by their own description
+    simplicial_faces = sum(faces_against_reference(f) for f in fans)
+    # 101 fans, 5 of them not simplicial; 1,821 faces are described by the
+    # normals of a maximal cone rather than by their own description
     assert len(fans) >= 100 and sum(not f.is_simplicial for f in fans) >= 5
     assert simplicial_faces >= 1500
+
+
+def test_moved_vertex_cube_faces_match_double_description_reference():
+    f = moved_vertex_cube_fan()
+    assert not f.is_simplicial and f.is_complete
+    assert all(len(c.ray_indices) == 4 for c in f.max_cones)
+    # the origin, 8 rays, 12 edges and 6 cones; all but the cones are
+    # simplicial faces framed by the cones' normals
+    assert sorted(len(t) for t in f.faces) == [0] + [1] * 8 + [2] * 12 + [4] * 6
+    # the reference describes the cones by the same normals, and three
+    # edges at the corner (-1, -1, -1) by the same rows by chance
+    assert faces_against_reference(f) == 18
+    for t, face in f.faces.items():
+        assert face.dim == min(len(t), 3)
+        assert face.frame == reference_frame(face, f.rays)
+        for i, (u, s) in zip(t, face.frame):
+            assert s > 0 and [vdot(u, f.ray(j)) for j in t] == [s * (i == j) for j in t]
+
+
+def spy(real, calls):
+    def spying(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return spying
 
 
 def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
@@ -431,21 +462,33 @@ def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
     # its faces are read off its own frame: no double description at all
     fans = subdivided(corpus.cross_fan(4), 2, 5)
     calls = []
-
-    def counting(real):
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(fanmod, "v_to_h", counting(fanmod.v_to_h))
-    monkeypatch.setattr(fanmod, "double_description", counting(fanmod.double_description))
-    monkeypatch.setattr(conesmod, "double_description", counting(conesmod.double_description))
+    monkeypatch.setattr(fanmod, "v_to_h", spy(fanmod.v_to_h, calls))
+    monkeypatch.setattr(fanmod, "double_description", spy(fanmod.double_description, calls))
+    monkeypatch.setattr(conesmod, "double_description", spy(conesmod.double_description, calls))
     for f in fans:
         assert f.is_simplicial
         calls.clear()
         validate_fan(*fan_args(f))
         assert calls == []
+
+
+def test_non_simplicial_cones_describe_no_face(monkeypatch):
+    # a non-simplicial maximal cone takes one v_to_h, itself a double
+    # description, and one double description of its facets for its extreme
+    # rays; its faces are read off which normals vanish on which rays
+    fans = subdivided(corpus.cube_fan(3), 2, 3) + subdivided(corpus.cube_fan(4), 2, 3)
+    fans.append(moved_vertex_cube_fan())
+    hulls, descriptions = [], []
+    monkeypatch.setattr(fanmod, "v_to_h", spy(fanmod.v_to_h, hulls))
+    monkeypatch.setattr(fanmod, "double_description", spy(fanmod.double_description, descriptions))
+    monkeypatch.setattr(conesmod, "double_description", spy(conesmod.double_description, descriptions))
+    for f in fans:
+        hulls.clear()
+        descriptions.clear()
+        validate_fan(*fan_args(f))
+        n = sum(len(c.ray_indices) > f.dim for c in f.max_cones)
+        assert n > 0
+        assert len(hulls) == n and len(descriptions) == 2 * n
 
 
 def reference_frame(cone, rays):

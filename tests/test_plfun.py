@@ -550,7 +550,7 @@ def test_derived_invariants_free_their_fan_without_the_collector(make):
         assert set(fan._derived) >= {
             "pl_basis", "wall_table", "wall_classes", "is_quasi_projective", "mori_cone",
             "primitive_relations", "cone_relations", "relation_coordinates",
-            "relation_quasi_projective", "relation_extremal_walls",
+            "relation_pointed", "relation_extremal_walls",
         }
         ref = weakref.ref(fan)
         del fan, basis, mc

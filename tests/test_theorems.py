@@ -82,6 +82,44 @@ def test_merged_fulton_fans_are_not_quasi_projective():
         assert "functions" in reports[1].certificates, name
 
 
+def test_picard_rank_zero_fan_is_pointed_but_not_quasi_projective():
+    # every wall row of the moved-vertex cube fan is zero: no point pairs
+    # positively with them, yet no nonzero class keeps the Mori cone from
+    # being pointed
+    f = moved_vertex_cube_fan()
+    rc = plfun._relation_coordinates(f)
+    assert rc.dim == 0 and rc.rows == ((),) * 12
+    assert not is_quasi_projective(f)[0]
+    assert not plfun._relation_quasi_projective(f)
+    assert mori_cone(f, pl_basis(f)).is_pointed
+    reports = run_paper_suite(fans=[("moved-vertex", f)], seed=7)
+    assert all(verify_certificates(r) for r in reports)
+    assert [(r.theorem, r.verdict, r.details) for r in reports] == [
+        ("extremal-positive-support", INAPPLICABLE, "fan not simplicial"),
+        ("main-cone-equality", EVIDENCE,
+         "wall and primitive descriptions agree"
+         " (fan not quasi-projective: conjecture evidence only)"),
+        ("reid-conditions", INAPPLICABLE, "not simplicial"),
+        ("type-a-subspace", HOLDS, "cut subspace dim 3, pullback dim 3, joint 3"),
+    ]
+
+
+def test_pointedness_and_quasi_projectivity_share_one_relation_lp(monkeypatch):
+    # the Mori cone's pointedness and quasi-projectivity in relation
+    # coordinates read one LP over the nonzero wall rows; the other LP is
+    # is_quasi_projective's over the Picard rows
+    fans = [("fulton", corpus.fulton_fan()), *merged_fulton_fans(), ("moved", moved_vertex_cube_fan())]
+    calls = []
+    solve = lp.strict_feasible
+    monkeypatch.setattr(lp, "strict_feasible", lambda *a: calls.append(a) or solve(*a))
+    for name, f in fans:
+        calls.clear()
+        assert not is_quasi_projective(f)[0], name
+        mori_cone(f, pl_basis(f))
+        assert check_main_theorem(f, name).verdict == EVIDENCE, name
+        assert len(calls) == 2, name
+
+
 def test_extremal_primitive_split_pyramid():
     r = check_extremal_primitive(corpus.split_pyramid_fan(), "ex21")
     assert r.verdict == HOLDS
@@ -515,6 +553,16 @@ def merged_fulton_fans():
         f = fan_from_json_obj({**obj, "max_cones": cones})
         fans.append((f"fulton-merged{wall[0]}{wall[1]}", f))
     return fans
+
+
+def moved_vertex_cube_fan():
+    """cube_fan(3) with its corner (1, 1, 1) moved to (1, 2, 3), a complete
+    fan that is not simplicial and has Picard rank 0, of the kind in
+    Fulton, Introduction to Toric Varieties, sec. 3.4.  The three cones at
+    the moved corner are skewed, so their facet normals are not a cube's."""
+    obj = corpus.cube_fan(3).to_json_obj()
+    rays = [[1, 2, 3] if r == [1, 1, 1] else r for r in obj["rays"]]
+    return fan_from_json_obj({**obj, "rays": rays})
 
 
 def test_main_theorem_matches_two_half_reference():
