@@ -9,7 +9,7 @@ orthant inequalities that cut the fan out.  The facet-matching test that
 accepts fans is checked against the pairwise intersection of maximal cones,
 and the walls and support it reads off the facets against a scan of every
 face against every cone and the boundary walls' rows; both are kept here
-as references.  The face lattice, whose simplicial faces are read off their
+as references.  The face lattice, whose faces are read off their maximal
 cone's normals, is checked against a double description of every face, and
 each simplicial cone's facets and frame, read off the inverse of its ray
 matrix, against its double description and a search of its facets.
@@ -448,6 +448,18 @@ def test_moved_vertex_cube_faces_match_double_description_reference():
         assert face.frame == reference_frame(face, f.rays)
         for i, (u, s) in zip(t, face.frame):
             assert s > 0 and [vdot(u, f.ray(j)) for j in t] == [s * (i == j) for j in t]
+
+
+def test_faces_of_a_non_simple_cone_match_double_description_reference():
+    # the cone over the join of a square and a pentagon: the square is a
+    # face of codimension 3 in five facets, one over each pentagon edge, so
+    # its dimension is not dim minus the number of its equalities
+    square = [[x, y, 0, 0, 0, 1] for x, y in ((1, 1), (1, -1), (-1, -1), (-1, 1))]
+    pentagon = [[0, 0, x, y, 1, 1] for x, y in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1))]
+    f = validate_fan(6, square + pentagon, [list(range(9))])
+    assert faces_against_reference(f) > 0
+    face = f.faces[(0, 1, 2, 3)]
+    assert face.dim == 3 and len(face.facets.equalities) == 5 and face.frame == ()
 
 
 def spy(real, calls):
