@@ -5,8 +5,9 @@ index sets.  validate_fan checks the fan axioms exactly (strong convexity,
 full-dimensional maximal cones, cones meeting in common faces, convex
 support) and derives the face lattice, the walls with their incident
 maximal cones, the support and the simplicial/complete flags.  A maximal
-cone on dim rays is read off the inverse of its ray matrix, any other off a
-double description, and each face off its maximal cone's facet normals.
+cone on dim rays is read off the inverse of its ray matrix, any other off
+v_to_h, and each keeps which of its rays lie on each of its facets; every
+face is read off that incidence.
 Matching the facets of the maximal cones in one pass decides that the cones
 meet in common faces and cover a convex set, with no cone intersection, and
 lists the walls and the support.  Fans are immutable after validation and
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
-from .cones import MAX_DIM, HCone, VCone, double_description, h_to_v, intersect_hcones, v_to_h
+from .cones import MAX_DIM, HCone, VCone, h_to_v, intersect_hcones, v_to_h
 from .linalg import Vec, _eliminate, is_zero_vec, primitivize, rank, vdot, vneg, vsum
 
 log = logging.getLogger(__name__)
@@ -50,13 +51,16 @@ class ConeData:
     """A cone of the fan: its extreme rays (as indices into rays), dimension,
     exact facet description (inequalities plus span equalities) and frame.
     A maximal cone has v_to_h's facets, sorted (read off the inverse of its
-    ray matrix if it has dim rays); a face has its maximal cone's normals,
-    those vanishing on it as equalities."""
+    ray matrix if it has dim rays), and facet_rays: for each inequality, in
+    order, the sorted indices of its rays that lie on that facet.  A face
+    has its maximal cone's normals, those vanishing on it as equalities,
+    and empty facet_rays."""
 
     ray_indices: tuple[int, ...]
     dim: int
     facets: HCone
     _frame: tuple[tuple[Vec, int], ...] = field(repr=False, compare=False)
+    facet_rays: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def contains_point(self, x) -> bool:
         return self.facets.contains_point(x)
@@ -153,8 +157,9 @@ def _inverse_cone(k: int, idx: tuple[int, ...], rays) -> ConeData:
     """Maximal cone k on dim rays, read off one elimination of [W | I] with
     W's columns the rays.  Row i of W's inverse is 1 on ray i and 0 on the
     others, so its primitive multiple is the inward normal u_i of the facet
-    opposite ray i (Cox, Little and Schenck, ch. 1).  A cone's facet normals
-    are unique, so sorted they are v_to_h's."""
+    opposite ray i (Cox, Little and Schenck, ch. 1), whose facet holds every
+    ray but i.  A cone's facet normals are unique, so sorted they are
+    v_to_h's."""
     dim = len(idx)
     T, pivots, d, _ = _eliminate(
         [[rays[i][r] for i in idx] + [int(e == r) for e in range(dim)] for r in range(dim)]
@@ -166,26 +171,31 @@ def _inverse_cone(k: int, idx: tuple[int, ...], rays) -> ConeData:
         # row i is d [e_i | row i of the inverse], so <row, v_i> = d
         g = gcd(*row[dim:]) if d > 0 else -gcd(*row[dim:])
         frame.append((tuple(x // g for x in row[dim:]), d // g))
-    return ConeData(idx, dim, HCone(tuple(sorted(u for u, _ in frame)), (), dim), tuple(frame))
+    normals, facet_rays = zip(*sorted(
+        (u, tuple(j for j in idx if j != i)) for i, (u, _) in zip(idx, frame)
+    ))
+    return ConeData(idx, dim, HCone(normals, (), dim), tuple(frame), facet_rays)
 
 
 def _cone_faces(cone: ConeData, rays, memo) -> None:
-    """Enter each face of a maximal cone, itself included, that memo lacks
-    into memo (ray index set -> ConeData).  A simplicial cone's faces are
-    the subsets of its rays (_simplicial_faces).  Any other cone's faces are
-    the intersections of its facets' ray sets, as a face is the intersection
-    of the facets containing it (Ziegler, Lectures on Polytopes, ch. 2).  A
-    face F has the normals vanishing on it as equalities.  F is simplicial
-    iff each ray v of F has a normal u that vanishes on F's other rays but
-    not on v: those u are its inequalities and frame (u, <u, v>).  Else F
-    keeps the other normals and has dimension dim - rank(equalities)."""
+    """Enter each face of a maximal cone that memo lacks into memo (ray
+    index set -> ConeData); the cone is its own entry.  A simplicial cone's
+    faces are the subsets of its rays (_simplicial_faces).  Any other cone's
+    faces are the intersections of its facet_rays, as a face is the
+    intersection of the facets containing it (Ziegler, Lectures on
+    Polytopes, ch. 2).  A face F has the normals vanishing on it as
+    equalities.  F is simplicial iff each ray v of F has a normal u that
+    vanishes on F's other rays but not on v: those u are its inequalities
+    and frame (u, <u, v>).  Else F keeps the other normals and has dimension
+    dim - rank(equalities)."""
+    memo[cone.ray_indices] = cone
     if len(cone.ray_indices) == cone.dim:
         _simplicial_faces(cone, memo)
         return
     normals, dim = cone.facets.inequalities, cone.dim
     every = set(range(len(normals)))
-    zero = {i: {k for k in every if vdot(normals[k], rays[i]) == 0} for i in cone.ray_indices}
-    memo[cone.ray_indices], faces = cone, [cone.ray_indices]
+    zero = {i: {k for k, f in enumerate(cone.facet_rays) if i in f} for i in cone.ray_indices}
+    faces = [cone.ray_indices]
     for face in faces:
         for t in (tuple(i for i in face if k in zero[i]) for k in every):
             if t not in memo:
@@ -204,16 +214,16 @@ def _cone_faces(cone: ConeData, rays, memo) -> None:
 
 
 def _simplicial_faces(cone: ConeData, memo) -> None:
-    """The memo entries of _cone_faces for every subset S of the rays of a
-    simplicial cone, itself included.  The cone's frame pairs each ray i
-    with the facet normal u_i that vanishes on every ray but i; S is the
-    face cut out by u_j = 0 for the rays j outside S, so its description
-    keeps the u_i of S, in ray order, as inequalities and adds the other
-    u_j to the cone's equalities, and its frame is the cone's frame on S.
-    Then dim - len(equalities) = |S|."""
+    """The memo entries of _cone_faces for every proper subset S of the
+    rays of a simplicial cone.  The cone's frame pairs each ray i with the
+    facet normal u_i that vanishes on every ray but i; S is the face cut
+    out by u_j = 0 for the rays j outside S, so its description keeps the
+    u_i of S, in ray order, as inequalities and adds the other u_j to the
+    cone's equalities, and its frame is the cone's frame on S.  Then
+    dim - len(equalities) = |S|."""
     indices, h = cone.ray_indices, cone.facets
     frame = dict(zip(indices, cone._frame))
-    for size in range(len(indices) + 1):
+    for size in range(len(indices)):
         for s in itertools.combinations(indices, size):
             if s not in memo:
                 memo[s] = ConeData(s, size, HCone(
@@ -233,11 +243,7 @@ def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], 
     halfspaces of the facets of only one cone."""
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for k, c in enumerate(cones):
-        # a simplicial cone's facet opposite ray i is its other rays
-        for i, (u, _) in zip(c.ray_indices, c._frame):
-            facets.setdefault(tuple(j for j in c.ray_indices if j != i), []).append((k, u))
-        for u in () if c._frame else c.facets.inequalities:
-            key = tuple(i for i in c.ray_indices if vdot(u, rays[i]) == 0)
+        for u, key in zip(c.facets.inequalities, c.facet_rays):
             facets.setdefault(key, []).append((k, u))
     unmatched = {ku[0][1] for ku in facets.values() if len(ku) == 1}
     x0 = vsum([rays[i] for i in cones[0].ray_indices], len(rays[0]))
@@ -255,11 +261,12 @@ def _facets_match(cones: list[ConeData], rays) -> tuple[bool, tuple[Wall, ...], 
     return matched, walls, HCone(tuple(sorted(unmatched)), (), len(rays[0]))
 
 
-def _is_face(cone: ConeData, t: tuple[int, ...], rays) -> bool:
-    """Is the sorted ray index set t a face of the cone?  t must be the rays
-    of the cone that lie on every facet of the cone containing t."""
-    on = [u for u in cone.facets.inequalities if all(vdot(u, rays[i]) == 0 for i in t)]
-    return t == tuple(i for i in cone.ray_indices if all(vdot(u, rays[i]) == 0 for u in on))
+def _is_face(cone: ConeData, t: tuple[int, ...]) -> bool:
+    """Is the sorted ray index set t a face of the maximal cone?  t must be
+    the rays of the cone that lie on every facet of the cone containing t,
+    read off its facet_rays."""
+    on = [f for f in cone.facet_rays if set(t).issubset(f)]
+    return t == tuple(i for i in cone.ray_indices if all(i in f for f in on))
 
 
 def _check_pairwise_faces(cones: list[ConeData], rays) -> None:
@@ -280,7 +287,7 @@ def _check_pairwise_faces(cones: list[ConeData], rays) -> None:
                     )
                 got.append(gi)
             t = tuple(sorted(set(got)))
-            if not (_is_face(cones[a], t, rays) and _is_face(cones[b], t, rays)):
+            if not (_is_face(cones[a], t) and _is_face(cones[b], t)):
                 raise FanError(
                     "ConesOverlapImproperly",
                     f"intersection of cones {a} and {b} is not a common face",
@@ -381,32 +388,28 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
     if len(set(cone_sets)) != len(cone_sets):
         raise FanError("BadInput", "duplicate maximal cones")
 
-    # dim rays span iff independent, and then all are extreme; any other cone
-    # is full-dimensional iff its facets have no equalities, pointed iff its
-    # facet normals leave no line, and then its DD rays are extreme
+    # dim rays span iff independent, and then all are extreme.  Any other
+    # cone is full-dimensional iff its facets have no equalities, pointed iff
+    # its facet normals have rank dim, and then a ray is extreme iff the
+    # normals vanishing on it have rank dim - 1
     cones: list[ConeData] = []
     for k, idx in enumerate(cone_sets):
         if len(idx) == dim:
             cones.append(_inverse_cone(k, idx, rays_t))
             continue
-        gens = [rays_t[i] for i in idx]
-        hrep = v_to_h(VCone.make(gens))
+        hrep = v_to_h(VCone.make([rays_t[i] for i in idx]))
         if hrep.equalities:
-            raise FanError(
-                "MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}"
-            )
-        lines, extreme = double_description((), hrep.inequalities, dim)
-        if lines:
-            raise FanError(
-                "NotStronglyConvex", f"maximal cone {k} contains a line"
-            )
-        if set(gens) != set(extreme):
+            raise FanError("MaxConeNotFullDim", f"maximal cone {k} has dimension < {dim}")
+        normals = hrep.inequalities
+        if rank(normals) < dim:
+            raise FanError("NotStronglyConvex", f"maximal cone {k} contains a line")
+        facet_rays = tuple(tuple(i for i in idx if vdot(u, rays_t[i]) == 0) for u in normals)
+        if any(rank([u for u, f in zip(normals, facet_rays) if i in f]) < dim - 1 for i in idx):
             raise FanError(
                 "RayNotExtreme",
-                f"maximal cone {k} lists a generator that is not an "
-                "extreme ray",
+                f"maximal cone {k} lists a generator that is not an extreme ray",
             )
-        cones.append(ConeData(idx, dim, hrep, ()))
+        cones.append(ConeData(idx, dim, hrep, (), facet_rays))
 
     # face lattice, shared across cones and closed under taking faces
     faces: dict[tuple[int, ...], ConeData] = {}
@@ -449,11 +452,8 @@ def minimal_cone_containing(fan: Fan, x) -> ConeData:
     maximal cone containing x cut out by the facets of that cone that x lies
     on."""
     _, cone = fan.max_cone_containing(x)
-    on = [u for u in cone.facets.inequalities if vdot(u, x) == 0]
-    face = tuple(
-        i for i in cone.ray_indices if all(vdot(u, fan.rays[i]) == 0 for u in on)
-    )
-    return fan.faces[face]
+    on = [f for u, f in zip(cone.facets.inequalities, cone.facet_rays) if vdot(u, x) == 0]
+    return fan.faces[tuple(i for i in cone.ray_indices if all(i in f for f in on))]
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

@@ -192,8 +192,7 @@ def _wall_entry(fan: Fan, wall: Wall) -> tuple:
     off = [i for i in cone_a.ray_indices if i not in wall.ray_indices]
     scale = 1 / rel[off[0]]
     if len(off) > 1:
-        (u,) = (u for u in cone_a.facets.inequalities if not any(
-            vdot(u, fan.ray(i)) for i in wall.ray_indices))
+        u = cone_a.facets.inequalities[cone_a.facet_rays.index(wall.ray_indices)]
         v_off = vsum([fan.ray(i) for i in off], fan.dim)
         scale *= Fraction(vdot(u, v_off), vdot(u, fan.ray(off[0])))
     coeffs, denominator = _integer_row(list(rel.values()))
@@ -282,12 +281,11 @@ class PLBasis:
     values that do not refer to the fan.  The basis is the n global
     coordinate functionals followed by representatives of the quotient
     Pic(X)_R, pinned to vanish on the first maximal cone (_solve_pl_basis).
-    Only the
-    quotient functions are stored: quotient_functionals holds one tuple per
-    quotient function, with one functional per maximal cone.  Each basis
-    function's ray values are kept once, in basis order, in value_rows as
-    an integer row over a positive denominator; rows and classes are over
-    the quotient functions."""
+    Only the quotient functions are stored: quotient_functionals holds one
+    tuple per quotient function, with one functional per maximal cone.
+    Each basis function's ray values are kept once, in basis order, in
+    value_rows as an integer row over a positive denominator; rows and
+    classes are over the quotient functions."""
 
     quotient_functionals: tuple[tuple[Vec, ...], ...]
     value_rows: tuple[tuple[tuple[int, ...], int], ...]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import corpus, primcoll
 from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
-from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vdot, vsum
+from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vsum
 from .mori import _relation_extremal_walls, positively_proportional, relation_dense
 from .plfun import _relation_coordinates, _relation_quasi_projective, type_a_pairs
 from .refine import Refinement, simplicial_refinement
@@ -269,7 +269,8 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
 
 def stellar_subdivide(fan: Fan, cone_index: int) -> Fan:
     """Insert the primitivized generator sum of one maximal cone and replace
-    that cone by its joins with the new ray over each facet."""
+    that cone by its joins with the new ray over each facet, in facet_rays
+    order."""
     cone = fan.max_cones[cone_index]
     new_ray = primitivize(vsum([fan.ray(i) for i in cone.ray_indices], fan.dim))
     rays = [list(r) for r in fan.rays] + [list(new_ray)]
@@ -277,9 +278,7 @@ def stellar_subdivide(fan: Fan, cone_index: int) -> Fan:
     cones = [
         list(c.ray_indices) for k, c in enumerate(fan.max_cones) if k != cone_index
     ]
-    for u in cone.facets.inequalities:
-        facet = [i for i in cone.ray_indices if vdot(u, fan.ray(i)) == 0]
-        cones.append(sorted(facet + [new_idx]))
+    cones += ([*facet, new_idx] for facet in cone.facet_rays)
     return validate_fan(fan.dim, rays, cones)
 
 

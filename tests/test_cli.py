@@ -13,6 +13,7 @@ from fanforge import fan as fanmod
 from fanforge.fan import fan_from_json_obj, fans_equal
 from fanforge.linalg import format_rational, kernel_basis, primitivize, rref, vneg
 from test_cross_oracles import _route_fans
+from test_fan_verdicts import DEPENDENT
 from test_theorems import merged_fulton_fans
 
 
@@ -70,6 +71,29 @@ def test_module_entry_point_runs_from_a_checkout(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_verify_and_fan_errors_are_the_same_under_python_optimize(tmp_path, capsys):
+    # python -O strips asserts, so no verdict may rest on one
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run_optimized(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "fanforge", *argv],
+            env=env, capture_output=True, check=False,
+        )
+
+    proc = run_optimized("verify", "--all", "--seed", "7", "--random-fans", "25", "--json")
+    assert proc.returncode == 0 and len(proc.stdout) == VERIFY_ALL_BYTES
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_DIGEST
+    dim, rays, max_cones, _ = DEPENDENT["facet-interior-3d"]
+    p = tmp_path / "fan.json"
+    p.write_text(json.dumps({"dim": dim, "rays": rays, "max_cones": max_cones}))
+    proc = run_optimized("validate", "--fan", str(p))
+    code, _, err = run_cli(capsys, "validate", "--fan", str(p))
+    assert proc.returncode == code == 2
+    assert proc.stderr.decode() == err
 
 
 def test_validate_corrupted_fan(tmp_path, capsys):
@@ -494,10 +518,14 @@ def test_json_output_bytes_are_pinned(capsys, sub):
     assert h.hexdigest() == digest
 
 
+# the length and SHA-256 of verify --all --seed 7 --random-fans 25 --json
+VERIFY_ALL_BYTES = 18140
+VERIFY_ALL_DIGEST = "875cfefe2ddb57bcff9a66fa271f453fdce4bda52650d447369ee725b759a28e"
+
+
 def test_verify_all_bytes_are_pinned(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--all", "--seed", "7", "--random-fans", "25", "--json"
     )
-    assert code == 0 and len(out.encode()) == 18140
-    digest = "875cfefe2ddb57bcff9a66fa271f453fdce4bda52650d447369ee725b759a28e"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert code == 0 and len(out.encode()) == VERIFY_ALL_BYTES
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST

@@ -404,7 +404,7 @@ def faces_against_reference(f):
             for s in itertools.combinations(c.ray_indices, size)
         )
         for t in set(f.faces) | set(subsets):
-            assert fanmod._is_face(c, t, f.rays) == (t in max_face_sets[k])
+            assert fanmod._is_face(c, t) == (t in max_face_sets[k])
     differ = 0
     for key, (_, hrep) in memo.items():
         face = f.faces[key]
@@ -427,7 +427,7 @@ def test_faces_match_double_description_reference():
             pass
     fans += subdivided(corpus.cross_fan(4), 2, 3) + subdivided(corpus.cube_fan(4), 2, 3)
     simplicial_faces = sum(faces_against_reference(f) for f in fans)
-    # 101 fans, 5 of them not simplicial; 1,821 faces are described by the
+    # 101 fans, 5 of them not simplicial; 1,575 faces are described by the
     # normals of a maximal cone rather than by their own description
     assert len(fans) >= 100 and sum(not f.is_simplicial for f in fans) >= 5
     assert simplicial_faces >= 1500
@@ -475,7 +475,6 @@ def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
     fans = subdivided(corpus.cross_fan(4), 2, 5)
     calls = []
     monkeypatch.setattr(fanmod, "v_to_h", spy(fanmod.v_to_h, calls))
-    monkeypatch.setattr(fanmod, "double_description", spy(fanmod.double_description, calls))
     monkeypatch.setattr(conesmod, "double_description", spy(conesmod.double_description, calls))
     for f in fans:
         assert f.is_simplicial
@@ -485,14 +484,13 @@ def test_simplicial_fans_describe_only_their_maximal_cones(monkeypatch):
 
 
 def test_non_simplicial_cones_describe_no_face(monkeypatch):
-    # a non-simplicial maximal cone takes one v_to_h, itself a double
-    # description, and one double description of its facets for its extreme
-    # rays; its faces are read off which normals vanish on which rays
+    # a non-simplicial maximal cone takes one v_to_h, itself its one double
+    # description; its normals decide pointedness and extreme rays, and its
+    # faces are read off which normals vanish on which rays
     fans = subdivided(corpus.cube_fan(3), 2, 3) + subdivided(corpus.cube_fan(4), 2, 3)
     fans.append(moved_vertex_cube_fan())
     hulls, descriptions = [], []
     monkeypatch.setattr(fanmod, "v_to_h", spy(fanmod.v_to_h, hulls))
-    monkeypatch.setattr(fanmod, "double_description", spy(fanmod.double_description, descriptions))
     monkeypatch.setattr(conesmod, "double_description", spy(conesmod.double_description, descriptions))
     for f in fans:
         hulls.clear()
@@ -500,7 +498,32 @@ def test_non_simplicial_cones_describe_no_face(monkeypatch):
         validate_fan(*fan_args(f))
         n = sum(len(c.ray_indices) > f.dim for c in f.max_cones)
         assert n > 0
-        assert len(hulls) == n and len(descriptions) == 2 * n
+        assert len(hulls) == n and len(descriptions) == n
+
+
+def test_facet_rays_are_the_rays_on_each_facet():
+    # each maximal cone keeps, per facet inequality, the rays that lie on
+    # that facet, and is its own face; a face keeps none
+    fans = [f for _, f in corpus.paper_examples()]
+    for args in verdict_inputs():
+        try:
+            fans.append(validate_fan(*args))
+        except FanError:
+            pass
+    for base in (corpus.cube_fan, corpus.cross_fan):
+        for dim in (3, 4):
+            fans += subdivided(base(dim), 2, 3)
+    fans.append(moved_vertex_cube_fan())
+    for f in fans:
+        for c in f.max_cones:
+            assert c.facet_rays == tuple(
+                tuple(i for i in c.ray_indices if vdot(u, f.ray(i)) == 0)
+                for u in c.facets.inequalities
+            )
+            assert f.faces[c.ray_indices] is c
+        maximal = {c.ray_indices for c in f.max_cones}
+        assert all(face.facet_rays == () for t, face in f.faces.items() if t not in maximal)
+    assert sum(not f.is_simplicial for f in fans) >= 10
 
 
 def reference_frame(cone, rays):
@@ -576,6 +599,20 @@ DEPENDENT = {
     # and an earlier dependent cone before a later bad one
     "dependent-first": (2, [(1, 0), (-1, 0), (0, 1)], [[0, 1], [0, 1, 2]],
                         "MaxConeNotFullDim: maximal cone 0 has dimension < 2"),
+    # more than dim rays in 3-D: a ray inside a facet of the square cone,
+    # a ray inside the positive orthant, a line, and a line named before a
+    # later cone with a ray that is not extreme
+    "facet-interior-3d": (3, [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1), (1, 0, 1)],
+                          [[0, 1, 2, 3, 4]],
+                          "RayNotExtreme: maximal cone 0 lists a generator that is not an "
+                          "extreme ray"),
+    "interior-3d": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [[0, 1, 2, 3]],
+                    "RayNotExtreme: maximal cone 0 lists a generator that is not an extreme ray"),
+    "line-3d": (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2, 3]],
+                "NotStronglyConvex: maximal cone 0 contains a line"),
+    "line-before-not-extreme-3d": (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                                   [[0, 1, 2, 3], [0, 2, 3, 4]],
+                                   "NotStronglyConvex: maximal cone 0 contains a line"),
 }
 
 
