@@ -52,9 +52,9 @@ class ConeData:
     exact facet description (inequalities plus span equalities) and frame.
     A maximal cone has v_to_h's facets, sorted (read off the inverse of its
     ray matrix if it has dim rays), and facet_rays: for each inequality, in
-    order, the sorted indices of its rays that lie on that facet.  A face
-    has its maximal cone's normals, those vanishing on it as equalities,
-    and empty facet_rays."""
+    order, the sorted indices of its rays that lie on that facet.  A maximal
+    cone is its own face; any other face has its maximal cone's normals,
+    those vanishing on it as equalities, and empty facet_rays."""
 
     ray_indices: tuple[int, ...]
     dim: int

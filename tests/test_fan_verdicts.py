@@ -9,8 +9,9 @@ orthant inequalities that cut the fan out.  The facet-matching test that
 accepts fans is checked against the pairwise intersection of maximal cones,
 and the walls and support it reads off the facets against a scan of every
 face against every cone and the boundary walls' rows; both are kept here
-as references.  The face lattice, whose faces are read off their maximal
-cone's normals, is checked against a double description of every face, and
+as references.  Each maximal cone's facet_rays is checked against the rays
+its normals vanish on.  The face lattice, whose faces are read off that
+incidence, is checked against a double description of every face, and
 each simplicial cone's facets and frame, read off the inverse of its ray
 matrix, against its double description and a search of its facets.
 """
