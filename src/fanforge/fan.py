@@ -390,8 +390,11 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
 
     # dim rays span iff independent, and then all are extreme.  Any other
     # cone is full-dimensional iff its facets have no equalities, pointed iff
-    # its facet normals have rank dim, and then a ray is extreme iff the
-    # normals vanishing on it have rank dim - 1
+    # its facet normals have rank dim, and then listed ray i is extreme iff
+    # no other listed ray lies on every facet that i lies on: those facets
+    # cut out the least face containing i, generated by the listed rays on
+    # it, and a second listed ray on it is not proportional to i (duplicates
+    # and lines are rejected), so it exists iff the face has dimension >= 2
     cones: list[ConeData] = []
     for k, idx in enumerate(cone_sets):
         if len(idx) == dim:
@@ -404,7 +407,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
         if rank(normals) < dim:
             raise FanError("NotStronglyConvex", f"maximal cone {k} contains a line")
         facet_rays = tuple(tuple(i for i in idx if vdot(u, rays_t[i]) == 0) for u in normals)
-        if any(rank([u for u, f in zip(normals, facet_rays) if i in f]) < dim - 1 for i in idx):
+        if any(len(set(idx).intersection(*(f for f in facet_rays if i in f))) > 1 for i in idx):
             raise FanError(
                 "RayNotExtreme",
                 f"maximal cone {k} lists a generator that is not an extreme ray",

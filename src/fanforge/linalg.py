@@ -1,9 +1,11 @@
 """Exact rational vectors and matrices.
 
 Vectors are tuples of int or Fraction, matrices are sequences of such
-tuples.  The vector helpers compute on their entries as given, so lattice
-vectors stay ints and a Fraction appears only where one went in or where a
-quotient is formed.  Everything here is exact; no floats are ever produced.
+tuples.  The vector helpers map ``operator``'s functions over the entries
+as given, so lattice vectors stay ints and a Fraction appears only where
+one went in or where a quotient is formed; as ``map`` would truncate, the
+helpers of two or more vectors check lengths and raise ValueError.
+Everything here is exact; no floats are ever produced.
 
 All elimination runs through one fraction-free Gauss-Jordan step,
 ``_pivot``, on integer rows over a common denominator (Bareiss 1968;
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[int | Fraction, ...]
@@ -33,34 +36,41 @@ def vzero(dim: int) -> Vec:
 
 
 def vadd(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(sub, a, b))
 
 
 def vscale(c, a: Sequence) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vdot(a: Sequence, b: Sequence) -> int | Fraction:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return sum(map(mul, a, b))
 
 
 def vneg(a: Sequence) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def vsum(vectors: Iterable[Sequence], dim: int) -> Vec:
     total = [0] * dim
     for v in vectors:
-        for i, x in enumerate(v):
-            total[i] += x
+        if len(v) != dim:
+            raise ValueError(f"a vector of length {len(v)}, not {dim}")
+        total = list(map(add, total, v))
     return tuple(total)
 
 

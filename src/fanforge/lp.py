@@ -11,7 +11,7 @@ Data are ints or Fractions and answers are Fractions; inside, the tableau
 is integer over one common denominator d, as in Avis's lrs, and pivots
 with the fraction-free step of ``linalg``.  Only signs and exact ratios
 steer Bland's rule, so the pivot sequence is the one a Fraction tableau
-would take.
+would take; as in lrs, they price off one kept integer objective row.
 
 A column map gives each column of the LP as k times a stored column.
 ``strict_feasible``'s slack LP splits each free coordinate as u - v, and
@@ -20,11 +20,11 @@ the common L, three column identities hold: v = -u, a row's slack is -L
 times that row's artificial column, and the cap slack is +L times the cap
 row's artificial.  Row operations keep every linear relation between
 columns, so only [x | t | artificials | rhs] is stored, about half the
-width.  Bland's rule still prices, ratio-tests and breaks ties on the full
-LP's numbers and column order, so the pivots, the witness and the
-certificate are those of the full-width tableau.  ``solve_nonneg`` reads x
-off the phase-1 basis: a drive-out pivot is degenerate and a zero-cost
-phase 2 makes none.
+width.  Bland's rule still prices (k times the kept row's stored entry),
+ratio-tests and breaks ties on the full LP's numbers and column order, so
+the pivots, the witness and the certificate are the full-width tableau's.
+``solve_nonneg`` reads x off the phase-1 basis: a drive-out pivot is
+degenerate and a zero-cost phase 2 makes none.
 """
 
 from __future__ import annotations
@@ -54,12 +54,19 @@ def _bland_loop(T, basis, cost, allowed, d, cols):
 
     T is the integer tableau over the denominator d > 0, and column j of the
     LP is cols[j] = (s, k), k times stored column s.  The reduced cost of
-    column j times d is d * cost[j] - sum_i cost[basis[i]] * T[i][j], and the
-    ratio test cross-multiplies.  Returns (status, d)."""
+    column j times d is d * cost[j] - k * z[s] for the kept row z = sum_i
+    cost[basis[i]] * T[i], summed once; the ratio test cross-multiplies.  A
+    pivot on row r of column j, with col = k * T[.][s] and p = col[r], keeps
+    T[r] and maps row i != r to the integer row (p * T[i] - col[i] * T[r]) / d.
+    As sum_(i != r) cost[basis[i]] * col[i] = k * z[s] - cost[basis[r]] * p,
+    z becomes (p * z - k * z[s] * T[r]) / d + cost[j] * T[r]: the division is
+    exact, as that z and cost[j] * T[r] are integer rows.  Returns (status, d)."""
+    z = [0] * (1 + max((s for s, _ in cols), default=-1))  # the stored columns
+    for row, bi in zip(T, basis):
+        if w := cost[bi]:
+            z = [a + w * x for a, x in zip(z, row)]
     while True:
-        priced = [(row, cost[bi]) for row, bi in zip(T, basis) if cost[bi]]
-        enter = next((j for j in allowed if d * cost[j] > cols[j][1] * sum(
-            w * row[cols[j][0]] for row, w in priced)), None)
+        enter = next((j for j in allowed if d * cost[j] > cols[j][1] * z[cols[j][0]]), None)
         if enter is None:
             return OPTIMAL, d
         s, k = cols[enter]
@@ -72,6 +79,8 @@ def _bland_loop(T, basis, cost, allowed, d, cols):
             lhs, rhs = T[i][-1] * col[leave], T[leave][-1] * col[i]
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
+        p, zs, c, row = col[leave], k * z[s], cost[enter], T[leave]
+        z = [(p * a - zs * x) // d + c * x for a, x in zip(z, row)]
         d = _pivot(T, leave, col, d)
         basis[leave] = enter
 

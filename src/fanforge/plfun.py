@@ -315,20 +315,23 @@ class PLBasis:
     def combine(self, fan: Fan, coeffs) -> PLFunction:
         """The combination of the basis functions on fan, whose pl_basis this
         is: the first n coefficients are the coordinates of a global linear
-        functional, and a zero quotient coefficient adds nothing."""
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.dim_pl:
-            raise ValueError(f"need {self.dim_pl} coefficients, got {len(coeffs)}")
-        lin, quotient = coeffs[:fan.dim], coeffs[fan.dim:]
-        ms = []
-        for k in range(len(fan.max_cones)):
-            m = list(lin)
-            for c, q in zip(quotient, self.quotient_functionals):
-                if c:
-                    for d in range(fan.dim):
-                        m[d] += c * q[k][d]
-            ms.append(tuple(m))
-        return PLFunction(fan, tuple(ms))
+        functional, and a zero quotient coefficient adds nothing.  Summed in
+        integers: the coefficients over e, each quotient function used over
+        its own s_j, and one Fraction per entry over e * lcm(s_j)."""
+        ints, e = _integer_row([Fraction(c) for c in coeffs])
+        if len(ints) != self.dim_pl:
+            raise ValueError(f"need {self.dim_pl} coefficients, got {len(ints)}")
+        n, ncones = fan.dim, len(fan.max_cones)
+        terms = [(c, *_integer_row([x for m in q for x in m]))
+                 for c, q in zip(ints[n:], self.quotient_functionals) if c]
+        scale = lcm(*(s for _, _, s in terms))
+        total = [x * scale for x in ints[:n]] * ncones
+        for c, row, s in terms:
+            w = c * (scale // s)
+            total = [t + w * x for t, x in zip(total, row)]
+        return PLFunction(fan, tuple(
+            tuple(Fraction(x, e * scale) for x in total[k * n:(k + 1) * n]) for k in range(ncones)
+        ))
 
 
 def pl_basis(fan: Fan) -> PLBasis:

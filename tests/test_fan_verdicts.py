@@ -10,7 +10,8 @@ accepts fans is checked against the pairwise intersection of maximal cones,
 and the walls and support it reads off the facets against a scan of every
 face against every cone and the boundary walls' rows; both are kept here
 as references.  Each maximal cone's facet_rays is checked against the rays
-its normals vanish on.  The face lattice, whose faces are read off that
+its normals vanish on, and its extreme rays are decided off that incidence
+with no elimination beyond the one for pointedness.  The face lattice, whose faces are read off that
 incidence, is checked against a double description of every face, and
 each simplicial cone's facets and frame, read off the inverse of its ray
 matrix, against its double description and a search of its facets.
@@ -500,6 +501,29 @@ def test_non_simplicial_cones_describe_no_face(monkeypatch):
         n = sum(len(c.ray_indices) > f.dim for c in f.max_cones)
         assert n > 0
         assert len(hulls) == n and len(descriptions) == n
+
+
+def test_extreme_rays_are_read_off_the_facet_incidence(monkeypatch):
+    # a non-simplicial maximal cone takes one rank, of its normals, for
+    # pointedness; its extreme rays are read off facet_rays, so every other
+    # rank of validation is one that _cone_faces takes for a face
+    ranks, in_faces = [], []
+    real_faces = fanmod._cone_faces
+
+    def faces(*args):
+        before = len(ranks)
+        real_faces(*args)
+        in_faces.append(len(ranks) - before)
+
+    monkeypatch.setattr(fanmod, "rank", spy(fanmod.rank, ranks))
+    monkeypatch.setattr(fanmod, "_cone_faces", faces)
+    for f in subdivided(corpus.cube_fan(4), 2, 3):
+        ranks.clear()
+        in_faces.clear()
+        validate_fan(*fan_args(f))
+        n = sum(len(c.ray_indices) > f.dim for c in f.max_cones)
+        assert n > 0
+        assert len(ranks) - sum(in_faces) == n
 
 
 def test_facet_rays_are_the_rays_on_each_facet():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fanforge.linalg import (
     det,
     format_rational,
+    is_zero_vec,
     kernel_basis,
     parse_rational,
     primitivize,
@@ -301,15 +302,18 @@ mixed = st.one_of(small_ints, rationals)
 
 
 @st.composite
-def mixed_vectors(draw, count=3):
-    """count vectors of one length, each entry an int or a Fraction."""
+def helper_inputs(draw, count=3):
+    """count vectors of one length and a scalar; in half the draws every
+    entry and the scalar are ints, otherwise each is an int or a Fraction."""
+    entries = draw(st.sampled_from([small_ints, mixed]))
     n = draw(st.integers(0, 5))
-    return [tuple(draw(mixed) for _ in range(n)) for _ in range(count)]
+    return [tuple(draw(entries) for _ in range(n)) for _ in range(count)], draw(entries)
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_vectors(), mixed)
-def test_vector_helpers_match_fraction_reference(vectors, c):
+@given(helper_inputs())
+def test_vector_helpers_match_fraction_reference(inputs):
+    vectors, c = inputs
     a, b, _ = vectors
     n = len(a)
     cases = [
@@ -320,6 +324,7 @@ def test_vector_helpers_match_fraction_reference(vectors, c):
         (vneg(a), reference_vneg(a)),
         (vsum(vectors, n), reference_vsum(vectors, n)),
     ]
+    assert is_zero_vec(a) is all(Fraction(x) == 0 for x in a)
     if any(x != 0 for x in a):
         cases.append((primitivize(a), reference_primitivize(a)))
     else:
@@ -332,3 +337,15 @@ def test_vector_helpers_match_fraction_reference(vectors, c):
         # lattice vectors stay ints
         for got, _ in cases:
             assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("a, b", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))])
+def test_vector_helpers_reject_vectors_of_different_lengths(a, b):
+    # map stops at the shorter vector; the helpers must not truncate
+    for helper in (vadd, vsub, vdot):
+        with pytest.raises(ValueError):
+            helper(a, b)
+    with pytest.raises(ValueError):
+        vsum([a, b], len(a))
+    with pytest.raises(ValueError):
+        vsum([b], len(a))

@@ -181,6 +181,31 @@ def test_seeded_lps_match_pinned_digest(monkeypatch):
     assert any(p < 0 for p in pivots)
 
 
+def reference_bland_loop(T, basis, cost, allowed, d, cols):
+    """lp._bland_loop as it was before it kept the objective row: every
+    round re-sums cost[basis[i]] * T[i][s] over the priced rows for each
+    candidate column.  It pivots through lp._pivot, so a spy on that hook
+    sees its pivots."""
+    while True:
+        priced = [(row, cost[bi]) for row, bi in zip(T, basis) if cost[bi]]
+        enter = next((j for j in allowed if d * cost[j] > cols[j][1] * sum(
+            w * row[cols[j][0]] for row, w in priced)), None)
+        if enter is None:
+            return lp.OPTIMAL, d
+        s, k = cols[enter]
+        col = [k * row[s] for row in T]
+        rows = [i for i, a in enumerate(col) if a > 0]
+        if not rows:
+            return lp.UNBOUNDED, d
+        leave = rows[0]
+        for i in rows[1:]:
+            lhs, rhs = T[i][-1] * col[leave], T[leave][-1] * col[i]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        d = lp._pivot(T, leave, col, d)
+        basis[leave] = enter
+
+
 def reference_strict_feasible(strict, weak, eqs, dim):
     """strict_feasible as it was before it stored half the columns: each
     free coordinate split as u - v and one explicit slack per strict, weak
@@ -272,7 +297,8 @@ SEEDED_STRICT_DIGEST = "4de6400cb66722e839d53931a9542ad474b592ae1acbd037de587258
 @pytest.fixture
 def counted(monkeypatch):
     """Call a function and list the pivot elements it takes through
-    lp._pivot, in order."""
+    lp._pivot, in order; with reference=True the simplex prices with
+    reference_bland_loop."""
     pivots = []
     real_pivot = lp._pivot
 
@@ -283,9 +309,12 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", counting)
 
-    def run(fn, *args):
+    def run(fn, *args, reference=False):
         pivots.clear()
-        out = fn(*args)
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(lp, "_bland_loop", reference_bland_loop)
+            out = fn(*args)
         return out, list(pivots)
 
     return run
@@ -294,7 +323,7 @@ def counted(monkeypatch):
 def assert_same_as_reference(counted, systems):
     for system in systems:
         got, got_pivots = counted(lp.strict_feasible, *system)
-        want, want_pivots = counted(reference_strict_feasible, *system)
+        want, want_pivots = counted(reference_strict_feasible, *system, reference=True)
         # the same witness, certificate and entry types after as many
         # pivots, on the same pivot elements
         assert repr(got) == repr(want) and got_pivots == want_pivots
@@ -375,3 +404,17 @@ def test_solve_nonneg_is_the_zero_cost_simplex():
         else:
             assert x == res.x and list(map(type, x)) == list(map(type, res.x))
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_kept_objective_row_takes_the_reference_pivots(counted):
+    # solve_nonneg prices phase 1's costs 0 and -1; simplex_max's phase 2
+    # prices each LP's own integerized costs
+    runs = [(lp.solve_nonneg, gens, target) for gens, target in seeded_memberships()]
+    runs += [(lp.simplex_max, A, b, c) for A, b, c in seeded_lps()]
+    pivoted = 0
+    for fn, *args in runs:
+        got, got_pivots = counted(fn, *args)
+        want, want_pivots = counted(fn, *args, reference=True)
+        assert repr(got) == repr(want) and got_pivots == want_pivots
+        pivoted += len(got_pivots) > 0
+    assert pivoted > len(runs) // 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import cli, corpus, mori, plfun, refine
+from fanforge import cli, corpus, lp, mori, plfun, refine
 from fanforge.fan import ConeData, validate_fan
 from fanforge.linalg import ZERO, kernel_basis, rref, solve_linear, vdot, vec, vscale, vsub, vsum
 from fanforge.mori import extremal_walls, mori_cone
@@ -31,6 +31,7 @@ from fanforge.primcoll import primitive_relations
 from fanforge.refine import qp_refinement, simplicial_refinement
 from fanforge.theorems import check_type_a_description, random_complete_fan, stellar_subdivide
 from test_cross_oracles import _route_fans
+from test_theorems import moved_vertex_cube_fan
 
 
 def test_zero_function():
@@ -184,6 +185,63 @@ def test_pl_constructors_match_the_fraction_oracles(monkeypatch):
     # combinations; ray values on the 32 simplicial fans and the 7 refined
     # functions
     assert len(passed) == 84 and len(values) == 39
+
+
+def reference_combine(basis, fan, coeffs):
+    """PLBasis.combine's cone functionals as they were before it summed in
+    integers: one Fraction operation per term of every entry."""
+    coeffs = [Fraction(c) for c in coeffs]
+    lin, quotient = coeffs[:fan.dim], coeffs[fan.dim:]
+    ms = []
+    for k in range(len(fan.max_cones)):
+        m = list(lin)
+        for c, q in zip(quotient, basis.quotient_functionals):
+            if c:
+                for d in range(fan.dim):
+                    m[d] += c * q[k][d]
+        ms.append(tuple(m))
+    return tuple(ms)
+
+
+def test_combine_matches_the_fraction_reference():
+    # the paper examples, cube and cross fans in dimensions 3 and 4, the
+    # moved-vertex cube fan (Picard rank 0), 20 seed-13 random fans and the
+    # fine fans of the non-simplicial ones' quasi-projective refinements,
+    # whose quotient functions have different denominators; each with its
+    # quasi-projectivity witness and with coefficients that mix ints and
+    # Fractions, a nonzero linear part and some zero quotient coefficients
+    rng = random.Random(13)
+    fans = [f for _, f in corpus.paper_examples()]
+    fans += [corpus.cube_fan(3), corpus.cube_fan(4), corpus.cross_fan(3), corpus.cross_fan(4)]
+    fans += [moved_vertex_cube_fan()] + [random_complete_fan(rng)[1] for _ in range(20)]
+    for k, f in enumerate(list(fans)):
+        ok, witness = is_quasi_projective(f)
+        if ok and not f.is_simplicial:
+            fans.append(qp_refinement(f, (), witness, seed=k)[0].fine)
+
+    def entry():
+        return rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    mixed = witnesses = 0
+    denominators = set()
+    for f in fans:
+        b = pl_basis(f)
+        denominators.add(len({max(x.denominator for m in q for x in m)
+                              for q in b.quotient_functionals}))
+        draws = []
+        for _ in range(3):
+            lin = [entry() or 1 for _ in range(f.dim)]
+            draws.append(lin + [rng.choice([0, entry()]) for _ in range(b.dim_pic)])
+            mixed += 0 in draws[-1][f.dim:] and any(draws[-1][f.dim:])
+        witness, _ = lp.strict_feasible(wall_rows(f, b), [], [], b.dim_pic)
+        if witness is not None:
+            draws.append((0,) * f.dim + witness)
+            witnesses += 1
+        for coeffs in draws:
+            got = b.combine(f, coeffs).cone_functionals
+            assert got == reference_combine(b, f, coeffs)
+            assert all(type(x) is Fraction for m in got for x in m)
+    assert mixed > 20 and witnesses > 20 and max(denominators) > 1
 
 
 def test_all_ones_on_split_pyramid_convex_not_strict():
