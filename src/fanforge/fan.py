@@ -112,6 +112,9 @@ class Fan:
                 first.setdefault(i, k)
         # for each ray, the smallest-index maximal cone containing it
         self.ray_cone: tuple[int, ...] = tuple(first[i] for i in range(len(rays)))
+        # for each maximal cone, its rays as a bitmask: bit i for ray i
+        self.cone_masks: tuple[int, ...] = tuple(
+            sum(1 << i for i in c.ray_indices) for c in max_cones)
         self._derived: dict[str, object] = {}
 
     @property
@@ -130,6 +133,10 @@ class Fan:
         if name not in self._derived:
             self._derived[name] = compute()
         return self._derived[name]
+
+    def is_coface(self, mask: int) -> bool:
+        """Do the rays of the bitmask all lie in one maximal cone?"""
+        return any(mask & c == mask for c in self.cone_masks)
 
     def max_cone_containing(self, x) -> tuple[int, ConeData]:
         """Some maximal cone containing x (the smallest index one)."""
@@ -441,8 +448,7 @@ def validate_fan(dim: int, rays, max_cones) -> Fan:
 
 def contained_in_single_cone(fan: Fan, ray_set) -> bool:
     """Is the ray index set contained in sigma(1) for some cone sigma?"""
-    s = set(ray_set)
-    return any(s <= set(c.ray_indices) for c in fan.max_cones)
+    return fan.is_coface(sum(1 << i for i in set(ray_set)))
 
 
 def generates_cone(fan: Fan, ray_set) -> bool:

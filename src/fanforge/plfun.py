@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import lp
-from .fan import Fan, Wall, contained_in_single_cone
-from .linalg import ONE, Vec, _integer_row, kernel_basis, rref
-from .linalg import format_rational, parse_rational, vadd, vdot, vec, vscale, vsum
+from .fan import Fan, Wall
+from .linalg import ONE, ZERO, Vec, _eliminate, _integer_row, kernel_basis, rref
+from .linalg import format_rational, parse_rational, primitivize, vadd, vdot, vec, vscale, vsum
 
 RelationVector = dict[int, Fraction]
 
@@ -242,11 +242,12 @@ def _relation_coordinates(fan: Fan) -> RelationCoordinates:
 
 def _relation_pointed(fan: Fan) -> bool:
     """Does some point pair positively with every nonzero wall row in
-    relation coordinates?  One exact LP, once per fan, its point re-checked."""
+    relation coordinates?  One exact LP, once per fan, on the rows' distinct
+    primitive directions in first-seen order, its point checked on each row."""
     def solve():
         rc = _relation_coordinates(fan)
         rows = [r for r in rc.rows if any(r)]
-        x, _ = lp.strict_feasible(rows, [], [], rc.dim)
+        x, _ = lp.strict_feasible(list(dict.fromkeys(map(primitivize, rows))), [], [], rc.dim)
         if x is not None and any(vdot(r, x) <= 0 for r in rows):
             raise RuntimeError("LP point does not pair positively with every wall relation")
         return x is not None
@@ -281,13 +282,14 @@ class PLBasis:
     values that do not refer to the fan.  The basis is the n global
     coordinate functionals followed by representatives of the quotient
     Pic(X)_R, pinned to vanish on the first maximal cone (_solve_pl_basis).
-    Only the quotient functions are stored: quotient_functionals holds one
-    tuple per quotient function, with one functional per maximal cone.
-    Each basis function's ray values are kept once, in basis order, in
-    value_rows as an integer row over a positive denominator; rows and
-    classes are over the quotient functions."""
+    Only the quotient functions are stored: quotient holds one integer row
+    per function, its cone functionals stacked, over one denominator in
+    lowest terms.  Each basis function's ray values are kept once, in basis
+    order, in value_rows as an integer row over a positive denominator;
+    rows and classes are over the quotient functions."""
 
-    quotient_functionals: tuple[tuple[Vec, ...], ...]
+    quotient: tuple[tuple[int, ...], ...]
+    denominator: int
     value_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
@@ -296,7 +298,15 @@ class PLBasis:
 
     @property
     def dim_pic(self) -> int:
-        return len(self.quotient_functionals)
+        return len(self.quotient)
+
+    @property
+    def quotient_functionals(self) -> tuple[tuple[Vec, ...], ...]:
+        """One tuple per quotient function, with one functional per maximal
+        cone, as Fractions; every zero entry is the shared ZERO."""
+        n, d = self.dim_pl - self.dim_pic, self.denominator
+        return tuple(tuple(tuple(Fraction(x, d) if x else ZERO for x in q[k:k + n])
+                           for k in range(0, len(q), n)) for q in self.quotient)
 
     @property
     def ray_values(self) -> tuple[Vec, ...]:
@@ -316,21 +326,18 @@ class PLBasis:
         """The combination of the basis functions on fan, whose pl_basis this
         is: the first n coefficients are the coordinates of a global linear
         functional, and a zero quotient coefficient adds nothing.  Summed in
-        integers: the coefficients over e, each quotient function used over
-        its own s_j, and one Fraction per entry over e * lcm(s_j)."""
+        integers: the coefficients over e and the quotient rows over d, with
+        one Fraction per entry over e * d."""
         ints, e = _integer_row([Fraction(c) for c in coeffs])
         if len(ints) != self.dim_pl:
             raise ValueError(f"need {self.dim_pl} coefficients, got {len(ints)}")
-        n, ncones = fan.dim, len(fan.max_cones)
-        terms = [(c, *_integer_row([x for m in q for x in m]))
-                 for c, q in zip(ints[n:], self.quotient_functionals) if c]
-        scale = lcm(*(s for _, _, s in terms))
-        total = [x * scale for x in ints[:n]] * ncones
-        for c, row, s in terms:
-            w = c * (scale // s)
-            total = [t + w * x for t, x in zip(total, row)]
+        n, d = fan.dim, self.denominator
+        total = [x * d for x in ints[:n]] * len(fan.max_cones)
+        for c, q in zip(ints[n:], self.quotient):
+            if c:
+                total = vadd(total, vscale(c, q))
         return PLFunction(fan, tuple(
-            tuple(Fraction(x, e * scale) for x in total[k * n:(k + 1) * n]) for k in range(ncones)
+            tuple(Fraction(x, e * d) for x in total[k:k + n]) for k in range(0, len(total), n)
         ))
 
 
@@ -341,14 +348,14 @@ def pl_basis(fan: Fan) -> PLBasis:
 
 def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
     """The rays outside the first maximal cone, the functions K over them
-    and each non-simplicial cone k's inverse rows (k, ray, row), derived
-    once per fan.  A PL function on full-dimensional cones is its ray
-    values, subject only to each non-simplicial cone's relations among its
-    own rays (Cox, Little and Schenck, ch. 4 and 6); those pinned to 0 on
-    the first cone are spanned by K, integer rows of the relations' kernel,
-    or None for the identity.  One elimination of [rays | I] per cone gives
-    an independent ray set S (dim pivots), S's inverse and one relation per
-    other ray."""
+    and every maximal cone k > 0's inverse rows (k, ray, row, d), each over
+    d, derived once per fan.  A PL function on full-dimensional cones is its
+    ray values, subject only to each non-simplicial cone's relations among
+    its own rays (Cox, Little and Schenck, ch. 4 and 6); those pinned to 0
+    on the first cone are spanned by K, integer rows of the relations'
+    kernel, or None for the identity.  A simplicial cone's inverse is its
+    frame; one elimination of [rays | I] gives any other's independent ray
+    set S (dim pivots), S's inverse and one relation per other ray."""
     def solve():
         n = fan.dim
         first = set(fan.max_cones[0].ray_indices)
@@ -357,17 +364,18 @@ def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
         inverses, relations = [], []
         for k, c in enumerate(fan.max_cones[1:], 1):
             if c.frame:
+                inverses += ((k, j, *f) for j, f in zip(c.ray_indices, c.frame))
                 continue
             rays, r = c.ray_indices, len(c.ray_indices)
-            red, pivots = rref([[fan.ray(i)[d] for i in rays] + [int(e == d) for e in range(n)]
-                                for d in range(n)])
+            T, pivots, d, _ = _eliminate([[fan.ray(i)[e] for i in rays]
+                                          + [int(f == e) for f in range(n)] for e in range(n)])
             if pivots[-1] >= r:
                 raise RuntimeError(f"the rays of maximal cone {k} do not span")
-            inverses += ((k, rays[p], row[r:]) for row, p in zip(red, pivots))
+            inverses += ((k, rays[p], row[r:], d) for row, p in zip(T, pivots))
             for q in (q for q in range(r) if q not in pivots):
-                # ray q is sum_p red[p][q] S_p, and so is its value
+                # d times ray q is sum_p T[p][q] S_p, and so is its value
                 rel = [0] * len(outside)
-                for i, x in [(rays[q], -1)] + [(rays[p], row[q]) for row, p in zip(red, pivots)]:
+                for i, x in [(rays[q], -d)] + [(rays[p], row[q]) for row, p in zip(T, pivots)]:
                     if x and i in column:
                         rel[column[i]] += x
                 if any(rel):
@@ -381,39 +389,41 @@ def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
 
 def _solve_pl_basis(fan: Fan) -> PLBasis:
     """The function space in ray values (_cone_relations).  span[j] holds
-    the cone functionals of a unit value at ray j: u_j / s_j on a
-    simplicial cone (ConeData.frame), else its row of the inverse.  The
-    span rows, or K mapped through them, span the quotient.
-
-    The stored basis is the reduced one in stacked cone-functional columns:
-    one function per free column f, 1 at f and 0 at the other free columns.
-    A column is free exactly when some function has its last nonzero entry
-    there, so the reduced row echelon form of the reversed spanning rows,
-    which is unique, is that basis reversed."""
-    n = fan.dim
+    the cone functionals of a unit value at ray j, its rows of the cones'
+    inverses, in integers over their lcm; they, or K mapped through them,
+    span the quotient.  The stored basis is the reduced one in stacked
+    cone-functional columns: one function per free column f, 1 at f and 0
+    at the other free columns.  A column is free exactly when some function
+    has its last nonzero entry there, so the reduced row echelon form of the
+    reversed spanning rows, unique whatever their scales, is that basis
+    reversed: one _eliminate's rows q over d.  On cone k a function is
+    q_k / d, in lowest terms over d / gcd(d, q_k)."""
+    n, width = fan.dim, len(fan.max_cones) * fan.dim
     rays, functions, inverses = _cone_relations(fan)
-    width = len(fan.max_cones) * n
+    scales = dict.fromkeys(rays, 1)
+    for _, j, _, s in inverses:
+        if j in scales:
+            scales[j] = lcm(scales[j], s)
     span = {j: [0] * width for j in rays}
-    for k, c in enumerate(fan.max_cones[1:], 1):
-        for j, (u, s) in zip(c.ray_indices, c.frame):
-            if j in span:
-                span[j][k * n:(k + 1) * n] = (Fraction(x, s) for x in u)
-    for k, j, m in inverses:
+    for k, j, u, s in inverses:
         if j in span:
-            span[j][k * n:(k + 1) * n] = m
+            span[j][k * n:(k + 1) * n] = vscale(scales[j] // s, u)
     rows = list(span.values())
     if functions is not None:
-        rows = [vsum([vscale(xj, row) for xj, row in zip(x, rows) if xj], width)
-                for x in functions]
-    red, _ = rref([row[::-1] for row in rows])
-    quotient = tuple(
-        tuple(s[j * n:(j + 1) * n] for j in range(len(fan.max_cones)))
-        for s in (row[::-1] for row in reversed(red))
-    )
-    value_rows = [(values, 1) for values in zip(*fan.rays)] + [
-        PLFunction(fan, ms).integer_ray_values() for ms in quotient
-    ]
-    return PLBasis(quotient, tuple(value_rows))
+        scale = lcm(*scales.values())
+        rows = [vsum([vscale(c * (scale // scales[j]), span[j]) for c, j in zip(k, rays) if c],
+                     width) for k in functions]
+    T, pivots, d, _ = _eliminate([row[::-1] for row in rows])
+    red = T[:len(pivots)]
+    g = gcd(d, *(x for row in red for x in row)) * (1 if d > 0 else -1)
+    quotient, d = tuple(tuple(x // g for x in reversed(row)) for row in reversed(red)), d // g
+    value_rows = [(values, 1) for values in zip(*fan.rays)]
+    for q in quotient:
+        ms = [q[k:k + n] for k in range(0, width, n)]
+        scale = lcm(*(d // gcd(d, *ms[k]) for k in set(fan.ray_cone)))
+        value_rows.append((tuple(vdot(ms[k], v) * scale // d
+                                 for k, v in zip(fan.ray_cone, fan.rays)), scale))
+    return PLBasis(quotient, d, tuple(value_rows))
 
 
 def wall_rows(fan: Fan, basis: PLBasis) -> list[Vec]:
@@ -498,14 +508,9 @@ def type_a_pairs(fine: Fan, coarse: Fan) -> list[tuple[int, int]]:
     """Two-element collections primitive for the fine fan but contained in a
     single coarse cone (in fine ray indices)."""
     ray_map = refinement_ray_map(fine, coarse)
-    pairs = []
-    for i in range(fine.n_rays):
-        for j in range(i + 1, fine.n_rays):
-            if contained_in_single_cone(fine, (i, j)):
-                continue
-            if contained_in_single_cone(coarse, (ray_map[i], ray_map[j])):
-                pairs.append((i, j))
-    return pairs
+    return [(i, j) for i in range(fine.n_rays) for j in range(i + 1, fine.n_rays)
+            if not fine.is_coface(1 << i | 1 << j)
+            and coarse.is_coface(1 << ray_map[i] | 1 << ray_map[j])]
 
 
 def coarse_membership(phi: PLFunction, coarse: Fan) -> bool:

@@ -27,39 +27,37 @@ PrimitiveCollection = tuple[int, ...]
 
 
 def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
-    """All primitive collections, sorted, found level by level (Agrawal and
-    Srikant's candidate generation, VLDB 1994).  Level k holds the k-sets
-    of rays that lie in a cone, starting from the single rays.  A size-k
-    candidate joins two sets of level k-1 that share their first k-2 rays,
-    and is kept only if every one of its (k-1)-subsets is on level k-1; it
-    goes to level k if it lies in a cone and is primitive otherwise.  Every
-    set whose (k-1)-subsets all lie in cones is the join of the two that
-    drop one of its last two rays, so no primitive collection is missed.
-    The search stops at size n+1: larger collections would contain a
-    dependent proper subset."""
-    cofaces = [set(c.ray_indices) for c in fan.max_cones]
-
-    def in_cone(s: tuple[int, ...]) -> bool:
-        ss = set(s)
-        return any(ss <= c for c in cofaces)
-
+    """All primitive collections, sorted, found level by level on ray
+    bitmasks, bit i for ray i (Agrawal and Srikant's candidate generation,
+    VLDB 1994).  Level k holds the k-sets of rays that lie in a cone, in
+    order, starting from the single rays.  A size-k candidate joins two sets
+    a and b of level k-1 that share their first k-2 rays, and is kept only
+    if every (k-1)-subset is on level k-1: a, b, and for each other ray i of
+    a, a's mask less bit i plus b's last bit, looked up as ints.  It goes to
+    level k if it lies in a cone (Fan.is_coface) and is primitive otherwise.
+    Every set whose (k-1)-subsets all lie in cones is the join of the two
+    that drop one of its last two rays, so no primitive collection is
+    missed.  The search stops at size n+1: larger collections would contain
+    a dependent proper subset."""
+    is_coface = fan.is_coface
     found: list[PrimitiveCollection] = []
     # validate_fan rejects unused rays, so every ray lies in a cone
-    level = [(i,) for i in range(fan.n_rays)]
-    for size in range(2, fan.dim + 2):
-        passed = set(level)
+    level = [((i,), 1 << i) for i in range(fan.n_rays)]
+    for _ in range(fan.dim):
+        passed = {m for _, m in level}
         next_level = []
-        for k, a in enumerate(level):
-            for b in level[k + 1:]:
-                if b[:-1] != a[:-1]:
-                    break
-                cand = a + b[-1:]
-                if not all(
-                    sub in passed
-                    for sub in itertools.combinations(cand, size - 1)
-                ):
-                    continue
-                (next_level if in_cone(cand) else found).append(cand)
+        for _, group in itertools.groupby(level, lambda e: e[0][:-1]):
+            group = list(group)
+            for k, (a, am) in enumerate(group):
+                drops = [am & ~(1 << i) for i in a[:-1]]
+                for b, _ in group[k + 1:]:
+                    bit = 1 << b[-1]
+                    if all(x | bit in passed for x in drops):
+                        cand, m = a + b[-1:], am | bit
+                        if is_coface(m):
+                            next_level.append((cand, m))
+                        else:
+                            found.append(cand)
         level = next_level
     return sorted(found)
 
@@ -72,16 +70,9 @@ def batyrev_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
     coincide, so this agrees with enumerate_primitive_collections there; on
     non-simplicial fans the spanning condition can fail for subsets inside a
     fat cone and the list can be empty."""
-    found: list[PrimitiveCollection] = []
-    for cand in enumerate_primitive_collections(fan):
-        proper = (
-            sub
-            for size in range(1, len(cand))
-            for sub in itertools.combinations(cand, size)
-        )
-        if all(generates_cone(fan, sub) for sub in proper):
-            found.append(cand)
-    return sorted(found)
+    return [p for p in enumerate_primitive_collections(fan) if all(
+        generates_cone(fan, sub) for k in range(1, len(p)) for sub in itertools.combinations(p, k)
+    )]
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,5 @@ def classify_type(collection, fine: Fan, coarse: Fan) -> str:
 
 def _is_primitive(fan: Fan, p: tuple[int, ...]) -> bool:
     """In no single cone, while every subset one ray smaller is."""
-    return not contained_in_single_cone(fan, p) and all(
-        contained_in_single_cone(fan, sub)
-        for sub in itertools.combinations(p, len(p) - 1)
-    )
+    m = sum(1 << i for i in p)
+    return not fan.is_coface(m) and all(fan.is_coface(m & ~(1 << i)) for i in p)

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from fanforge import corpus
 from fanforge.cones import HCone, VCone, cone_contains, cones_equal
-from fanforge.fan import contained_in_single_cone, fans_equal
+from fanforge.fan import fans_equal
 from fanforge.linalg import primitivize, rank, vec, vsum
 from fanforge.mori import (
     curve_class,
@@ -368,17 +368,23 @@ def test_criterion_7_oracle_cross_checks():
             assert is_convex(phi) == sampled_convex
 
     def naive(fan):
+        # its own coface test, on ray sets, not the library's bitmasks
+        cofaces = [set(c.ray_indices) for c in fan.max_cones]
+
+        def in_cone(s):
+            return any(set(s) <= c for c in cofaces)
+
         out = []
         for size in range(2, fan.n_rays + 1):
             for cand in itertools.combinations(range(fan.n_rays), size):
-                if contained_in_single_cone(fan, cand):
+                if in_cone(cand):
                     continue
                 proper = (
                     s
                     for k in range(1, size)
                     for s in itertools.combinations(cand, k)
                 )
-                if all(contained_in_single_cone(fan, s) for s in proper):
+                if all(in_cone(s) for s in proper):
                     out.append(cand)
         return sorted(out)
 

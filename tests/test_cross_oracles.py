@@ -18,7 +18,7 @@ from fanforge.linalg import kernel_basis, primitivize, rank, vdot
 from fanforge.theorems import check_main_theorem, random_complete_fan, stellar_subdivide
 from test_cones import lineality_dim
 from test_mori import _pointedness_reference, reference_extremal_walls
-from test_theorems import merged_fulton_fans, reference_check_main_theorem
+from test_theorems import merged_fulton_fans, moved_vertex_cube_fan, reference_check_main_theorem
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -242,3 +242,27 @@ def test_relation_route_agrees_with_the_picard_route():
     # the oracle sees both branches: here a fan's Mori cone is pointed
     # exactly when the fan is quasi-projective
     assert pointed == 57 + 18
+
+
+def test_relation_lp_sees_each_direction_once(monkeypatch):
+    # the pointedness LP gets the nonzero wall rows' distinct primitive
+    # directions, each once in first-seen order, and decides as the LP over
+    # every nonzero row
+    seen = []
+    real = lp.strict_feasible
+    monkeypatch.setattr(lp, "strict_feasible", lambda s, *a: seen.append(s) or real(s, *a))
+    fans = _route_fans() + merged_fulton_fans() + [("moved-vertex", moved_vertex_cube_fan())]
+    shrunk = 0
+    for name, f in fans:
+        rc = plfun._relation_coordinates(f)
+        rows = [r for r in rc.rows if any(r)]
+        seen.clear()
+        pointed = plfun._relation_pointed(f)
+        assert len(seen) == 1, name
+        directions = seen[0]
+        assert directions == list(dict.fromkeys(primitivize(r) for r in rows)), name
+        assert len(set(directions)) == len(directions), name
+        assert pointed is (real(rows, [], [], rc.dim)[0] is not None), name
+        shrunk += len(directions) < len(rows)
+    # on 39 of the 80 fans some direction repeats
+    assert (len(fans), shrunk) == (80, 39)

@@ -565,6 +565,32 @@ def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):
     assert len(calls) == 1
 
 
+def test_pl_basis_takes_the_integer_route(monkeypatch):
+    # with the cone relations derived, _solve_pl_basis reduces its integer
+    # span rows by one _eliminate of its own and no rref; combine
+    # integerizes its coefficients and nothing else.  The value rows read
+    # off the integer quotient are integer_ray_values' rows, denominators
+    # included
+    fans = [corpus.split_pyramid_fan(), corpus.fulton_fan(), corpus.cross_fan(4),
+            corpus.cube_fan(3), corpus.cube_fan(4), moved_vertex_cube_fan()]
+    for f in fans + [f for _, f in _route_fans()]:
+        b = pl_basis(f)
+        assert b.value_rows[f.dim:] == tuple(
+            PLFunction(f, ms).integer_ray_values() for ms in b.quotient_functionals)
+    calls = []
+    for name in ("rref", "_eliminate", "_integer_row"):
+        real = getattr(plfun, name)
+        monkeypatch.setattr(plfun, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for f in fans:
+        calls.clear()
+        b = plfun._solve_pl_basis(f)
+        assert calls == ["_eliminate"]
+        calls.clear()
+        b.combine(f, [1] * f.dim + [Fraction(1, 2)] * b.dim_pic)
+        assert calls == ["_integer_row"]
+    assert [pl_basis(f).dim_pic for f in fans] == [2, 4, 4, 1, 1, 0]
+
+
 def test_cone_elimination_runs_once_per_fan(monkeypatch):
     # the basis, relation coordinates, extremal walls and nef report of a
     # non-simplicial fan share one elimination of its cones

@@ -24,6 +24,7 @@ from fanforge.primcoll import (
 )
 from fanforge.theorems import random_complete_fan
 from test_fan_verdicts import subdivided
+from test_theorems import moved_vertex_cube_fan
 
 FULTON_EXPECTED = {
     (1, 3): ((6,), {6: 1}),
@@ -36,20 +37,28 @@ FULTON_EXPECTED = {
 }
 
 
+def set_in_cone(fan):
+    """The oracles' coface test, on ray sets, not the library's bitmasks:
+    is the ray set inside some maximal cone's ray set?"""
+    cofaces = [set(c.ray_indices) for c in fan.max_cones]
+    return lambda s: any(set(s) <= c for c in cofaces)
+
+
 def naive_primitive_collections(fan):
     """Oracle: scan every subset of every size against the raw definition."""
+    in_cone = set_in_cone(fan)
     out = []
     rays = range(fan.n_rays)
     for size in range(2, fan.n_rays + 1):
         for cand in itertools.combinations(rays, size):
-            if contained_in_single_cone(fan, cand):
+            if in_cone(cand):
                 continue
             proper = (
                 sub
                 for k in range(1, size)
                 for sub in itertools.combinations(cand, k)
             )
-            if all(contained_in_single_cone(fan, sub) for sub in proper):
+            if all(in_cone(sub) for sub in proper):
                 out.append(cand)
     return sorted(out)
 
@@ -140,6 +149,42 @@ def test_level_search_matches_subset_scan():
         assert enumerate_primitive_collections(f) == (
             reference_enumerate_primitive_collections(f)
         )
+
+
+def reference_level_search(fan):
+    """The same level-wise join on ray sets: each candidate's (k-1)-subsets
+    by itertools.combinations, looked up as tuples, and set inclusion
+    against every maximal cone."""
+    in_cone = set_in_cone(fan)
+    found = []
+    level = [(i,) for i in range(fan.n_rays)]
+    for size in range(2, fan.dim + 2):
+        passed = set(level)
+        next_level = []
+        for k, a in enumerate(level):
+            for b in level[k + 1:]:
+                if b[:-1] != a[:-1]:
+                    break
+                cand = a + b[-1:]
+                if all(sub in passed for sub in itertools.combinations(cand, size - 1)):
+                    (next_level if in_cone(cand) else found).append(cand)
+        level = next_level
+    return sorted(found)
+
+
+def test_bitmask_join_matches_the_set_based_level_search():
+    # the paper examples, cube and cross fans in dimensions 3 and 4 with two
+    # seeded stellar steps of each, the moved-vertex cube fan and 60 seeded
+    # random fans
+    fans = [f for _, f in corpus.paper_examples()]
+    for d in (3, 4):
+        fans += subdivided(corpus.cube_fan(d), 2, d) + subdivided(corpus.cross_fan(d), 2, d)
+    fans += [moved_vertex_cube_fan()]
+    rng = random.Random(29)
+    fans += [random_complete_fan(rng)[1] for _ in range(60)]
+    for f in fans:
+        assert enumerate_primitive_collections(f) == reference_level_search(f)
+    assert len(fans) == 83 and sum(not f.is_simplicial for f in fans) == 21
 
 
 def test_size_cap_loses_no_collection_on_non_simplicial_fans():
