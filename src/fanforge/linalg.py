@@ -9,9 +9,10 @@ Everything here is exact; no floats are ever produced.
 
 All elimination runs through one fraction-free Gauss-Jordan step,
 ``_pivot``, on integer rows over a common denominator (Bareiss 1968;
-Edmonds 1967).  ``rref``, ``rank`` and ``det`` integerize their rows and
-read their answers off ``_eliminate``; the simplex in ``lp`` pivots its
-integer tableau with the same step.  Fractions appear only at the API.
+Edmonds 1967), which recomputes only the pivot row's nonzero columns.
+``rref``, ``rank`` and ``det`` integerize their rows and read their answers
+off ``_eliminate``; the simplex in ``lp`` pivots its integer tableau with
+the same step.  Fractions appear only at the API.
 """
 
 from __future__ import annotations
@@ -98,17 +99,30 @@ def _pivot(T: list[list[int]], r: int, col: Sequence[int], d: int) -> int:
     common denominator d: clear the column col (given, so T need not store
     it) outside row r and return the new denominator, the pivot col[r].
     From an integer matrix with d = 1, every entry stays a minor of that
-    matrix up to sign, so each division is exact (Bareiss 1968)."""
+    matrix up to sign, so each division is exact (Bareiss 1968).
+
+    Row i becomes (p * T[i] - col[i] * T[r]) / d, an integer row, so only
+    the pivot row's nonzero columns, read once, need the second term.  When
+    p == d, d divides col[i] * y there and every other entry keeps its
+    value, so a row with col[i] != 0 is corrected in place at those columns
+    and any other row is left as it is; otherwise each row is rescaled by
+    p / d and then corrected at those columns."""
     p = col[r]
-    pivot_row = T[r]
-    for i, row in enumerate(T):
+    nonzero = [(j, y) for j, y in enumerate(T[r]) if y]
+    for i, f in enumerate(col):
         if i == r:
             continue
-        f = col[i]
-        if f:
-            T[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
-        elif p != d:
-            T[i] = [p * x // d for x in row]
+        row = T[i]
+        if p == d:
+            if f:
+                for j, y in nonzero:
+                    row[j] -= f * y // d
+        else:
+            new = [p * x // d for x in row]
+            if f:
+                for j, y in nonzero:
+                    new[j] = (p * row[j] - f * y) // d
+            T[i] = new
     return p
 
 

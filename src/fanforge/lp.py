@@ -9,9 +9,10 @@ vector.
 
 Data are ints or Fractions and answers are Fractions; inside, the tableau
 is integer over one common denominator d, as in Avis's lrs, and pivots
-with the fraction-free step of ``linalg``.  Only signs and exact ratios
-steer Bland's rule, so the pivot sequence is the one a Fraction tableau
-would take; as in lrs, they price off one kept integer objective row.
+with the fraction-free step of ``linalg``, which touches only the pivot
+row's nonzero columns.  Only signs and exact ratios steer Bland's rule, so
+the pivot sequence is the one a Fraction tableau would take; as in lrs,
+they price off one kept integer objective row, pivoted as one more row.
 
 A column map gives each column of the LP as k times a stored column.
 ``strict_feasible``'s slack LP splits each free coordinate as u - v, and
@@ -23,8 +24,13 @@ columns, so only [x | t | artificials | rhs] is stored, about half the
 width.  Bland's rule still prices (k times the kept row's stored entry),
 ratio-tests and breaks ties on the full LP's numbers and column order, so
 the pivots, the witness and the certificate are the full-width tableau's.
-``solve_nonneg`` reads x off the phase-1 basis: a drive-out pivot is
-degenerate and a zero-cost phase 2 makes none.
+
+``solve_nonneg`` and ``strict_feasible`` stop at the first basis whose
+point solves the LP: every artificial at 0, and for ``strict_feasible``
+also t at its cap 1.  Past an optimal point every pivot is degenerate, so
+the full path would return the same x; it takes the same pivots up to
+there.  The infeasible case runs to the end, where its Farkas multipliers
+are read, and ``simplex_max`` always runs the full path.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ class LPResult:
     farkas: Vec | None = None     # when infeasible: y.A >= 0 and y.b < 0
 
 
-def _bland_loop(T, basis, cost, allowed, d, cols):
-    """Run simplex pivots (maximization) until optimal or unbounded.
+def _bland_loop(T, basis, cost, allowed, d, cols, done=None):
+    """Run simplex pivots (maximization) until optimal, unbounded or done.
 
     T is the integer tableau over the denominator d > 0, and column j of the
     LP is cols[j] = (s, k), k times stored column s.  The reduced cost of
@@ -59,13 +65,25 @@ def _bland_loop(T, basis, cost, allowed, d, cols):
     pivot on row r of column j, with col = k * T[.][s] and p = col[r], keeps
     T[r] and maps row i != r to the integer row (p * T[i] - col[i] * T[r]) / d.
     As sum_(i != r) cost[basis[i]] * col[i] = k * z[s] - cost[basis[r]] * p,
-    z becomes (p * z - k * z[s] * T[r]) / d + cost[j] * T[r]: the division is
-    exact, as that z and cost[j] * T[r] are integer rows.  Returns (status, d)."""
-    z = [0] * (1 + max((s for s, _ in cols), default=-1))  # the stored columns
+    z becomes (p * z - k * z[s] * T[r]) / d + cost[j] * T[r], an integer row:
+    the same step on z as one more row, with k * z[s] - d * cost[j] in col.
+
+    done(T, basis, d), when given, says whether the current point already
+    solves the caller's LP; the loop then stops with OPTIMAL.  Every later
+    pivot would be degenerate: at an optimal point a pivot of positive
+    ratio would raise the objective past its optimum, so each has ratio 0
+    and leaves the point where it is.  done is asked on entry and after
+    each pivot whose row had a nonzero right-hand side, the only pivots
+    that move the point.  Returns (status, d)."""
+    # the kept row: one entry per stored column, then the rhs column's
+    z = [0] * (2 + max((s for s, _ in cols), default=-1))
     for row, bi in zip(T, basis):
         if w := cost[bi]:
             z = [a + w * x for a, x in zip(z, row)]
+    moved = True
     while True:
+        if moved and done is not None and done(T, basis, d):
+            return OPTIMAL, d
         enter = next((j for j in allowed if d * cost[j] > cols[j][1] * z[cols[j][0]]), None)
         if enter is None:
             return OPTIMAL, d
@@ -79,19 +97,27 @@ def _bland_loop(T, basis, cost, allowed, d, cols):
             lhs, rhs = T[i][-1] * col[leave], T[leave][-1] * col[i]
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
-        p, zs, c, row = col[leave], k * z[s], cost[enter], T[leave]
-        z = [(p * a - zs * x) // d + c * x for a, x in zip(z, row)]
+        col.append(k * z[s] - d * cost[enter])
+        T.append(z)
         d = _pivot(T, leave, col, d)
+        z = T.pop()
         basis[leave] = enter
+        moved = T[leave][-1] != 0
 
 
-def _phase1(T, cols, n):
+def _feasible(T, basis, n) -> bool:
+    """Is every basic artificial (column n and up) at 0?"""
+    return not any(row[-1] for row, bi in zip(T, basis) if bi >= n)
+
+
+def _phase1(T, cols, n, done=None):
     """Minimize the sum of the artificial columns n.., one per row, from
-    their basis.  Returns (basis, d, whether the system is feasible)."""
+    their basis, stopping early where done (see _bland_loop) says so.
+    Returns (basis, d, whether the system is feasible)."""
     m = len(T)
     basis = [n + i for i in range(m)]
-    _, d = _bland_loop(T, basis, [0] * n + [-1] * m, range(n + m), 1, cols)
-    return basis, d, sum(row[-1] for row, bi in zip(T, basis) if bi >= n) == 0
+    _, d = _bland_loop(T, basis, [0] * n + [-1] * m, range(n + m), 1, cols, done)
+    return basis, d, _feasible(T, basis, n)
 
 
 def _phase2(T, basis, cols, n, cost, d):
@@ -176,7 +202,9 @@ def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Vec | None:
     n = len(columns)
     A = [[col[i] for col in columns] for i in range(len(target))]
     T, _, _, cols = _standard_form(A, target, n)
-    basis, d, feasible = _phase1(T, cols, n)
+    # phase 1 at its maximum 0: the drive-outs and a zero-cost phase 2 are
+    # degenerate, so this point is the full path's
+    basis, d, feasible = _phase1(T, cols, n, lambda T, basis, d: _feasible(T, basis, n))
     return tuple(_basic_values(T, basis, n, d)) if feasible else None
 
 
@@ -209,10 +237,18 @@ def strict_feasible(
     cols += [(art + i, -scale) for i in range(ns + nw)] + [(art + m - 1, scale)]
     n = len(cols)
     cols += [(art + i, 1) for i in range(m)]
-    basis, d, _ = _phase1(T, cols, n)  # feasible at x = 0, t = 0
-    status, d = _phase2(T, basis, cols, n, [int(j == t) for j in range(n + m)], d)
-    if status != OPTIMAL:
-        raise RuntimeError(f"the slack LP is {status}, not optimal")
+
+    def at_cap(T, basis, d):
+        # feasible with t basic at its cap 1, the most it can be: the rest
+        # of phase 1, the drive-outs (rows at 0) and phase 2 are degenerate
+        return _feasible(T, basis, n) and any(
+            bi == t and row[-1] == d for row, bi in zip(T, basis))
+
+    basis, d, _ = _phase1(T, cols, n, at_cap)  # feasible at x = 0, t = 0
+    if not at_cap(T, basis, d):
+        status, d = _phase2(T, basis, cols, n, [int(j == t) for j in range(n + m)], d)
+        if status != OPTIMAL:
+            raise RuntimeError(f"the slack LP is {status}, not optimal")
     t_rows = [row for row, bi in zip(T, basis) if bi == t]
     if any(row[-1] > 0 for row in t_rows):
         x = _basic_values(T, basis, t, d)

@@ -348,14 +348,15 @@ def pl_basis(fan: Fan) -> PLBasis:
 
 def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
     """The rays outside the first maximal cone, the functions K over them
-    and every maximal cone k > 0's inverse rows (k, ray, row, d), each over
-    d, derived once per fan.  A PL function on full-dimensional cones is its
-    ray values, subject only to each non-simplicial cone's relations among
-    its own rays (Cox, Little and Schenck, ch. 4 and 6); those pinned to 0
-    on the first cone are spanned by K, integer rows of the relations'
-    kernel, or None for the identity.  A simplicial cone's inverse is its
-    frame; one elimination of [rays | I] gives any other's independent ray
-    set S (dim pivots), S's inverse and one relation per other ray."""
+    and each non-simplicial maximal cone k > 0's inverse rows (k, ray, row,
+    d), each over d, derived once per fan.  A PL function on
+    full-dimensional cones is its ray values, subject only to each
+    non-simplicial cone's relations among its own rays (Cox, Little and
+    Schenck, ch. 4 and 6); those pinned to 0 on the first cone are spanned
+    by K, integer rows of the relations' kernel, or None for the identity.
+    One elimination of [rays | I] gives such a cone's independent ray set S
+    (dim pivots), S's inverse and one relation per other ray; a simplicial
+    cone's inverse is its frame, read by _solve_pl_basis."""
     def solve():
         n = fan.dim
         first = set(fan.max_cones[0].ray_indices)
@@ -364,7 +365,6 @@ def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
         inverses, relations = [], []
         for k, c in enumerate(fan.max_cones[1:], 1):
             if c.frame:
-                inverses += ((k, j, *f) for j, f in zip(c.ray_indices, c.frame))
                 continue
             rays, r = c.ray_indices, len(c.ray_indices)
             T, pivots, d, _ = _eliminate([[fan.ray(i)[e] for i in rays]
@@ -390,16 +390,18 @@ def _cone_relations(fan: Fan) -> tuple[tuple[int, ...], tuple | None, tuple]:
 def _solve_pl_basis(fan: Fan) -> PLBasis:
     """The function space in ray values (_cone_relations).  span[j] holds
     the cone functionals of a unit value at ray j, its rows of the cones'
-    inverses, in integers over their lcm; they, or K mapped through them,
-    span the quotient.  The stored basis is the reduced one in stacked
-    cone-functional columns: one function per free column f, 1 at f and 0
-    at the other free columns.  A column is free exactly when some function
-    has its last nonzero entry there, so the reduced row echelon form of the
-    reversed spanning rows, unique whatever their scales, is that basis
-    reversed: one _eliminate's rows q over d.  On cone k a function is
-    q_k / d, in lowest terms over d / gcd(d, q_k)."""
+    inverses (a simplicial cone's frame), in integers over their lcm; they,
+    or K mapped through them, span the quotient.  The stored basis is the
+    reduced one in stacked cone-functional columns: one function per free
+    column f, 1 at f and 0 at the other free columns.  A column is free
+    exactly when some function has its last nonzero entry there, so the
+    reduced row echelon form of the reversed spanning rows, unique whatever
+    their scales, is that basis reversed: one _eliminate's rows q over d.
+    On cone k a function is q_k / d, in lowest terms over d / gcd(d, q_k)."""
     n, width = fan.dim, len(fan.max_cones) * fan.dim
     rays, functions, inverses = _cone_relations(fan)
+    inverses += tuple((k, j, *f) for k, c in enumerate(fan.max_cones[1:], 1)
+                      for j, f in zip(c.ray_indices, c.frame))
     scales = dict.fromkeys(rays, 1)
     for _, j, _, s in inverses:
         if j in scales:

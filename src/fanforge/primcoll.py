@@ -30,32 +30,35 @@ def enumerate_primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
     """All primitive collections, sorted, found level by level on ray
     bitmasks, bit i for ray i (Agrawal and Srikant's candidate generation,
     VLDB 1994).  Level k holds the k-sets of rays that lie in a cone, in
-    order, starting from the single rays.  A size-k candidate joins two sets
-    a and b of level k-1 that share their first k-2 rays, and is kept only
-    if every (k-1)-subset is on level k-1: a, b, and for each other ray i of
-    a, a's mask less bit i plus b's last bit, looked up as ints.  It goes to
-    level k if it lies in a cone (Fan.is_coface) and is primitive otherwise.
-    Every set whose (k-1)-subsets all lie in cones is the join of the two
-    that drop one of its last two rays, so no primitive collection is
-    missed.  The search stops at size n+1: larger collections would contain
-    a dependent proper subset."""
-    is_coface = fan.is_coface
+    order, starting from the single rays, each with the bitmask of the
+    maximal cones containing it, bit k for cone k.  A size-k candidate joins
+    two sets a and b of level k-1 that share their first k-2 rays, and is
+    kept only if every (k-1)-subset is on level k-1: a, b, and for each
+    other ray i of a, a's mask less bit i plus b's last bit, looked up as
+    ints.  The cones containing it are those containing a and b's last ray,
+    one AND of cone masks; it goes to level k if some cone does and is
+    primitive otherwise.  Every set whose (k-1)-subsets all lie in cones is
+    the join of the two that drop one of its last two rays, so no primitive
+    collection is missed.  The search stops at size n+1: larger collections
+    would contain a dependent proper subset."""
+    ray_cones = [sum(1 << k for k, c in enumerate(fan.cone_masks) if c >> i & 1)
+                 for i in range(fan.n_rays)]
     found: list[PrimitiveCollection] = []
     # validate_fan rejects unused rays, so every ray lies in a cone
-    level = [((i,), 1 << i) for i in range(fan.n_rays)]
+    level = [((i,), 1 << i, ray_cones[i]) for i in range(fan.n_rays)]
     for _ in range(fan.dim):
-        passed = {m for _, m in level}
+        passed = {m for _, m, _ in level}
         next_level = []
         for _, group in itertools.groupby(level, lambda e: e[0][:-1]):
             group = list(group)
-            for k, (a, am) in enumerate(group):
+            for k, (a, am, ac) in enumerate(group):
                 drops = [am & ~(1 << i) for i in a[:-1]]
-                for b, _ in group[k + 1:]:
+                for b, _, _ in group[k + 1:]:
                     bit = 1 << b[-1]
                     if all(x | bit in passed for x in drops):
-                        cand, m = a + b[-1:], am | bit
-                        if is_coface(m):
-                            next_level.append((cand, m))
+                        cand, cones = a + b[-1:], ac & ray_cones[b[-1]]
+                        if cones:
+                            next_level.append((cand, am | bit, cones))
                         else:
                             found.append(cand)
         level = next_level

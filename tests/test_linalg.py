@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanforge import linalg, lp
+from fanforge.corpus import cube_fan
 from fanforge.linalg import (
+    _pivot,
     det,
     format_rational,
     is_zero_vec,
@@ -22,6 +26,7 @@ from fanforge.linalg import (
     vsub,
     vsum,
 )
+from fanforge.plfun import is_quasi_projective
 
 PYRAMID_TOP = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
 
@@ -349,3 +354,87 @@ def test_vector_helpers_reject_vectors_of_different_lengths(a, b):
         vsum([a, b], len(a))
     with pytest.raises(ValueError):
         vsum([b], len(a))
+
+
+def reference_pivot(T, r, col, d):
+    """linalg._pivot as it was before it touched only the pivot row's
+    nonzero columns: every entry of every row is recomputed."""
+    p = col[r]
+    pivot_row = T[r]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = col[i]
+        if f:
+            T[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        elif p != d:
+            T[i] = [p * x // d for x in row]
+    return p
+
+
+def checked_pivot(kinds):
+    """A stand-in for _pivot that runs the reference on a copy of the
+    tableau, requires the same tableau and return value, and notes the kind
+    of each pivot: d == 1, p == d, negative p, zeros in the pivot row."""
+    def pivot(T, r, col, d):
+        want = [list(row) for row in T]
+        want_p = reference_pivot(want, r, col, d)
+        p = _pivot(T, r, col, d)
+        assert p == want_p and T == want
+        kinds.update(k for k, hit in [("d=1", d == 1), ("p=d", p == d), ("p!=d", p != d),
+                                      ("p<0", p < 0), ("zeros", 0 in T[r])] if hit)
+        return p
+    return pivot
+
+
+def seeded_pivot_runs(count=300, seed=2027):
+    """Integer tableaux from d = 1, each pivoted a few times on random
+    nonzero entries (at times one equal to d, so that p == d).  Each step
+    is a basis change of T = d B^-1 A, which keeps every entry integer."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        T = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) for _ in range(n)] for _ in range(m)]
+        steps = []
+        for _ in range(rng.randint(1, 4)):
+            entries = [(i, j) for i in range(m) for j in range(n) if T[i][j]]
+            if not entries:
+                break
+            steps.append(rng.choice(entries))
+        yield T, steps
+
+
+def test_sparse_pivot_matches_the_dense_reference():
+    kinds = set()
+    pivot = checked_pivot(kinds)
+    for T, steps in seeded_pivot_runs():
+        exact = [list(map(Fraction, row)) for row in T]
+        d = 1
+        for r, c in steps:
+            if T[r][c] == 0:
+                continue
+            f = exact[r][c]
+            exact[r] = [x / f for x in exact[r]]
+            exact = [row if i == r else [x - row[c] * y for x, y in zip(row, exact[r])]
+                     for i, row in enumerate(exact)]
+            d = pivot(T, r, [row[c] for row in T], d)
+            # the step is exact: T / d is the Fraction Gauss-Jordan tableau
+            assert [[Fraction(x, d) for x in row] for row in T] == exact
+    assert kinds == {"d=1", "p=d", "p!=d", "p<0", "zeros"}
+
+
+def test_elimination_and_simplex_pivot_through_the_one_kernel(monkeypatch):
+    # the simplex's pivots, its kept objective row among the rows, and
+    # validation's eliminations each match the dense reference
+    assert lp._pivot is _pivot
+    eliminated, simplex = set(), set()
+    monkeypatch.setattr(linalg, "_pivot", checked_pivot(eliminated))
+    monkeypatch.setattr(lp, "_pivot", checked_pivot(simplex))
+    cube_fan(4)
+    assert {"p=d", "p!=d", "zeros"} <= eliminated
+    assert is_quasi_projective(cube_fan(3))[0]
+    assert lp.solve_nonneg([(1, 0, 1), (0, 1, 1), (1, 1, 0)], (2, 1, 3)) is not None
+    assert lp.simplex_max([[1, 1], [1, 1]], [1, 1], [1, 0]).objective == 1
+    # phase 2 drives the artificial out of the basis on the entry -1
+    assert lp.simplex_max([[-1]], [0], [0]).x == (0,)
+    assert simplex == {"d=1", "p=d", "p!=d", "p<0", "zeros"}

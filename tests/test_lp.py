@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fanforge import corpus, lp
 from fanforge.linalg import vdot, vzero
-from fanforge.plfun import is_quasi_projective
+from fanforge.plfun import is_quasi_projective, pl_basis, wall_rows
 from fanforge.refine import qp_refinement
 from fanforge.theorems import run_paper_suite
 
@@ -181,12 +181,14 @@ def test_seeded_lps_match_pinned_digest(monkeypatch):
     assert any(p < 0 for p in pivots)
 
 
-def reference_bland_loop(T, basis, cost, allowed, d, cols):
+def reference_bland_loop(T, basis, cost, allowed, d, cols, done=None):
     """lp._bland_loop as it was before it kept the objective row: every
     round re-sums cost[basis[i]] * T[i][s] over the priced rows for each
-    candidate column.  It pivots through lp._pivot, so a spy on that hook
-    sees its pivots."""
+    candidate column, and asks done on entry and after every pivot.  It
+    pivots through lp._pivot, so a spy on that hook sees its pivots."""
     while True:
+        if done is not None and done(T, basis, d):
+            return lp.OPTIMAL, d
         priced = [(row, cost[bi]) for row, bi in zip(T, basis) if cost[bi]]
         enter = next((j for j in allowed if d * cost[j] > cols[j][1] * sum(
             w * row[cols[j][0]] for row, w in priced)), None)
@@ -296,15 +298,15 @@ SEEDED_STRICT_DIGEST = "4de6400cb66722e839d53931a9542ad474b592ae1acbd037de587258
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Call a function and list the pivot elements it takes through
-    lp._pivot, in order; with reference=True the simplex prices with
-    reference_bland_loop."""
+    """Call a function and list the pivots it takes through lp._pivot, in
+    order, each as (pivot element, the pivot row's right-hand side); with
+    reference=True the simplex prices with reference_bland_loop."""
     pivots = []
     real_pivot = lp._pivot
 
     def counting(T, r, c, d):
         p = real_pivot(T, r, c, d)
-        pivots.append(p)
+        pivots.append((p, T[r][-1]))
         return p
 
     monkeypatch.setattr(lp, "_pivot", counting)
@@ -321,12 +323,20 @@ def counted(monkeypatch):
 
 
 def assert_same_as_reference(counted, systems):
+    """Each system's witness and certificate equal the full-width
+    reference's, entry types included, and the library's pivots are the
+    reference's up to where the library stopped; every reference pivot
+    past that point is degenerate (its row's right-hand side is 0).
+    Returns the pivot counts (library, reference) over all systems."""
+    taken = full = 0
     for system in systems:
         got, got_pivots = counted(lp.strict_feasible, *system)
         want, want_pivots = counted(reference_strict_feasible, *system, reference=True)
-        # the same witness, certificate and entry types after as many
-        # pivots, on the same pivot elements
-        assert repr(got) == repr(want) and got_pivots == want_pivots
+        assert repr(got) == repr(want)
+        assert got_pivots == want_pivots[:len(got_pivots)]
+        assert all(rhs == 0 for _, rhs in want_pivots[len(got_pivots):])
+        taken, full = taken + len(got_pivots), full + len(want_pivots)
+    return taken, full
 
 
 def test_seeded_strict_systems_match_pinned_digest():
@@ -354,7 +364,22 @@ def test_strict_feasible_workload_calls_take_the_reference_pivots(monkeypatch, c
     qp_refinement(cube, (), is_quasi_projective(cube)[1], seed=7)
     monkeypatch.setattr(lp, "strict_feasible", solve)
     assert len(calls) >= 30
-    assert_same_as_reference(counted, calls)
+    taken, full = assert_same_as_reference(counted, calls)
+    # the witness LPs stop at their optimum, short of the degenerate tail
+    assert taken < full
+
+
+def test_strict_feasible_stops_at_the_proven_optimum(counted):
+    # is_quasi_projective's LP on cube_fan(3)'s wall rows: its point is
+    # final after 2 pivots, and the full path takes 11 more, each degenerate
+    cube = corpus.cube_fan(3)
+    basis = pl_basis(cube)
+    system = (wall_rows(cube, basis), [], [], basis.dim_pic)
+    (x, _), pivots = counted(lp.strict_feasible, *system)
+    assert x is not None and len(pivots) == 2
+    _, full = counted(reference_strict_feasible, *system, reference=True)
+    assert len(full) == 13
+    assert_same_as_reference(counted, [system])
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
