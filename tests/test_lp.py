@@ -375,11 +375,8 @@ def test_strict_feasible_stops_at_the_proven_optimum(counted):
     cube = corpus.cube_fan(3)
     basis = pl_basis(cube)
     system = (wall_rows(cube, basis), [], [], basis.dim_pic)
-    (x, _), pivots = counted(lp.strict_feasible, *system)
-    assert x is not None and len(pivots) == 2
-    _, full = counted(reference_strict_feasible, *system, reference=True)
-    assert len(full) == 13
-    assert_same_as_reference(counted, [system])
+    assert lp.strict_feasible(*system)[0] is not None
+    assert assert_same_as_reference(counted, [system]) == (2, 13)
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
