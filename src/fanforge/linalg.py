@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 Vec = tuple[int | Fraction, ...]
@@ -40,12 +40,6 @@ def vadd(a: Sequence, b: Sequence) -> Vec:
     if len(a) != len(b):
         raise ValueError("vectors of different lengths")
     return tuple(map(add, a, b))
-
-
-def vsub(a: Sequence, b: Sequence) -> Vec:
-    if len(a) != len(b):
-        raise ValueError("vectors of different lengths")
-    return tuple(map(sub, a, b))
 
 
 def vscale(c, a: Sequence) -> Vec:

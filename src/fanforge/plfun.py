@@ -6,7 +6,9 @@ wall).  Ray values are the divisor coefficients; with this sign convention a
 function is convex exactly when its bend across every interior wall is
 nonnegative, and strictly convex when all are positive.  Each bend is a
 fixed positive multiple of the wall relation paired with the ray values, so
-convexity is read off integer pairings.  The function space is solved in
+convexity is read off integer pairings.  The wall relations are derived
+once per fan, in integers, into one table that every wall quantity reads;
+wall_relation is a Fraction view of it.  The function space is solved in
 ray values, subject to each non-simplicial cone's relations among its rays,
 found by one elimination per fan.  Paired with the functions that vanish
 on the first maximal cone, the relations get coordinates in N_1, the one
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from . import lp
 from .fan import Fan, Wall
-from .linalg import ONE, ZERO, Vec, _eliminate, _integer_row, kernel_basis, rref
+from .linalg import ZERO, Vec, _eliminate, _integer_row, kernel_basis
 from .linalg import format_rational, parse_rational, primitivize, vadd, vdot, vec, vscale, vsum
 
 RelationVector = dict[int, Fraction]
@@ -129,47 +131,23 @@ def pl_from_json_obj(fan: Fan, obj) -> PLFunction:
     raise ValueError("expected ray_values or cone_functionals")
 
 
-def _relation_for_rays(fan: Fan, ray_seq: list[int]) -> RelationVector:
-    """The relation among the listed rays with coefficient 1 on the last
-    one, supported on it and on the lexicographically smallest independent
-    subset of the others: the pivot columns of one elimination, which must
-    span the last ray."""
-    red, pivots = rref([[fan.ray(i)[d] for i in ray_seq] for d in range(fan.dim)])
-    if pivots and pivots[-1] == len(ray_seq) - 1:
-        raise DegenerateWall(f"the last of the rays {ray_seq} is independent of the others")
-    return {ray_seq[p]: -row[-1] for p, row in zip(pivots, red) if row[-1]} | {ray_seq[-1]: ONE}
-
-
 def wall_relation(fan: Fan, wall: Wall) -> RelationVector:
-    """Canonical wall relation: lexicographically smallest independent
-    (n-1)-subset of the wall rays, smallest-index off-wall rays, coefficient
-    1 on the second cone's off-wall ray.  The coefficient on the first
-    cone's off-wall ray is checked positive (the two lie on opposite
-    sides).  If the first cone is simplicial, the wall is a facet of it and
-    v_off_b = sum_i <d_i, v_off_b> v_i over its rays gives the relation
-    with no elimination."""
+    """The canonical relation of an interior wall as Fractions, a view of
+    its _wall_table entry: rel[rays[k]] = coeffs[k] / denominator."""
     if not wall.is_interior:
         raise ValueError("wall relations need an interior wall")
-    a, b = wall.cone_indices
-    cone_a = fan.max_cones[a]
-    off_a = min(set(cone_a.ray_indices) - set(wall.ray_indices))
-    off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
-    if cone_a.frame:
-        x = fan.ray(off_b)
-        frame = zip(cone_a.ray_indices, cone_a.frame)
-        rel = {i: Fraction(-c, s) for i, (u, s) in frame if (c := vdot(u, x))} | {off_b: ONE}
-    else:
-        rel = _relation_for_rays(fan, [*wall.ray_indices, off_a, off_b])
-    if rel.get(off_a, 0) <= 0:
-        raise RuntimeError("off-wall rays must have positive coefficients")
-    return rel
+    rays, coeffs, denominator, _ = _wall_table(fan)[fan.interior_walls.index(wall)]
+    return {i: Fraction(c, denominator) for i, c in zip(rays, coeffs)}
 
 
 def _wall_table(fan: Fan) -> tuple[tuple, ...]:
     """One (rays, coeffs, denominator, scale) per interior wall, in
-    fan.interior_walls order, derived once per fan: the canonical relation
-    rel[rays[k]] = coeffs[k] / denominator, and the scale s > 0 for which
-    the bend of any PL function phi across the wall is s sum_i rel[i] phi(v_i).
+    fan.interior_walls order, derived once per fan in integers by
+    _wall_entry: the canonical relation rel[rays[k]] = coeffs[k] /
+    denominator in lowest terms, and the scale s > 0 for which the bend of
+    any PL function phi across the wall is s sum_i rel[i] phi(v_i).  The
+    Picard rows, relation coordinates, pairings, wall_relation and the
+    relations and mori commands all read this table.
 
     The bend is <m_a - m_b, v_off>, for phi's functionals m_a and m_b on the
     wall's cones a and b and the sum v_off of cone a's off-wall rays.  Let
@@ -187,16 +165,41 @@ def _wall_table(fan: Fan) -> tuple[tuple, ...]:
 
 
 def _wall_entry(fan: Fan, wall: Wall) -> tuple:
-    rel = wall_relation(fan, wall)
-    cone_a = fan.max_cones[wall.cone_indices[0]]
+    """The canonical relation of one interior wall, in integers: on the
+    lexicographically smallest independent (n-1)-subset of the wall rays and
+    the smallest-index off-wall rays off_a and off_b of the two cones, with
+    off_b's coefficient the denominator.  If the first cone is simplicial,
+    the wall is a facet of it and v_off_b = sum_i (<u_i, v_off_b> / s_i) v_i
+    over its frame gives the relation with no elimination.  Otherwise one
+    elimination of the columns [wall rays, off_a, off_b] gives it on the
+    pivot columns, which must span off_b.  Each coefficient c / s, with
+    s = s_i or the elimination's d, is reduced by gcd(c, s), and the
+    denominator is the lcm of the reduced s.  The coefficient on off_a is
+    checked positive (the two lie on opposite sides)."""
+    a, b = wall.cone_indices
+    cone_a = fan.max_cones[a]
     off = [i for i in cone_a.ray_indices if i not in wall.ray_indices]
-    scale = 1 / rel[off[0]]
+    off_b = min(set(fan.max_cones[b].ray_indices) - set(wall.ray_indices))
+    if cone_a.frame:
+        x = fan.ray(off_b)
+        frame = zip(cone_a.ray_indices, cone_a.frame)
+        terms = [(i, -c, s) for i, (u, s) in frame if (c := vdot(u, x))]
+    else:
+        seq = [*wall.ray_indices, off[0], off_b]
+        T, pivots, d, _ = _eliminate([[fan.ray(i)[e] for i in seq] for e in range(fan.dim)])
+        if pivots[-1] == len(seq) - 1:
+            raise DegenerateWall(f"the last of the rays {seq} is independent of the others")
+        terms = [(seq[p], -row[-1], d) for p, row in zip(pivots, T) if row[-1]]
+    denominator = lcm(*(s // gcd(c, s) for _, c, s in terms))
+    rel = {i: c * denominator // s for i, c, s in terms} | {off_b: denominator}
+    if rel.get(off[0], 0) <= 0:
+        raise RuntimeError("off-wall rays must have positive coefficients")
+    scale = Fraction(denominator, rel[off[0]])
     if len(off) > 1:
         u = cone_a.facets.inequalities[cone_a.facet_rays.index(wall.ray_indices)]
         v_off = vsum([fan.ray(i) for i in off], fan.dim)
         scale *= Fraction(vdot(u, v_off), vdot(u, fan.ray(off[0])))
-    coeffs, denominator = _integer_row(list(rel.values()))
-    return tuple(rel), tuple(coeffs), denominator, scale
+    return tuple(rel), tuple(rel.values()), denominator, scale
 
 
 def _pairings(phi: PLFunction, ray_values=None) -> tuple[list[int], int]:

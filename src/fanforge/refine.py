@@ -98,6 +98,16 @@ def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tupl
     primitive integer vector (a ray_i, b) on its ray, for c_i = a / b in
     lowest terms: the rows of a double description are primitivized anyway,
     and scaling keeps the tight sets, which integer dot products give.
+
+    Each cone returned is full-dimensional, so no rank is checked.  At a
+    facet u = (u', u_n) with u_n > 0, the at most n tight points span an
+    n-dimensional face, so they are independent.  A relation
+    sum_i l_i r_i = 0 among their rays would give
+    sum_i (l_i / a_i) (a_i r_i, b_i) = 0, as tightness makes
+    u_n b_i = -a_i <u', r_i> and so u_n sum_i l_i b_i / a_i =
+    -<u', sum_i l_i r_i> = 0; hence every l_i is 0.  validate_fan inverts
+    each cone's ray matrix all the same, and _build raises if one is
+    singular.
     """
     n = fan.dim
     idx = cone.ray_indices
@@ -120,8 +130,6 @@ def weighted_subdivision(fan: Fan, cone: ConeData, m: Vec, weights) -> list[tupl
             raise Degenerate(f"facet with {len(tight)} vertices in cone {idx}")
         out.append(tight)
     out.sort()
-    if any(rank([fan.ray(i) for i in f]) != n for f in out):
-        raise RuntimeError(f"a subdivision cone of {idx} is not full-dimensional")
     return out
 
 
@@ -150,7 +158,9 @@ def _draw_weights(fan: Fan, support, rng, seed) -> WeightAssignment:
 
 def _build(fan: Fan, support, dual_points, seed) -> Refinement:
     """Draw weights, subdivide every maximal cone, glue and validate;
-    retry on degenerate draws or gluing failures."""
+    retry on degenerate draws or gluing failures.  weighted_subdivision
+    yields no cone that is not full-dimensional, so one is a fault and
+    raises RuntimeError instead of a retry."""
     rng = random.Random(seed)
     for attempt in range(MAX_RETRIES):
         weights = _draw_weights(fan, support, rng, seed)
@@ -164,6 +174,8 @@ def _build(fan: Fan, support, dual_points, seed) -> Refinement:
             # a simplicial fan's cones stay whole: it is its own refinement
             fine = fan if fan.is_simplicial else validate_fan(fan.dim, fan.rays, fine_cones)
         except (Degenerate, FanError) as e:
+            if isinstance(e, FanError) and e.code == "MaxConeNotFullDim":
+                raise RuntimeError(f"a subdivision cone is not full-dimensional: {e}") from e
             log.info("refinement retry %d: %s", attempt + 1, e)
             continue
         if attempt:
@@ -221,17 +233,19 @@ def qp_refinement(
     fine = refinement.fine
     vals = [Fraction(v, d * w) for v, w in zip(values, refinement.weights.w)]
     phi_fine = pl_from_ray_values(fine, vals)
-    if not strictly_convex_relative(phi_fine, refinement):
+    pairings = _pairings(phi_fine)
+    if not strictly_convex_relative(phi_fine, refinement, pairings):
         raise RuntimeError("the fine function must be strictly convex relative to the fan")
-    if not is_strictly_convex(_fine_certificate(refinement, shifted, phi_fine)):
+    if not is_strictly_convex(_fine_certificate(refinement, shifted, phi_fine, pairings)):
         raise RuntimeError("the refined fan must stay quasi-projective")
     return refinement, phi_fine
 
 
 def _fine_certificate(
-    r: Refinement, shifted: PLFunction, phi_fine: PLFunction
+    r: Refinement, shifted: PLFunction, phi_fine: PLFunction, pairings
 ) -> PLFunction:
-    """A strictly convex function on the fine fan, pull + eps * phi_fine.
+    """A strictly convex function on the fine fan, pull + eps * phi_fine,
+    given phi_fine's _pairings.
 
     pull is shifted pulled back: fine cone j takes the functional of its
     coarse cone cone_map[j].  Let a_w and b_w be the bends of pull and
@@ -251,7 +265,7 @@ def _fine_certificate(
     pull = PLFunction(
         fine, tuple(shifted.cone_functionals[k] for k in r.cone_map)
     )
-    (a_all, da), (b_all, db) = _pairings(pull), _pairings(phi_fine)
+    (a_all, da), (b_all, db) = _pairings(pull), pairings
     eps = min(
         (Fraction(a * db, -2 * b * da) for a, b in zip(a_all, b_all) if b < 0),
         default=Fraction(1),
@@ -276,11 +290,12 @@ def supported_refinement(fan: Fan, collection, seed: int = 0) -> Refinement:
     return r
 
 
-def strictly_convex_relative(phi_fine: PLFunction, r: Refinement) -> bool:
+def strictly_convex_relative(phi_fine: PLFunction, r: Refinement, pairings=None) -> bool:
     """Strict across every fine interior wall between two fine cones of the
     same coarse cone, by the sign of phi_fine's pairing with the wall
-    relation; walls inside coarse walls carry no condition."""
-    pairings, _ = _pairings(phi_fine)
+    relation; walls inside coarse walls carry no condition.  phi_fine's
+    _pairings may be passed in."""
+    pairings, _ = pairings or _pairings(phi_fine)
     return all(
         p > 0
         for w, p in zip(r.fine.interior_walls, pairings)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from fanforge.linalg import (
     vec,
     vneg,
     vscale,
-    vsub,
     vsum,
 )
 from fanforge.plfun import is_quasi_projective
@@ -77,7 +77,7 @@ def test_primitivize():
 
 def pivot_independent_subset(vectors, size):
     """The pivot columns of one elimination of the vectors as columns, cut
-    to size, as plfun._relation_for_rays reads a wall's independent rays."""
+    to size, as plfun._wall_entry reads a wall's independent rays."""
     dim = len(vectors[0]) if vectors else 0
     pivots = rref([[v[d] for v in vectors] for d in range(dim)])[1]
     return pivots[:size] if len(pivots) >= size else None
@@ -259,6 +259,15 @@ def test_lex_min_independent_subset_matches_greedy_reference(vectors, size):
     got = pivot_independent_subset(vectors, size)
     assert got == reference_lex_min_independent_subset(vectors, size)
     assert (got is None) == (size > rank(vectors))
+
+
+def vsub(a, b):
+    """a - b entrywise, on entries as given, in the form of linalg's vector
+    helpers; no library code subtracts vectors, so it lives with the tests
+    that do."""
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(sub, a, b))
 
 
 # The vector helpers as they were when they converted every entry to

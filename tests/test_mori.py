@@ -324,29 +324,32 @@ def reference_wall_relation(fan, wall):
 
 
 def test_wall_relation_matches_kernel_reference(monkeypatch):
-    solved = []
-    real = plfun._relation_for_rays
-
-    def counting(fan, ray_seq):
-        solved.append(ray_seq)
-        return real(fan, ray_seq)
-
     fans = _wall_class_fans() + [validate_fan(1, [(1,), (-1,)], [[0], [1]])]
+    real = plfun._eliminate
     dual = kernel = 0
     for f in fans:
+        # a fresh fan, so that its wall table is built under the spy
+        f = fan_from_json_obj(f.to_json_obj())
+        solved = []
+        monkeypatch.setattr(plfun, "_eliminate", lambda rows: solved.append(rows) or real(rows))
+        plfun._wall_table(f)
+        monkeypatch.undo()
+        eliminated = []
         for w in f.interior_walls:
-            cone_a = f.max_cones[w.cone_indices[0]]
-            simplicial = len(cone_a.ray_indices) == cone_a.dim
-            solved.clear()
-            monkeypatch.setattr(plfun, "_relation_for_rays", counting)
             rel = wall_relation(f, w)
-            monkeypatch.undo()
             assert rel == reference_wall_relation(f, w)
             assert all(type(c) is Fraction for c in rel.values())
-            # only a wall whose first cone is not simplicial is eliminated
-            assert len(solved) == (not simplicial)
+            cone_a, cone_b = (f.max_cones[k] for k in w.cone_indices)
+            simplicial = len(cone_a.ray_indices) == cone_a.dim
+            if not simplicial:
+                off = [min(set(c.ray_indices) - set(w.ray_indices)) for c in (cone_a, cone_b)]
+                seq = [*w.ray_indices, *off]
+                eliminated.append([[f.ray(i)[e] for i in seq] for e in range(f.dim)])
             dual += simplicial
             kernel += not simplicial
+        # only a wall whose first cone is not simplicial is eliminated, once,
+        # on the columns [wall rays, off_a, off_b]
+        assert solved == eliminated
     # 233 and 95 walls at this corpus
     assert dual >= 200 and kernel >= 80
 

@@ -7,7 +7,7 @@ import pytest
 
 from fanforge import cli, corpus, lp, mori, plfun, refine
 from fanforge.fan import ConeData, validate_fan
-from fanforge.linalg import ZERO, kernel_basis, rref, solve_linear, vdot, vec, vscale, vsub, vsum
+from fanforge.linalg import ZERO, kernel_basis, rref, solve_linear, vdot, vec, vscale, vsum
 from fanforge.mori import extremal_walls, mori_cone
 from fanforge.plfun import (
     NonSimplicialFan,
@@ -25,12 +25,15 @@ from fanforge.plfun import (
     refinement_cone_map,
     refinement_ray_map,
     wall_functional,
+    wall_relation,
     wall_rows,
 )
 from fanforge.primcoll import primitive_relations
 from fanforge.refine import qp_refinement, simplicial_refinement
-from fanforge.theorems import check_type_a_description, random_complete_fan, stellar_subdivide
+from fanforge.theorems import check_main_theorem, check_type_a_description, random_complete_fan
+from fanforge.theorems import stellar_subdivide
 from test_cross_oracles import _route_fans
+from test_linalg import vsub
 from test_theorems import moved_vertex_cube_fan
 
 
@@ -567,7 +570,8 @@ def test_simplicial_pl_basis_solves_no_kernel(monkeypatch):
 
 def test_pl_basis_takes_the_integer_route(monkeypatch):
     # with the cone relations derived, _solve_pl_basis reduces its integer
-    # span rows by one _eliminate of its own and no rref; combine
+    # span rows by one _eliminate of its own and no rref (plfun imports
+    # none since the wall table is built in integers); combine
     # integerizes its coefficients and nothing else.  The value rows read
     # off the integer quotient are integer_ray_values' rows, denominators
     # included
@@ -577,8 +581,9 @@ def test_pl_basis_takes_the_integer_route(monkeypatch):
         b = pl_basis(f)
         assert b.value_rows[f.dim:] == tuple(
             PLFunction(f, ms).integer_ray_values() for ms in b.quotient_functionals)
+    assert not hasattr(plfun, "rref")
     calls = []
-    for name in ("rref", "_eliminate", "_integer_row"):
+    for name in ("_eliminate", "_integer_row"):
         real = getattr(plfun, name)
         monkeypatch.setattr(plfun, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     for f in fans:
@@ -605,6 +610,26 @@ def test_cone_elimination_runs_once_per_fan(monkeypatch):
     extremal_walls(f, basis)
     cli._nef_report(f)
     assert len(calls) == 1
+
+
+def test_wall_entries_are_derived_once_per_fan(monkeypatch):
+    # the Picard LP, the main theorem's report and every wall_relation read
+    # one wall table: each interior wall's relation is derived once, and
+    # wall_relation, a view of the table, neither eliminates nor pairs
+    built, derived = [], []
+    real = plfun._wall_entry
+    monkeypatch.setattr(plfun, "_wall_entry", lambda f, w: built.append(w) or real(f, w))
+    for f in (corpus.split_pyramid_fan(), corpus.cube_fan(3)):
+        built.clear()
+        is_quasi_projective(f)
+        check_main_theorem(f)
+        with monkeypatch.context() as m:
+            for name in ("_eliminate", "vdot"):
+                m.setattr(plfun, name, lambda *a, name=name: derived.append(name))
+            rels = [wall_relation(f, w) for w in f.interior_walls]
+        assert built == list(f.interior_walls) and derived == []
+        assert rels == [{i: Fraction(c, d) for i, c in zip(rays, coeffs)}
+                        for rays, coeffs, d, _ in plfun._wall_table(f)]
 
 
 @pytest.mark.parametrize("make", [

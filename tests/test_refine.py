@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fanforge import corpus, lp, refine
+from fanforge import corpus, linalg, lp, plfun, refine
+from fanforge import fan as fanmod
 from fanforge.cones import HCone, VCone, cones_equal, intersect_hcones, v_to_h
 from fanforge.fan import FanError, fans_equal, validate_fan
 from fanforge.linalg import kernel_basis, rank, vdot, vec, vneg, vscale
@@ -447,6 +448,50 @@ def test_refinement_gives_up_after_only_degenerate_draws(monkeypatch):
     with pytest.raises(GenericityExhausted):
         simplicial_refinement(corpus.cube_fan(3), (), seed=0)
     assert len(drawn) == refine.MAX_RETRIES
+
+
+def test_each_new_fine_cone_is_eliminated_once(monkeypatch):
+    # weighted_subdivision checks no rank: validate_fan's _inverse_cone is
+    # the one elimination of each new fine cone's rays, as rows or columns
+    seen = []
+    for mod in (linalg, fanmod, plfun):
+        real = mod._eliminate
+        monkeypatch.setattr(mod, "_eliminate", lambda rows, real=real: seen.append(
+            [tuple(r) for r in rows]) or real(rows))
+    f = corpus.cube_fan(3)
+    ok, witness = is_quasi_projective(f)
+    coarse = {c.ray_indices for c in f.max_cones}
+    for refinement in (lambda: simplicial_refinement(f, (), seed=0),
+                       lambda: qp_refinement(f, (), witness, seed=0)[0]):
+        seen.clear()
+        r = refinement()
+        assert r.retries == 0
+        new = [c.ray_indices for c in r.fine.max_cones if c.ray_indices not in coarse]
+        assert len(new) == 12
+        for idx in new:
+            rays = [f.ray(i) for i in idx]
+            as_rows = [m for m in seen if m[:len(idx)] == [tuple(v) for v in rays]]
+            as_columns = [m for m in seen if [tuple(x[:len(idx)]) for x in m]
+                          == [tuple(v[e] for v in rays) for e in range(f.dim)]]
+            assert (len(as_rows), len(as_columns)) == (0, 1), idx
+
+
+def test_a_dependent_fine_cone_is_no_retry(monkeypatch):
+    # a fine cone that is not full-dimensional is a fault, not a draw to
+    # retry: _build raises RuntimeError and returns no fan
+    f = corpus.cube_fan(3)
+    i = 0
+    j = f.rays.index(tuple(-x for x in f.ray(i)))
+    real = refine.weighted_subdivision
+
+    def dependent(fan, cone, m, weights):
+        if cone is not fan.max_cones[0]:
+            return real(fan, cone, m, weights)
+        return [(i, j, next(k for k in cone.ray_indices if k not in (i, j)))]
+
+    monkeypatch.setattr(refine, "weighted_subdivision", dependent)
+    with pytest.raises(RuntimeError, match="not full-dimensional"):
+        simplicial_refinement(f, (), seed=0)
 
 
 def test_qp_refinement_rejects_a_function_of_another_fan():
