@@ -459,7 +459,7 @@ def test_each_new_fine_cone_is_eliminated_once(monkeypatch):
         monkeypatch.setattr(mod, "_eliminate", lambda rows, real=real: seen.append(
             [tuple(r) for r in rows]) or real(rows))
     f = corpus.cube_fan(3)
-    ok, witness = is_quasi_projective(f)
+    _, witness = is_quasi_projective(f)
     coarse = {c.ray_indices for c in f.max_cones}
     for refinement in (lambda: simplicial_refinement(f, (), seed=0),
                        lambda: qp_refinement(f, (), witness, seed=0)[0]):
