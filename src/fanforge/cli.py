@@ -388,11 +388,9 @@ def build_parser() -> _Parser:
     p = _Parser(prog="fanforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, fan_arg=True):
+    def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
-        if fan_arg:
-            sp.add_argument("--fan", required=True,
-                            help="fan JSON path or corpus:NAME")
+        sp.add_argument("--fan", required=True, help="fan JSON path or corpus:NAME")
         sp.add_argument("--json", action="store_true", help="JSON output")
         sp.set_defaults(fn=fn)
         return sp

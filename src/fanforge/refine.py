@@ -137,9 +137,15 @@ def _check_support_independent(fan: Fan, support) -> tuple[int, ...]:
     s = tuple(sorted(set(support)))
     if any(i < 0 or i >= fan.n_rays for i in s):
         raise PNotIndependent(f"ray indices {s} out of range")
+    if not s:
+        return s
     for cone in fan.max_cones:
+        # the rays of a simplicial cone are independent (fan._inverse_cone),
+        # and so is any subset of them
+        if len(cone.ray_indices) == fan.dim:
+            continue
         inter = [fan.ray(i) for i in s if i in cone.ray_indices]
-        if rank(inter) != len(inter):
+        if len(inter) > 1 and rank(inter) != len(inter):
             raise PNotIndependent(
                 f"support meets cone {cone.ray_indices} dependently"
             )

@@ -2,8 +2,9 @@
 
 Each check runs on a concrete fan and returns a TheoremReport whose "holds"
 verdict ships machine-checkable certificates (nonnegative-combination
-coefficients, proportionality scales) that verify_certificates re-checks
-with nothing but arithmetic.  Fans that are not quasi-projective are run in
+coefficients, proportionality scales), held as the exact ints and Fractions
+the solver found, that verify_certificates re-checks with nothing but exact
+arithmetic.  Fans that are not quasi-projective are run in
 evidence mode: the cone identities are still tested, but a passing result
 is reported as "evidence", never "holds".  Every fan is checked in
 relation coordinates, with no PL basis (plfun._relation_coordinates).
@@ -58,10 +59,9 @@ class TheoremReport:
 def _membership_certificates(inner: VCone, outer: VCone, certs: list) -> Vec | None:
     """Record one nonnegative combination per generator of inner over the
     generators of outer; returns a counterexample generator on failure.  The
-    certificates share one list of the outer generators.  A generator
-    positively proportional to an outer one is that one scaled, and only
-    the others need an LP."""
-    outer_strs = [[str(x) for x in og] for og in outer.generators]
+    certificates share outer's generator tuple, which is immutable.  A
+    generator positively proportional to an outer one is that one scaled,
+    and only the others need an LP."""
     index: dict = {}
     for k, og in enumerate(outer.generators):
         if not is_zero_vec(og):
@@ -76,13 +76,7 @@ def _membership_certificates(inner: VCone, outer: VCone, certs: list) -> Vec | N
             ok, coeffs = cone_contains(outer, g)
             if not ok:
                 return g
-        certs.append(
-            {
-                "target": [str(x) for x in g],
-                "generators": outer_strs,
-                "coeffs": [str(c) for c in coeffs],
-            }
-        )
+        certs.append({"target": g, "generators": outer.generators, "coeffs": tuple(coeffs)})
     return None
 
 
@@ -98,7 +92,7 @@ def _proportional_certificate(u: Vec, v: Vec) -> dict:
     verification unless u and v are positively proportional."""
     nz = next((i for i, x in enumerate(v) if x != 0), None)
     scale = 1 if nz is None else Fraction(u[nz], v[nz])
-    return {"u": [str(x) for x in u], "v": [str(x) for x in v], "scale": str(scale)}
+    return {"u": tuple(u), "v": tuple(v), "scale": scale}
 
 
 def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
@@ -117,7 +111,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
         return TheoremReport(
             "main-cone-equality", fan_id, FAILS,
             f"cone equality fails at generator {[str(x) for x in bad]}",
-            {"counterexample": [str(x) for x in bad]},
+            {"counterexample": bad},
         )
     qp = _relation_quasi_projective(fan)
     details = "wall and primitive descriptions agree" + (
@@ -125,7 +119,7 @@ def check_main_theorem(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     )
     certs = {"memberships": memberships, "rays": list(rc.rays)}
     if rc.functions is not None:
-        certs["functions"] = [[str(x) for x in k] for k in rc.functions]
+        certs["functions"] = rc.functions
     return TheoremReport("main-cone-equality", fan_id, HOLDS if qp else EVIDENCE, details, certs)
 
 
@@ -256,7 +250,8 @@ def check_type_a_description(coarse: Fan, refinement: Refinement, fan_id="fan") 
         rc = _relation_coordinates(coarse)
         units = [rc.coordinates({i: 1}) for i in range(coarse.n_rays)]
         pull_basis = [*zip(*coarse.rays), *zip(*units)]
-        ra, rb = rank(cut_basis), rank(pull_basis)
+        # a kernel basis is independent
+        ra, rb = len(cut_basis), rank(pull_basis)
         rab = rank(list(cut_basis) + list(pull_basis))
     ok = ra == rb == rab
     return TheoremReport(
@@ -340,43 +335,42 @@ _REQUIRED_CERTIFICATES = {
 
 
 def verify_certificates(report: TheoremReport) -> bool:
-    """Independent re-check of a report's certificates by plain arithmetic.
+    """Independent re-check of a report's certificates by exact arithmetic
+    on their ints and Fractions, with no parsing and no solver.
 
     Fails closed: a passing verdict without its certificate lists, an entry
-    that does not parse as a rational, vectors of unequal lengths, a
-    function that is not an integer row as long as the listed rays, and a
-    membership of another length than the functions (else the rays) are
-    all rejected."""
+    that is not exactly an int or a Fraction (a str, float or bool), vectors
+    of unequal lengths, a negative coefficient, a scale <= 0, a function
+    that is not an integer row as long as the listed rays, and a membership
+    of another length than the functions (else the rays) are all rejected."""
     certs = report.certificates
     required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict), ())
     if not all(isinstance(certs.get(n), list) for n in required):
         return False
     try:
         functions = certs.get("functions", [])
-        if any(len(k) != len(certs["rays"]) or any(str(int(x)) != x for x in k)
+        if any(len(k) != len(certs["rays"]) or any(type(x) is not int for x in k)
                for k in functions):
             return False
         width = len(certs.get("functions", certs.get("rays", ())))
         if "rays" in certs and any(len(m["target"]) != width for m in certs["memberships"]):
             return False
-        # the memberships of one cone equality share their generator list,
-        # so each distinct list is parsed once
-        parsed: dict = {}
-        for m in certs.get("memberships", []):
-            gens = m["generators"]
-            if id(gens) not in parsed:
-                parsed[id(gens)] = [[Fraction(x) for x in g] for g in gens]
-            if not _membership_holds(m, parsed[id(gens)]):
-                return False
-        return all(_proportional_holds(p) for p in certs.get("proportional", []))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return all(map(_membership_holds, certs.get("memberships", []))) and all(
+            map(_proportional_holds, certs.get("proportional", [])))
+    except (KeyError, TypeError):
         return False
 
 
-def _membership_holds(m: dict, gens: list) -> bool:
-    target = [Fraction(x) for x in m["target"]]
-    coeffs = [Fraction(c) for c in m["coeffs"]]
+def _exact(v) -> bool:
+    """Every entry of v is exactly an int or a Fraction; a bool is neither."""
+    return all(type(x) is int or type(x) is Fraction for x in v)
+
+
+def _membership_holds(m: dict) -> bool:
+    target, gens, coeffs = m["target"], m["generators"], m["coeffs"]
     if len(coeffs) != len(gens) or any(len(g) != len(target) for g in gens):
+        return False
+    if not (_exact(target) and _exact(coeffs) and all(map(_exact, gens))):
         return False
     if any(c < 0 for c in coeffs):
         return False
@@ -387,7 +381,6 @@ def _membership_holds(m: dict, gens: list) -> bool:
 
 
 def _proportional_holds(p: dict) -> bool:
-    u = [Fraction(x) for x in p["u"]]
-    v = [Fraction(x) for x in p["v"]]
-    s = Fraction(p["scale"])
-    return len(u) == len(v) and s > 0 and all(x == s * y for x, y in zip(u, v))
+    u, v, s = p["u"], p["v"], p["scale"]
+    return (len(u) == len(v) and _exact((s, *u, *v)) and s > 0
+            and all(x == s * y for x, y in zip(u, v)))

@@ -2,13 +2,13 @@
 
 Lattice vectors (rays, facet normals, cone generators) are ints; relation
 coefficients, Mori classes, PL functionals and weights are ints or
-Fractions, never floats; every number in a certificate is a lowest-terms
-"p" or "p/q" string.  An int/int true division anywhere upstream would show
-here as a float.
+Fractions, never floats; every number in a certificate is an int or a
+Fraction, never a str, float or bool, and its index lists, function rows
+and dimensions are ints.  An int/int true division anywhere upstream would
+show here as a float.
 """
 
 import random
-import re
 from fractions import Fraction
 
 from fanforge import corpus
@@ -19,7 +19,9 @@ from fanforge.primcoll import enumerate_primitive_collections, primitive_relatio
 from fanforge.refine import covers_coarse_exactly, qp_refinement, simplicial_refinement
 from fanforge.theorems import random_complete_fan, run_paper_suite
 
-CERT_NUMBER = re.compile(r"^-?\d+(/\d+)?$")
+# the certificate lists of ray, wall and cone indices, integer function
+# rows and dimensions
+INTEGER_CERTIFICATES = {"rays", "functions", "walls", "deltas", "dims"}
 
 
 def assert_exact(values, where):
@@ -32,17 +34,15 @@ def assert_lattice(vectors, where):
         assert all(type(x) is int for x in v), f"{where}: {v!r}"
 
 
-def assert_certificate(obj, where):
+def assert_certificate(obj, where, types=(int, Fraction)):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            assert_certificate(v, f"{where}.{k}")
+            assert_certificate(v, f"{where}.{k}", (int,) if k in INTEGER_CERTIFICATES else types)
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            assert_certificate(v, f"{where}[{i}]")
-    elif isinstance(obj, str):
-        assert CERT_NUMBER.match(obj), f"{where}: {obj!r}"
+            assert_certificate(v, f"{where}[{i}]", types)
     else:
-        assert type(obj) is int, f"{where}: {obj!r}"  # ray or cone indices
+        assert type(obj) in types, f"{where}: {obj!r}"
 
 
 def assert_functions_exact(fns, where):
@@ -65,7 +65,7 @@ def test_paper_suite_certificates_are_exact():
     for r in reports:
         assert_certificate(r.certificates, f"{r.fan_id} {r.theorem}")
         kinds |= set(r.certificates)
-    assert {"memberships", "proportional", "walls", "dims"} <= kinds
+    assert {"memberships", "functions", "proportional", "walls", "dims"} <= kinds
 
 
 def test_query_outputs_are_exact():

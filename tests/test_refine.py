@@ -1,6 +1,9 @@
 import itertools
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +217,39 @@ def test_dependent_support_rejected():
     f = corpus.polygon_fan(4)
     r = simplicial_refinement(f, (0, 2), seed=0)
     assert fans_equal(r.fine, f)
+
+
+def _refine_inputs(seed):
+    """The refine workload's input fans at the seed, from perfbench/workloads.py
+    run as a script, so that nothing under perfbench/ is imported as a
+    package or written."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    wl = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), wl.__dict__)
+    return wl, wl.make_inputs("refine", seed)
+
+
+def test_support_check_ranks_only_dependent_candidates(monkeypatch):
+    # an empty support, or a support whose rays meet only simplicial cones,
+    # needs no rank: a simplicial cone's rays are independent
+    callers = []
+    real = refine.rank
+    monkeypatch.setattr(refine, "rank", lambda rows: callers.append(
+        sys._getframe(1).f_code.co_name) or real(rows))
+    wl, inputs = _refine_inputs(7)
+    for k, (fan_id, f) in enumerate(inputs):
+        out = wl.run_job("refine", k, fan_id, wl.fresh("refine", f), 7)
+        assert wl.check("refine", out), fan_id
+    assert len(inputs) >= 10 and "_check_support_independent" not in callers
+    f = corpus.split_pyramid_fan()
+    r = simplicial_refinement(f, f.max_cones[0].ray_indices, seed=0)
+    assert fans_equal(r.fine, f) and "_check_support_independent" not in callers
+    # all four rays of one cube cone are still found dependent
+    cube = corpus.cube_fan(3)
+    cone = next(c.ray_indices for c in cube.max_cones if len(c.ray_indices) == 4)
+    with pytest.raises(PNotIndependent):
+        simplicial_refinement(cube, cone, seed=0)
+    assert callers and set(callers) == {"_check_support_independent"}
 
 
 def test_supported_refinement_keeps_collection_primitive():

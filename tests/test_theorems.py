@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -346,25 +347,51 @@ def test_run_paper_suite_empty_corpus():
 def test_tampered_certificates_fail_verification():
     r = check_main_theorem(corpus.split_pyramid_fan(), "ex21")
     assert verify_certificates(r)
-    r.certificates["memberships"][0]["coeffs"][0] = "99"
+    m = r.certificates["memberships"][0]
+    m["coeffs"] = (99, *m["coeffs"][1:])
     assert not verify_certificates(r)
+
+
+def _global_names(code):
+    """The names code and the code nested in it (comprehensions, lambdas)
+    look up in their globals or as attributes."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _global_names(const)
+
+
+def test_checker_uses_no_solver_module():
+    # the checker and the theorems helpers it calls resolve no name to an
+    # object of a solver module, whatever they import
+    solvers = {"fanforge.lp", "fanforge.cones", "fanforge.linalg", "fanforge.plfun"}
+    todo = [theorems.verify_certificates, theorems._membership_holds,
+            theorems._proportional_holds]
+    seen = set()
+    while todo:
+        fn = todo.pop()
+        seen.add(fn)
+        for name in _global_names(fn.__code__):
+            obj = vars(theorems).get(name)
+            if obj is None:
+                continue
+            where = obj.__name__ if isinstance(obj, types.ModuleType) else getattr(
+                obj, "__module__", None)
+            assert where not in solvers, (fn.__name__, name, where)
+            if isinstance(obj, types.FunctionType) and where == theorems.__name__ \
+                    and obj not in seen:
+                todo.append(obj)
+    assert theorems._exact in seen
 
 
 def reference_membership_certificates(inner, outer, certs):
     """One membership LP per generator of inner, with no lookup: the loop
     that _membership_certificates ran before it looked generators up."""
-    outer_strs = [[str(x) for x in og] for og in outer.generators]
     for g in inner.generators:
         ok, coeffs = cone_contains(outer, g)
         if not ok:
             return g
-        certs.append(
-            {
-                "target": [str(x) for x in g],
-                "generators": outer_strs,
-                "coeffs": [str(c) for c in coeffs],
-            }
-        )
+        certs.append({"target": g, "generators": outer.generators, "coeffs": tuple(coeffs)})
     return None
 
 
@@ -437,12 +464,31 @@ def _tamper_short_generator(certs):
 
 
 def _tamper_bad_coefficient(certs):
-    certs["memberships"][0]["coeffs"][0] = "x"
+    m = certs["memberships"][0]
+    m["coeffs"] = ("x", *m["coeffs"][1:])
+
+
+def _lookup_membership(certs):
+    """A membership whose target is one of its generators, so that its
+    coefficients are 1 there and 0 elsewhere."""
+    return next(m for m in certs["memberships"] if m["target"] in m["generators"])
+
+
+def _tamper_float_coefficient(certs):
+    # 1.0 and 0.0 sum to the target as 1 and 0 do, but are not exact numbers
+    m = _lookup_membership(certs)
+    m["coeffs"] = tuple(float(c) for c in m["coeffs"])
+
+
+def _tamper_bool_coefficient(certs):
+    # True and False sum to the target as 1 and 0 do, but are not numbers
+    m = _lookup_membership(certs)
+    m["coeffs"] = tuple(c == 1 for c in m["coeffs"])
 
 
 def _tamper_drop_zero_coefficient(certs):
     # dropping a coefficient that is 0 leaves the sum unchanged
-    m = next(m for m in certs["memberships"] if m["coeffs"][-1] == "0")
+    m = next(m for m in certs["memberships"] if m["coeffs"][-1] == 0)
     m["coeffs"] = m["coeffs"][:-1]
 
 
@@ -454,11 +500,14 @@ def _tamper_short_target(certs):
 @pytest.mark.parametrize("tamper", [
     _tamper_short_generator,
     _tamper_bad_coefficient,
+    _tamper_float_coefficient,
+    _tamper_bool_coefficient,
     _tamper_drop_zero_coefficient,
     _tamper_short_target,
     lambda certs: certs.clear(),
     lambda certs: certs.update(memberships=None),
-], ids=["short-generator", "bad-coefficient", "dropped-zero-coefficient",
+], ids=["short-generator", "bad-coefficient", "float-coefficient", "bool-coefficient",
+        "dropped-zero-coefficient",
         "short-target", "emptied", "not-a-list"])
 def test_malformed_membership_certificates_fail_closed(tamper):
     r = _ex21_main()
@@ -473,13 +522,32 @@ def test_evidence_report_needs_memberships():
     assert not verify_certificates(r)
 
 
+def _tamper_zero_u_zero_scale(certs):
+    # u = 0 v holds entry by entry, but 0 is no positive scale
+    p = certs["proportional"][0]
+    p.update(u=(0,) * len(p["u"]), scale=0)
+
+
+def _tamper_negated_v_and_scale(certs):
+    # u = (-s)(-v) holds entry by entry, but -s is no positive scale
+    p = certs["proportional"][0]
+    p.update(v=tuple(-x for x in p["v"]), scale=-p["scale"])
+
+
 @pytest.mark.parametrize("tamper", [
     lambda certs: certs.clear(),
-    lambda certs: certs["proportional"][0].update(scale="1/0"),
+    lambda certs: certs["proportional"][0].update(scale=0),
+    lambda certs: certs["proportional"][0].update(scale=-1),
+    _tamper_zero_u_zero_scale,
+    _tamper_negated_v_and_scale,
+    lambda certs: certs["proportional"][0].update(
+        u=tuple(float(x) for x in certs["proportional"][0]["u"])
+    ),
     lambda certs: certs["proportional"][0].update(
         u=certs["proportional"][0]["u"][:-1]
     ),
-], ids=["emptied", "zero-denominator", "short-u"])
+], ids=["emptied", "zero-scale", "negative-scale", "zero-u-zero-scale",
+        "negated-v-and-scale", "float-u", "short-u"])
 def test_malformed_proportional_certificates_fail_closed(tamper):
     r = check_extremal_primitive(corpus.split_pyramid_fan(), "ex21")
     assert verify_certificates(r)
@@ -489,16 +557,14 @@ def test_malformed_proportional_certificates_fail_closed(tamper):
 
 def test_tampered_lookup_certificate_fails_verification():
     r = _ex21_main()
-    i, m = next(
-        (i, m) for i, m in enumerate(r.certificates["memberships"])
-        if m["target"] in m["generators"]
-    )
+    m = _lookup_membership(r.certificates)
+    i = r.certificates["memberships"].index(m)
     n = len(m["coeffs"])
     k = m["generators"].index(m["target"])
-    assert m["coeffs"] == ["1" if j == k else "0" for j in range(n)]
+    assert m["coeffs"] == tuple(int(j == k) for j in range(n))
     for coeffs in (
-        ["2" if j == k else "0" for j in range(n)],
-        ["1" if j == (k + 1) % n else "0" for j in range(n)],
+        tuple(2 * (j == k) for j in range(n)),
+        tuple(int(j == (k + 1) % n) for j in range(n)),
     ):
         bad = copy.deepcopy(r)
         bad.certificates["memberships"][i]["coeffs"] = coeffs
@@ -626,11 +692,13 @@ def test_main_theorem_beyond_the_double_description_guard(monkeypatch, r):
 
 
 def _shorten_one_function(certs):
-    certs["functions"][0].pop()
+    first, *rest = certs["functions"]
+    certs["functions"] = (first[:-1], *rest)
 
 
 def _non_integer_function_entry(certs):
-    certs["functions"][0][0] = "1/2"
+    (_, *row), *rest = certs["functions"]
+    certs["functions"] = ((Fraction(1, 2), *row), *rest)
 
 
 def _shorten_one_target(certs):
@@ -658,8 +726,7 @@ def test_main_theorem_needs_its_functions(tamper, fan_id):
 
 def _scale_one_membership_coefficient(certs):
     m = certs["memberships"][0]
-    k = next(k for k, c in enumerate(m["coeffs"]) if c != "0")
-    m["coeffs"][k] = str(2 * Fraction(m["coeffs"][k]))
+    m["coeffs"] = tuple(2 * c if c else c for c in m["coeffs"])
 
 
 @pytest.mark.parametrize("tamper", [
@@ -735,7 +802,7 @@ def _relations_positive_on_every_ray(monkeypatch):
 FORCED_FAILURES = {
     "negated-primitive-row": (
         "main-cone-equality", _negate_first_primitive_relation,
-        "cone equality fails at generator ['0', '1']", ["0", "1"],
+        "cone equality fails at generator ['0', '1']", (0, 1),
     ),
     "missing-primitive-collection": (
         "extremal-positive-support", _drop_first_extremal_collection,
