@@ -726,7 +726,8 @@ def test_main_theorem_needs_its_functions(tamper, fan_id):
 
 def _scale_one_membership_coefficient(certs):
     m = certs["memberships"][0]
-    m["coeffs"] = tuple(2 * c if c else c for c in m["coeffs"])
+    k = next(k for k, c in enumerate(m["coeffs"]) if c != 0)
+    m["coeffs"] = (*m["coeffs"][:k], 2 * m["coeffs"][k], *m["coeffs"][k + 1:])
 
 
 @pytest.mark.parametrize("tamper", [
