@@ -4,18 +4,19 @@ Every interior wall carries a rational relation among the rays around it,
 unique up to positive scale once the off-wall ray of the second incident
 cone has coefficient 1 (plfun.wall_relation).  Paired with plfun's
 functions K, the relations are the Mori cone's generators in N_1 in
-relation coordinates (plfun._relation_coordinates), where its pointedness
-and its extremal walls are decided once per fan.  Paired with a basis of
-the function-space quotient, they are the Picard classes that mori prints.
-"""
+relation coordinates (plfun._relation_coordinates).  There one LP decides
+pointedness, and its point lets the theorem checks find most extremal walls
+as hull vertices, with no LP.  Paired with a basis of the function-space
+quotient, the relations are the Picard classes that mori prints."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cones import VCone, cone_contains
 from .fan import Fan, Wall
-from .linalg import Vec, _integer_row, primitivize
+from .linalg import Vec, _integer_row, primitivize, vdot
 from .plfun import PLBasis, RelationVector, is_quasi_projective, pl_basis
 from .plfun import _relation_coordinates, _relation_pointed, _wall_classes, wall_relation
 
@@ -90,21 +91,30 @@ def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
     return [w for w, _ in _relation_extremal_walls(fan)]
 
 
-def _relation_extremal_walls(fan: Fan) -> tuple[tuple[Wall, dict[int, int]], ...]:
+def _relation_extremal_walls(fan: Fan, point=None) -> tuple[tuple[Wall, dict[int, int]], ...]:
     """The walls whose row spans an extremal ray of the cone of the wall
     rows in plfun._relation_coordinates, with their integer relations,
-    found once per fan; meaningful when that cone is pointed.  A direction
-    is extremal iff it lies outside the cone of the other distinct
-    directions; this LP exclusion test also works when the cone is not
-    full dimensional."""
+    found once per fan; meaningful when that cone is pointed.  Given a
+    point positive on every nonzero row (plfun._relation_point), the points
+    d / <point, d> (in integers over the pairings' lcm) that maximize some
+    +-e_j, if at most two, span a face of their hull: vertices, so extremal.
+    Any other direction is extremal iff it lies outside the cone of the
+    other distinct directions; this LP exclusion test also works when the
+    cone is not full dimensional."""
     def solve():
         rc = _relation_coordinates(fan)
         dirs = [primitivize(r) if any(x != 0 for x in r) else None for r in rc.rows]
         distinct = sorted({d for d in dirs if d is not None})
         extremal = set()
+        pairings = [] if point is None else [vdot(point, d) for d in distinct]
+        scale = lcm(*pairings)
+        for column in zip(*([x * (scale // p) for x in d] for d, p in zip(distinct, pairings))):
+            for values in (column, [-x for x in column]):
+                if values.count(top := max(values)) <= 2:
+                    extremal.update(d for d, v in zip(distinct, values) if v == top)
         for d in distinct:
             others = tuple(e for e in distinct if e != d)
-            if not cone_contains(VCone(others, rc.dim), d)[0]:
+            if d not in extremal and not cone_contains(VCone(others, rc.dim), d)[0]:
                 extremal.add(d)
         return tuple((w, rel) for w, rel, d in zip(fan.interior_walls, rc.relations, dirs)
                      if d in extremal)

@@ -243,18 +243,23 @@ def _relation_coordinates(fan: Fan) -> RelationCoordinates:
     return fan.derived("relation_coordinates", table)
 
 
-def _relation_pointed(fan: Fan) -> bool:
-    """Does some point pair positively with every nonzero wall row in
-    relation coordinates?  One exact LP, once per fan, on the rows' distinct
+def _relation_point(fan: Fan) -> tuple[int, ...] | None:
+    """An integer point positive on every nonzero wall row in relation
+    coordinates, or None.  One exact LP, once per fan, on the rows' distinct
     primitive directions in first-seen order, its point checked on each row."""
     def solve():
         rc = _relation_coordinates(fan)
         rows = [r for r in rc.rows if any(r)]
         x, _ = lp.strict_feasible(list(dict.fromkeys(map(primitivize, rows))), [], [], rc.dim)
-        if x is not None and any(vdot(r, x) <= 0 for r in rows):
+        point = None if x is None else tuple(_integer_row(x)[0])
+        if point is not None and any(vdot(r, point) <= 0 for r in rows):
             raise RuntimeError("LP point does not pair positively with every wall relation")
-        return x is not None
+        return point
     return fan.derived("relation_pointed", solve)
+
+
+def _relation_pointed(fan: Fan) -> bool:
+    return _relation_point(fan) is not None
 
 
 def _relation_quasi_projective(fan: Fan) -> bool:

@@ -23,7 +23,7 @@ from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vsum
 from .mori import _relation_extremal_walls, positively_proportional, relation_dense
-from .plfun import _relation_coordinates, _relation_quasi_projective, type_a_pairs
+from .plfun import _relation_coordinates, _relation_point, _relation_quasi_projective, type_a_pairs
 from .refine import Refinement, simplicial_refinement
 
 HOLDS = "holds"
@@ -134,7 +134,7 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
         )
     certs = []
     relations = primcoll.primitive_relations(fan)
-    for w, rel in _relation_extremal_walls(fan):
+    for w, rel in _relation_extremal_walls(fan, _relation_point(fan)):
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
         if p not in relations:
             return TheoremReport(
@@ -164,7 +164,7 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
     positive-coefficient ray from the wall relation leaves a maximal cone of
     the fan, and those cones cover the cone on all n+1 relation rays."""
     reason = _inapplicable(fan)
-    extremal = dict(_relation_extremal_walls(fan)) if reason is None else {}
+    extremal = dict(_relation_extremal_walls(fan, _relation_point(fan))) if reason is None else {}
     if reason is None and wall not in extremal:
         reason = f"wall {wall.ray_indices} is not extremal"
     if reason is not None:
@@ -217,7 +217,7 @@ def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     reason = _inapplicable(fan)
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    walls = _relation_extremal_walls(fan)
+    walls = _relation_extremal_walls(fan, _relation_point(fan))
     for w, rel in walls:
         r = _reid_at_wall(fan, w, rel, fan_id)
         if r.verdict == FAILS:
@@ -341,13 +341,23 @@ def verify_certificates(report: TheoremReport) -> bool:
     Fails closed: a passing verdict without its certificate lists, an entry
     that is not exactly an int or a Fraction (a str, float or bool), vectors
     of unequal lengths, a negative coefficient, a scale <= 0, a function
-    that is not an integer row as long as the listed rays, and a membership
-    of another length than the functions (else the rays) are all rejected."""
+    that is not an integer row as long as the listed rays, a membership of
+    another length than the functions (else the rays), holding Reid walls or
+    deltas that are not lists of int lists, and holding type-A dims that are
+    not three equal nonnegative ints are all rejected."""
     certs = report.certificates
     required = _REQUIRED_CERTIFICATES.get((report.theorem, report.verdict), ())
     if not all(isinstance(certs.get(n), list) for n in required):
         return False
     try:
+        if report.verdict == HOLDS and report.theorem == "reid-conditions":
+            lists = [certs[n] for n in ("walls", "deltas") if n in certs]
+            if not lists or not all(isinstance(x, list) and all(map(_ints, x)) for x in lists):
+                return False
+        if report.verdict == HOLDS and report.theorem == "type-a-subspace":
+            dims = certs["dims"]
+            if not (_ints(dims) and len(dims) == 3 and min(dims) == max(dims) >= 0):
+                return False
         functions = certs.get("functions", [])
         if any(len(k) != len(certs["rays"]) or any(type(x) is not int for x in k)
                for k in functions):
@@ -359,6 +369,11 @@ def verify_certificates(report: TheoremReport) -> bool:
             map(_proportional_holds, certs.get("proportional", [])))
     except (KeyError, TypeError):
         return False
+
+
+def _ints(v) -> bool:
+    """v is a list of exact ints; a bool is not an int."""
+    return isinstance(v, list) and all(type(x) is int for x in v)
 
 
 def _exact(v) -> bool:

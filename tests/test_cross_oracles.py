@@ -1,7 +1,9 @@
 """Independent-oracle stress tests: the double description method against a
 brute-force extreme-ray search, the simplex-based strict feasibility
-against a double-description-based decision of the same question, and the
-relation-coordinate decisions against the Picard route."""
+against a double-description-based decision of the same question, the
+relation-coordinate decisions against the Picard route, and the extremal
+walls found from the relation LP's point against one LP per direction.
+The LP counts of the benchmark's verify-suite and query jobs are pinned."""
 
 import itertools
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fanforge import corpus, lp, mori, plfun
-from fanforge.cones import HCone, VCone, h_to_v, v_to_h
+from fanforge.cones import HCone, VCone, cone_contains, h_to_v, v_to_h
 from fanforge.fan import FanError, fan_from_json_obj, validate_fan
 from fanforge.linalg import kernel_basis, primitivize, rank, vdot
 from fanforge.theorems import check_main_theorem, random_complete_fan, stellar_subdivide
@@ -266,3 +268,129 @@ def test_relation_lp_sees_each_direction_once(monkeypatch):
         shrunk += len(directions) < len(rows)
     # on 39 of the 80 fans some direction repeats
     assert (len(fans), shrunk) == (80, 39)
+
+
+def reference_relation_extremal_walls(fan):
+    """One LP per direction, with no point: each distinct nonzero wall
+    direction in relation coordinates is extremal iff it lies outside the
+    cone of the other distinct directions."""
+    rc = plfun._relation_coordinates(fan)
+    extremal = _reference_extremal_directions(rc.rows, rc.dim)
+    return [(w.ray_indices, rel) for w, rel, r in zip(fan.interior_walls, rc.relations, rc.rows)
+            if any(r) and primitivize(r) in extremal]
+
+
+def _reference_extremal_directions(rows, dim):
+    distinct = sorted({primitivize(r) for r in rows if any(r)})
+    return {d for d in distinct if not cone_contains(
+        VCone(tuple(e for e in distinct if e != d), dim), d)[0]}
+
+
+def _fresh(f):
+    return fan_from_json_obj(f.to_json_obj())
+
+
+def test_extremal_walls_from_the_point_match_one_lp_per_direction(monkeypatch):
+    # each call on a new Fan object, so that no derived value is shared
+    rng = random.Random(23)
+    fans = _route_fans() + merged_fulton_fans() + [random_complete_fan(rng) for _ in range(20)]
+    fans += [("cube4d", corpus.cube_fan(4)), ("ex22:16", corpus.corpus_fan("ex22:16"))]
+    calls = []
+    real = lp.solve_nonneg
+    monkeypatch.setattr(lp, "solve_nonneg", lambda *a: calls.append(a) or real(*a))
+    pointed = with_point = without_point = 0
+    for name, f in fans:
+        ref = reference_relation_extremal_walls(_fresh(f))
+        point = plfun._relation_point(_fresh(f))
+        if point is not None:
+            # an integer point positive on every nonzero wall row
+            assert all(type(x) is int for x in point), name
+            rows = plfun._relation_coordinates(f).rows
+            assert all(vdot(r, point) > 0 for r in rows if any(r)), name
+            pointed += 1
+        calls.clear()
+        got = mori._relation_extremal_walls(_fresh(f), point)
+        with_point += len(calls)
+        assert [(w.ray_indices, rel) for w, rel in got] == ref, name
+        calls.clear()
+        got = mori._relation_extremal_walls(_fresh(f))
+        without_point += len(calls)
+        assert [(w.ray_indices, rel) for w, rel in got] == ref, name
+    # Fulton's fan and its merged fans have no point
+    assert (len(fans) - pointed, pointed) == (4, len(fans) - 4)
+    # the point decides most directions with no LP
+    assert with_point < without_point / 2, (with_point, without_point)
+
+
+class _GivenRows:
+    """Stands in for a fan whose wall rows in relation coordinates are
+    given: wall k is k, with the relation {k: 1}."""
+
+    def __init__(self, rows, dim):
+        self.interior_walls = tuple(range(len(rows)))
+        self.rc = plfun.RelationCoordinates(
+            (), None, dim, tuple({k: 1} for k in range(len(rows))), tuple(rows))
+
+    def derived(self, name, compute):
+        return compute()
+
+
+def test_extremal_directions_from_a_point_on_random_rows(monkeypatch):
+    # random rows positive on a random point, with nonnegative combinations
+    # of them that tie with the vertices they lie between
+    monkeypatch.setattr(mori, "_relation_coordinates", lambda f: f.rc)
+    calls = []
+    real = lp.solve_nonneg
+    monkeypatch.setattr(lp, "solve_nonneg", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(29)
+    decided = 0
+    for _ in range(300):
+        dim = rng.randint(2, 5)
+        point = tuple(rng.randint(-2, 3) for _ in range(dim))
+        rows = [r for r in (tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(12))
+                if vdot(r, point) > 0][:rng.randint(1, 8)]
+        if not rows:
+            continue
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(1, 2)
+            rows.append(tuple(k * x + y for x, y in zip(a, b)))
+        rng.shuffle(rows)
+        ref = _reference_extremal_directions(rows, dim)
+        calls.clear()
+        got = mori._relation_extremal_walls(_GivenRows(rows, dim), point)
+        decided += len({primitivize(r) for r in rows}) - len(calls)
+        assert [k for k, _ in got] == [k for k, r in enumerate(rows) if primitivize(r) in ref], (
+            rows, point)
+    assert decided > 500, decided
+
+
+def _lp_counts(monkeypatch, workload):
+    """Calls of each LP over one pass of the workload's jobs at seed 7."""
+    counts = {"solve_nonneg": 0, "strict_feasible": 0}
+
+    def spy(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(lp, name, spy(name, getattr(lp, name)))
+    wl = workloads_module()
+    for k, (fid, item) in enumerate(wl.make_inputs(workload, 7)):
+        assert wl.check(workload, wl.run_job(workload, k, fid, wl.fresh(workload, item), 7)), fid
+    return counts
+
+
+def test_verify_suite_lp_counts(monkeypatch):
+    # the extremal and Reid checks take most extremal walls from the point
+    # of the relation LP, which the quasi-projectivity test already solved
+    counts = _lp_counts(monkeypatch, "verify-suite")
+    assert counts["solve_nonneg"] <= 129 and counts["strict_feasible"] == 35
+
+
+def test_query_lp_counts(monkeypatch):
+    # query decides pointedness from the Picard witness and runs one LP per
+    # extremal-wall direction
+    assert _lp_counts(monkeypatch, "query") == {"solve_nonneg": 58, "strict_feasible": 14}

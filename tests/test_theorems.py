@@ -790,8 +790,8 @@ def _relations_positive_on_every_ray(monkeypatch):
     # every ray of a wall's circuit may then be dropped, also a wall ray
     # whose complement is no cone of the fan
     real = theorems._relation_extremal_walls
-    monkeypatch.setattr(theorems, "_relation_extremal_walls", lambda f: tuple(
-        (w, dict.fromkeys(range(f.n_rays), 1)) for w, _ in real(f)
+    monkeypatch.setattr(theorems, "_relation_extremal_walls", lambda f, point: tuple(
+        (w, dict.fromkeys(range(f.n_rays), 1)) for w, _ in real(f, point)
     ))
 
 
@@ -896,3 +896,38 @@ def test_suite_on_any_fan_derives_no_picard_basis(monkeypatch):
         + [(fid, d) for fid in ("cube3", "ex31", merged)
            for d in ("fan not simplicial", "not simplicial")])
     assert sum(r.verdict == HOLDS for r in reports) == 9 + 2 + 2 + 1
+
+
+@pytest.mark.parametrize("theorem, certs", [
+    ("reid-conditions", {}),
+    ("reid-conditions", {"walls": [(0, 1)]}),
+    ("reid-conditions", {"walls": [[0, 1]], "deltas": [[0, "2"]]}),
+    ("reid-conditions", {"deltas": [[0, True]]}),
+    ("type-a-subspace", {}),
+    ("type-a-subspace", {"dims": [1, 2, 3]}),
+    ("type-a-subspace", {"dims": [2, 2, 3]}),
+    ("type-a-subspace", {"dims": [-1, -1, -1]}),
+    ("type-a-subspace", {"dims": [2, 2]}),
+    ("type-a-subspace", {"dims": [2.0, 2, 2]}),
+    ("type-a-subspace", {"dims": (2, 2, 2)}),
+], ids=["reid-empty", "reid-tuple-wall", "reid-str-delta", "reid-bool-delta",
+        "type-a-empty", "type-a-123", "type-a-223", "type-a-negative", "type-a-two",
+        "type-a-float", "type-a-tuple"])
+def test_reid_and_type_a_reports_fail_closed(theorem, certs):
+    assert verify_certificates(theorems.TheoremReport(theorem, "x", HOLDS, "", certs)) is False
+
+
+def test_reid_and_type_a_certificates_of_the_suite_verify():
+    reports = run_paper_suite(seed=7, random_fans=25)
+    held = {(r.theorem, r.verdict) for r in reports}
+    assert {("reid-conditions", HOLDS), ("type-a-subspace", HOLDS)} <= held
+    assert all(verify_certificates(r) for r in reports)
+    # a single wall's report lists its deltas, and a report that does not
+    # hold needs no walls
+    f = corpus.split_pyramid_fan()
+    r = check_reid_conditions(f, f.interior_walls[0], "ex21")
+    assert r.verdict == HOLDS and list(r.certificates) == ["deltas"] and verify_certificates(r)
+    for theorem in ("reid-conditions", "type-a-subspace"):
+        assert verify_certificates(theorems.TheoremReport(theorem, "x", INAPPLICABLE))
+    assert verify_certificates(theorems.TheoremReport(
+        "type-a-subspace", "x", HOLDS, "", {"dims": [0, 0, 0]}))
