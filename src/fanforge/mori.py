@@ -5,9 +5,9 @@ unique up to positive scale once the off-wall ray of the second incident
 cone has coefficient 1 (plfun.wall_relation).  Paired with plfun's
 functions K, the relations are the Mori cone's generators in N_1 in
 relation coordinates (plfun._relation_coordinates).  There one LP decides
-pointedness, and its point lets the theorem checks find most extremal walls
-as hull vertices, with no LP.  Paired with a basis of the function-space
-quotient, the relations are the Picard classes that mori prints."""
+pointedness, and its point shows most extremal walls as hull vertices, with
+no LP.  Paired with a basis of the function-space quotient, the relations
+are the Picard classes that mori prints."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .cones import VCone, cone_contains
 from .fan import Fan, Wall
 from .linalg import Vec, _integer_row, primitivize, vdot
 from .plfun import PLBasis, RelationVector, is_quasi_projective, pl_basis
-from .plfun import _relation_coordinates, _relation_pointed, _wall_classes, wall_relation
+from .plfun import _relation_coordinates, _relation_point, _wall_classes, wall_relation
 
 
 class MoriConeNotPointed(Exception):
@@ -62,7 +62,7 @@ class MoriCone:
     not decided on, labeled by wall (plfun.wall_relation of the wall is the
     relation behind its class).  is_pointed: some functional is positive on
     every nonzero class.  A strictly convex function is one; otherwise the
-    relation LP of plfun._relation_pointed decides."""
+    relation LP of plfun._relation_point decides."""
 
     walls: tuple[Wall, ...]
     classes: tuple[Vec, ...]
@@ -78,7 +78,7 @@ def mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
 
 
 def _build_mori_cone(fan: Fan, basis: PLBasis) -> MoriCone:
-    pointed = is_quasi_projective(fan)[0] or _relation_pointed(fan)
+    pointed = is_quasi_projective(fan)[0] or _relation_point(fan) is not None
     return MoriCone(fan.interior_walls, _wall_classes(fan, basis), pointed)
 
 
@@ -91,10 +91,10 @@ def extremal_walls(fan: Fan, basis: PLBasis) -> list[Wall]:
     return [w for w, _ in _relation_extremal_walls(fan)]
 
 
-def _relation_extremal_walls(fan: Fan, point=None) -> tuple[tuple[Wall, dict[int, int]], ...]:
+def _relation_extremal_walls(fan: Fan) -> tuple[tuple[Wall, dict[int, int]], ...]:
     """The walls whose row spans an extremal ray of the cone of the wall
     rows in plfun._relation_coordinates, with their integer relations,
-    found once per fan; meaningful when that cone is pointed.  Given a
+    found once per fan; meaningful when that cone is pointed.  Given the
     point positive on every nonzero row (plfun._relation_point), the points
     d / <point, d> (in integers over the pairings' lcm) that maximize some
     +-e_j, if at most two, span a face of their hull: vertices, so extremal.
@@ -106,6 +106,7 @@ def _relation_extremal_walls(fan: Fan, point=None) -> tuple[tuple[Wall, dict[int
         dirs = [primitivize(r) if any(x != 0 for x in r) else None for r in rc.rows]
         distinct = sorted({d for d in dirs if d is not None})
         extremal = set()
+        point = _relation_point(fan)
         pairings = [] if point is None else [vdot(point, d) for d in distinct]
         scale = lcm(*pairings)
         for column in zip(*([x * (scale // p) for x in d] for d, p in zip(distinct, pairings))):

@@ -258,13 +258,9 @@ def _relation_point(fan: Fan) -> tuple[int, ...] | None:
     return fan.derived("relation_pointed", solve)
 
 
-def _relation_pointed(fan: Fan) -> bool:
-    return _relation_point(fan) is not None
-
-
 def _relation_quasi_projective(fan: Fan) -> bool:
     """Quasi-projective iff no wall row is zero and their cone is pointed."""
-    return all(any(r) for r in _relation_coordinates(fan).rows) and _relation_pointed(fan)
+    return all(any(r) for r in _relation_coordinates(fan).rows) and _relation_point(fan) is not None
 
 
 def wall_functional(fan: Fan, wall: Wall, phi: PLFunction) -> Fraction:

@@ -23,7 +23,7 @@ from .cones import VCone, cone_contains, hcone_covered_by, v_to_h
 from .fan import Fan, Wall, validate_fan
 from .linalg import Vec, is_zero_vec, kernel_basis, primitivize, rank, vsum
 from .mori import _relation_extremal_walls, positively_proportional, relation_dense
-from .plfun import _relation_coordinates, _relation_point, _relation_quasi_projective, type_a_pairs
+from .plfun import _relation_coordinates, _relation_quasi_projective, type_a_pairs
 from .refine import Refinement, simplicial_refinement
 
 HOLDS = "holds"
@@ -134,7 +134,7 @@ def check_extremal_primitive(fan: Fan, fan_id: str = "fan") -> TheoremReport:
         )
     certs = []
     relations = primcoll.primitive_relations(fan)
-    for w, rel in _relation_extremal_walls(fan, _relation_point(fan)):
+    for w, rel in _relation_extremal_walls(fan):
         p = tuple(sorted(i for i, c in rel.items() if c > 0))
         if p not in relations:
             return TheoremReport(
@@ -164,7 +164,7 @@ def check_reid_conditions(fan: Fan, wall: Wall, fan_id: str = "fan") -> TheoremR
     positive-coefficient ray from the wall relation leaves a maximal cone of
     the fan, and those cones cover the cone on all n+1 relation rays."""
     reason = _inapplicable(fan)
-    extremal = dict(_relation_extremal_walls(fan, _relation_point(fan))) if reason is None else {}
+    extremal = dict(_relation_extremal_walls(fan)) if reason is None else {}
     if reason is None and wall not in extremal:
         reason = f"wall {wall.ray_indices} is not extremal"
     if reason is not None:
@@ -217,7 +217,7 @@ def check_reid_all_walls(fan: Fan, fan_id: str = "fan") -> TheoremReport:
     reason = _inapplicable(fan)
     if reason is not None:
         return TheoremReport("reid-conditions", fan_id, INAPPLICABLE, reason)
-    walls = _relation_extremal_walls(fan, _relation_point(fan))
+    walls = _relation_extremal_walls(fan)
     for w, rel in walls:
         r = _reid_at_wall(fan, w, rel, fan_id)
         if r.verdict == FAILS:

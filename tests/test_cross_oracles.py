@@ -259,7 +259,7 @@ def test_relation_lp_sees_each_direction_once(monkeypatch):
         rc = plfun._relation_coordinates(f)
         rows = [r for r in rc.rows if any(r)]
         seen.clear()
-        pointed = plfun._relation_pointed(f)
+        pointed = plfun._relation_point(f) is not None
         assert len(seen) == 1, name
         directions = seen[0]
         assert directions == list(dict.fromkeys(primitivize(r) for r in rows)), name
@@ -309,12 +309,14 @@ def test_extremal_walls_from_the_point_match_one_lp_per_direction(monkeypatch):
             assert all(vdot(r, point) > 0 for r in rows if any(r)), name
             pointed += 1
         calls.clear()
-        got = mori._relation_extremal_walls(_fresh(f), point)
+        got = mori._relation_extremal_walls(_fresh(f))
         with_point += len(calls)
         assert [(w.ray_indices, rel) for w, rel in got] == ref, name
-        calls.clear()
-        got = mori._relation_extremal_walls(_fresh(f))
-        without_point += len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(mori, "_relation_point", lambda f: None)
+            calls.clear()
+            got = mori._relation_extremal_walls(_fresh(f))
+            without_point += len(calls)
         assert [(w.ray_indices, rel) for w, rel in got] == ref, name
     # Fulton's fan and its merged fans have no point
     assert (len(fans) - pointed, pointed) == (4, len(fans) - 4)
@@ -324,9 +326,10 @@ def test_extremal_walls_from_the_point_match_one_lp_per_direction(monkeypatch):
 
 class _GivenRows:
     """Stands in for a fan whose wall rows in relation coordinates are
-    given: wall k is k, with the relation {k: 1}."""
+    given: wall k is k, with the relation {k: 1}, and so is the point."""
 
-    def __init__(self, rows, dim):
+    def __init__(self, rows, dim, point):
+        self.point = point
         self.interior_walls = tuple(range(len(rows)))
         self.rc = plfun.RelationCoordinates(
             (), None, dim, tuple({k: 1} for k in range(len(rows))), tuple(rows))
@@ -339,6 +342,7 @@ def test_extremal_directions_from_a_point_on_random_rows(monkeypatch):
     # random rows positive on a random point, with nonnegative combinations
     # of them that tie with the vertices they lie between
     monkeypatch.setattr(mori, "_relation_coordinates", lambda f: f.rc)
+    monkeypatch.setattr(mori, "_relation_point", lambda f: f.point)
     calls = []
     real = lp.solve_nonneg
     monkeypatch.setattr(lp, "solve_nonneg", lambda *a: calls.append(a) or real(*a))
@@ -358,7 +362,7 @@ def test_extremal_directions_from_a_point_on_random_rows(monkeypatch):
         rng.shuffle(rows)
         ref = _reference_extremal_directions(rows, dim)
         calls.clear()
-        got = mori._relation_extremal_walls(_GivenRows(rows, dim), point)
+        got = mori._relation_extremal_walls(_GivenRows(rows, dim, point))
         decided += len({primitivize(r) for r in rows}) - len(calls)
         assert [k for k, _ in got] == [k for k, r in enumerate(rows) if primitivize(r) in ref], (
             rows, point)
@@ -391,6 +395,7 @@ def test_verify_suite_lp_counts(monkeypatch):
 
 
 def test_query_lp_counts(monkeypatch):
-    # query decides pointedness from the Picard witness and runs one LP per
-    # extremal-wall direction
-    assert _lp_counts(monkeypatch, "query") == {"solve_nonneg": 58, "strict_feasible": 14}
+    # query's extremal walls run the relation LP on the 14 fans whose Mori
+    # cone the Picard witness found pointed, and its point decides all but 22
+    # directions (58 with one LP per direction)
+    assert _lp_counts(monkeypatch, "query") == {"solve_nonneg": 22, "strict_feasible": 28}

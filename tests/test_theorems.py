@@ -790,8 +790,8 @@ def _relations_positive_on_every_ray(monkeypatch):
     # every ray of a wall's circuit may then be dropped, also a wall ray
     # whose complement is no cone of the fan
     real = theorems._relation_extremal_walls
-    monkeypatch.setattr(theorems, "_relation_extremal_walls", lambda f, point: tuple(
-        (w, dict.fromkeys(range(f.n_rays), 1)) for w, _ in real(f, point)
+    monkeypatch.setattr(theorems, "_relation_extremal_walls", lambda f: tuple(
+        (w, dict.fromkeys(range(f.n_rays), 1)) for w, _ in real(f)
     ))
 
 
